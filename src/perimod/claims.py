@@ -137,7 +137,7 @@ class ClaimRecord:
 
     @property
     def p_min(self) -> int:
-        return 3 if self.family is DegreeBase.P else 5
+        return DegreeSpec(self.family, 1).min_prime  # the same for every ell
 
 
 @dataclass(frozen=True)

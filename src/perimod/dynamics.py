@@ -136,10 +136,8 @@ def _successor_table(map_spec: PowerMapSpec) -> list[int]:
     q = ring.cardinality_q
     check_budget(q, f"scanning {ring.describe()}")
     u = pow_index_table(ring, map_spec.exponent)
-    ci = ring.index_of(map_spec.c)
-    add = ring.add_indices
-    addc = [add(i, ci) for i in range(q)]
-    return [addc[u[i]] for i in range(q)]
+    addc = ring.translation_table(ring.index_of(map_spec.c))
+    return [addc[x] for x in u]
 
 
 def orbit_decomposition(map_spec: PowerMapSpec) -> OrbitDecomposition:

@@ -9,6 +9,15 @@ the empty tuple).
 Elements of a ring are also addressable by a dense integer index (0 <= i < q,
 digits of i in base p giving the coefficient vector).  The sweep-heavy callers
 in the dynamics module work on indices to keep exhaustive scans cheap.
+
+Whole-ring tables come from an integer field kernel: per ring, a pair of
+discrete log/antilog tables over the index, built once by walking the powers
+of a generator of the unit group on plain coefficient lists (Z/p is read as
+F_p[t]/(t), so it takes the same path with m = 1).  A power table is then one
+lookup per element, and the z -> z + c table is built digit by digit.  The
+log/antilog pair is cached per ring and each power table per ring and
+exponent.  mod_pow on RingElem objects stays the object-level reference that
+map application and the tests use.
 """
 
 from __future__ import annotations
@@ -458,18 +467,26 @@ class RingSpec:
             v //= p
         return RingElem(self, FpPoly.make(p, coeffs))
 
-    def add_indices(self, i: int, j: int) -> int:
+    @property
+    def modulus_coeffs(self) -> tuple[int, ...]:
+        """Ascending coefficients of the modulus; Z/p reads as F_p[t]/(t)."""
+        return (0, 1) if self.modulus is None else self.modulus.pi.coeffs
+
+    def translation_table(self, c: int) -> list[int]:
+        """Index table of z -> z + c over the whole ring, c given by its index.
+
+        Built digit by digit: the table over the low k + 1 digits repeats the
+        one over the low k digits once per value of digit k, shifted by c's.
+        """
         p = self.p.value
-        if self.modulus is None:
-            return (i + j) % p
-        out = 0
-        mult = 1
-        for _ in range(self.modulus.degree_m):
-            out += ((i + j) % p) * mult
-            i //= p
-            j //= p
-            mult *= p
-        return out
+        table = [0]
+        weight = 1
+        for _ in range(len(self.modulus_coeffs) - 1):
+            c, ck = divmod(c, p)
+            digit = [(a + ck) % p * weight for a in range(p)]
+            table = [high + low for high in digit for low in table]
+            weight *= p
+        return table
 
     def describe(self) -> str:
         if self.modulus is None:
@@ -562,13 +579,62 @@ def ring_elements(ring: RingSpec) -> list[RingElem]:
     return [ring.element_at(i) for i in range(q)]
 
 
+def _mul_mod(a: list[int], b: list[int], p: int, low: Sequence[int]) -> list[int]:
+    """a * b on length-m coefficient lists, reduced modulo the monic
+    t^m + low[m-1] t^(m-1) + ... + low[0]; b must be nonzero."""
+    acc = [0] * len(a)
+    top = max(k for k, bk in enumerate(b) if bk)
+    for k in range(top + 1):
+        if k:  # a <- a * t, with t^m replaced by -low
+            lead = a[-1]
+            a = [0] + a[:-1]
+            if lead:
+                a = [(x - lead * y) % p for x, y in zip(a, low)]
+        if b[k]:
+            acc = [(x + b[k] * y) % p for x, y in zip(acc, a)]
+    return acc
+
+
+@lru_cache(maxsize=None)
+def log_tables(ring: RingSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Discrete log and antilog of the ring's unit group over the dense index.
+
+    antilog[k] is the index of g^k for 0 <= k < q - 1, and log[antilog[k]] = k;
+    log[0] is -1, as zero has no logarithm.  The generator g is the first
+    index, in index order, whose powers first return to 1 at step q - 1.
+    """
+    p = ring.p.value
+    pi = ring.modulus_coeffs
+    m = len(pi) - 1
+    low = pi[:m]
+    q = p**m
+    weights = [p**k for k in range(m)]
+    one = [1] + [0] * (m - 1)
+    for candidate in range(1, q):
+        g = [candidate // w % p for w in weights]
+        antilog = [1]
+        x = g
+        while x != one:
+            antilog.append(sum(a * w for a, w in zip(x, weights)))
+            x = _mul_mod(x, g, p, low)
+        if len(antilog) == q - 1:
+            break
+    log = [-1] * q
+    for k, i in enumerate(antilog):
+        log[i] = k
+    return tuple(log), tuple(antilog)
+
+
 @lru_cache(maxsize=None)
 def pow_index_table(ring: RingSpec, exponent: int) -> tuple[int, ...]:
-    """Index table of z -> z^exponent over the whole ring (cached)."""
-    q = ring.cardinality_q
-    if ring.modulus is None:
-        p = ring.p.value
-        return tuple(pow(z, exponent, p) for z in range(q))
-    return tuple(
-        ring.index_of(mod_pow(ring.element_at(i), exponent, ring)) for i in range(q)
-    )
+    """Index table of z -> z^exponent over the whole ring (cached).
+
+    Read off the log/antilog kernel: z^e = g^(e log z mod (q-1)) for z != 0,
+    and 0^e is 0, or 1 when e = 0 (as in mod_pow).
+    """
+    if exponent < 0:
+        raise UsageError(f"exponent must be nonnegative, got {exponent}")
+    log, antilog = log_tables(ring)
+    n = len(antilog)
+    e = exponent % n
+    return ((0,) if exponent else (1,)) + tuple(antilog[k * e % n] for k in log[1:])

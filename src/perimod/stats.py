@@ -20,7 +20,7 @@ from typing import Optional
 
 from .dynamics import DegreeBase, DegreeSpec, Interpretation, residue_count_table
 from .errors import DomainError, ResourceError
-from .rings import primes_in_range
+from .rings import _prime_factors, primes_in_range
 
 FACTOR_BUDGET = 10**12  # trial division cap for divisibility conditions
 SWEEP_BUDGET = 10**6  # largest cutoff a full prime sweep may use
@@ -93,33 +93,22 @@ class AverageSeries:
         return len(ratios) >= 2 and all(a < b for a, b in zip(ratios, ratios[1:]))
 
 
-def _prime_divisors(n: int) -> list[int]:
-    """Distinct prime divisors of n >= 2 by trial division, ascending."""
-    if n > FACTOR_BUDGET:
-        raise ResourceError(f"factoring {n} exceeds the {FACTOR_BUDGET} budget")
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    if n > 1:
-        out.append(n)
-    return out
+# divisibility conditions: p | c + offset
+_DIVISOR_OFFSETS = {
+    AvgCondition.P_DIVIDES_C: 0,
+    AvgCondition.P_DIVIDES_C_PLUS_1: 1,
+    AvgCondition.P_DIVIDES_C_MINUS_1: -1,
+}
 
 
 def _condition_primes(condition: AvgCondition, c: int, p_min: int) -> list[int]:
     """The primes appearing in the average's sums at cutoff c."""
-    if condition is AvgCondition.P_DIVIDES_C:
-        return [p for p in _prime_divisors(c) if p >= p_min]
-    if condition is AvgCondition.P_DIVIDES_C_PLUS_1:
-        return [p for p in _prime_divisors(c + 1) if p >= p_min]
-    if condition is AvgCondition.P_DIVIDES_C_MINUS_1:
-        if c - 1 < 2:
-            return []
-        return [p for p in _prime_divisors(c - 1) if p >= p_min]
+    offset = _DIVISOR_OFFSETS.get(condition)
+    if offset is not None:
+        divided = c + offset
+        if divided > FACTOR_BUDGET:
+            raise ResourceError(f"factoring {divided} exceeds the {FACTOR_BUDGET} budget")
+        return [p for p in _prime_factors(divided) if p >= p_min]
     if c > SWEEP_BUDGET:
         raise ResourceError(f"sweeping all primes up to {c} exceeds {SWEEP_BUDGET}")
     primes = _primes_up_to(c)

@@ -6,6 +6,7 @@ time.monotonic around the criterion's computation.
 """
 
 import functools
+import hashlib
 import time
 from fractions import Fraction
 from math import gcd
@@ -287,3 +288,27 @@ def test_criterion_10(tmp_path):
     assert claim_ids_in_report == {record.id for record in claim_catalog()}
     ms = {int(line.split(",")[3]) for line in lines[1:]}
     assert 0 in ms and {1, 2} <= ms
+    # the default reports are pinned byte for byte, so a faster count kernel
+    # cannot change a single cell
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == DEFAULT_SWEEP_SHA256["roots"]
+
+
+DEFAULT_SWEEP_SHA256 = {
+    "roots": "c1842cf50caab41be78fc0846444c199a38a9d72dd1e06d9dd34fa3f0b96415e",
+    "exact2": "2bf536212d8cf95c7d1215f087422206a7c40e5ebdb9cdfd961897ba0fee6ac1",
+    "fixed": "9ee97749fe971ab497b6b9bcfa7e7fe8f1b95c2d0c9d06a8d0a8c3cb1d8752a9",
+}
+
+
+def test_default_sweep_exact2_and_fixed(tmp_path, capsys):
+    expected = {
+        "exact2": "cells=14352 matches=11132 mismatches=3220",
+        "fixed": "cells=14352 matches=8178 mismatches=6174",
+    }
+    for interpretation, summary in expected.items():
+        target = tmp_path / f"{interpretation}.csv"
+        argv = ["verify", "--interpretation", interpretation, "--output", str(target)]
+        assert run(parse_args(argv)) == 0
+        assert capsys.readouterr().out.strip() == summary
+        digest = hashlib.sha256(target.read_bytes()).hexdigest()
+        assert digest == DEFAULT_SWEEP_SHA256[interpretation]

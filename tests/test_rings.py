@@ -2,6 +2,7 @@
 
 import pytest
 
+from perimod.dynamics import DegreeBase, DegreeSpec
 from perimod.errors import DomainError, ResourceError, UsageError
 from perimod.rings import (
     FpPoly,
@@ -11,10 +12,13 @@ from perimod.rings import (
     enumerate_monic_irreducibles,
     format_poly,
     is_irreducible,
+    log_tables,
     mod_pow,
     parse_poly,
     poly_gcd,
     poly_mul_mod,
+    pow_index_table,
+    primes_in_range,
     ring_elements,
 )
 
@@ -74,6 +78,37 @@ def mobius_irreducible_count(p, m):
 
 def quotient_ring(p, coeffs):
     return RingSpec.quotient_field(p, FpPoly.make(p, coeffs))
+
+
+def naive_order(z):
+    """Multiplicative order of a unit by repeated multiplication."""
+    one = z.ring.one()
+    acc, order = z, 1
+    while acc != one:
+        acc, order = acc * z, order + 1
+    return order
+
+
+def default_sweep_rings():
+    """The 211 rings of the default verify sweep: Z/p and F_p[t]/(pi) for
+    p <= 13 and deg pi <= 2."""
+    rings = []
+    for p in primes_in_range(3, 13):
+        rings.append(RingSpec.prime_field(p))
+        for m in (1, 2):
+            rings.extend(RingSpec.quotient_field(p, pi) for pi in enumerate_monic_irreducibles(p, m))
+    return rings
+
+
+def sweep_exponents(ring):
+    """Reduced exponents of both degree families at ell = 1, 2 on the ring."""
+    p, q = ring.p.value, ring.cardinality_q
+    return {
+        DegreeSpec(base, ell).reduced_exponent_for(p, q)
+        for base in DegreeBase
+        for ell in (1, 2)
+        if p >= DegreeSpec(base, ell).min_prime
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +198,41 @@ def test_mod_pow_agrees_with_repeated_multiplication():
                 if e <= 120 or e % 97 == 0 or e == 2000:
                     assert mod_pow(z, e, ring) == acc
                 acc = acc * z
+
+
+def test_pow_index_table_matches_mod_pow():
+    rings = default_sweep_rings()
+    assert len(rings) == 211
+    for ring in rings + [quotient_ring(3, [1, 2, 0, 1])]:  # plus F_27, m = 3
+        elems = ring_elements(ring)
+        for e in sorted(sweep_exponents(ring)):
+            table = pow_index_table(ring, e)
+            assert table == tuple(ring.index_of(mod_pow(z, e, ring)) for z in elems), (ring, e)
+        assert pow_index_table(ring, 0) == (1,) * len(elems)  # 0^0 = 1, as in mod_pow
+    with pytest.raises(UsageError):
+        pow_index_table(RingSpec.prime_field(5), -1)
+
+
+def test_log_tables_are_inverse_bijections_from_first_generator():
+    for ring in default_sweep_rings() + [quotient_ring(3, [1, 2, 0, 1]), quotient_ring(5, [2, 3, 0, 1])]:
+        q = ring.cardinality_q
+        log, antilog = log_tables(ring)
+        assert len(log) == q and log[0] == -1
+        assert sorted(antilog) == list(range(1, q))
+        assert sorted(log[1:]) == list(range(q - 1))
+        assert all(log[antilog[k]] == k for k in range(q - 1))
+        # antilog[k] = g^k, and g is the first index of order q - 1
+        g = ring.element_at(antilog[1])
+        acc = ring.one()
+        for k in range(q - 1):
+            assert ring.index_of(acc) == antilog[k]
+            acc = acc * g
+        assert naive_order(g) == q - 1
+        assert all(naive_order(ring.element_at(i)) < q - 1 for i in range(1, antilog[1]))
+    # over t^2 + 1, t has order 4 in F_9^*, so the search must go past it
+    f9 = quotient_ring(3, [1, 0, 1])
+    assert naive_order(f9.element(FpPoly.t(3))) == 4
+    assert f9.element_at(log_tables(f9)[1][1]) == f9.element(FpPoly.make(3, [1, 1]))
 
 
 def test_frobenius_fixed_field_fact():
@@ -286,13 +356,14 @@ def test_ring_element_reduction_and_arith():
 def test_index_round_trip_and_addition():
     for ring in (RingSpec.prime_field(7), quotient_ring(3, [1, 2, 0, 1])):
         q = ring.cardinality_q
-        for i in range(q):
-            elem = ring.element_at(i)
+        elems = [ring.element_at(i) for i in range(q)]
+        for i, elem in enumerate(elems):
             assert ring.index_of(elem) == i
-        for i in range(q):
-            for j in range(0, q, 5):
-                expected = ring.element_at(i) + ring.element_at(j)
-                assert ring.element_at(ring.add_indices(i, j)) == expected
+        for c in range(q):
+            table = ring.translation_table(c)
+            assert len(table) == q
+            for i in range(q):
+                assert elems[table[i]] == elems[i] + elems[c]
 
 
 def test_budget_override(monkeypatch):

@@ -111,6 +111,18 @@ def test_odd_primorials():
         odd_primorials(20)
 
 
+def test_factor_budget_caps_divisibility_conditions():
+    for condition, c in (
+        (AvgCondition.P_DIVIDES_C, 10**12 + 1),
+        (AvgCondition.P_DIVIDES_C_PLUS_1, 10**12),
+        (AvgCondition.P_DIVIDES_C_MINUS_1, 10**12 + 2),
+    ):
+        with pytest.raises(ResourceError):
+            partial_average(AverageQuery(P1, condition, ROOTS, (c,)))
+    at_limit = partial_average(AverageQuery(P1, AvgCondition.P_DIVIDES_C, ROOTS, (10**12,)))
+    assert at_limit.points[0].denominator == 1  # 10^12 = 2^12 * 5^12: only p = 5
+
+
 def test_divergence_series_values():
     series = divergence_series(P1, 8)
     ratios = [pt.ratio for pt in series.points]
