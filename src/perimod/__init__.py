@@ -11,6 +11,7 @@ Library layout:
             verifier and its CSV/JSON report
 - stats:    exact-rational partial averages, divergence series, and
             finite-cutoff densities
+- tables:   the one CSV/JSON text writer every report goes through
 - cli:      the perimod command-line tool
 """
 

@@ -29,6 +29,7 @@ from .rings import (
     enumerate_monic_irreducibles,
     primes_in_range,
 )
+from .tables import csv_text, json_text
 
 
 class CoeffClass(Enum):
@@ -344,12 +345,7 @@ def _class_reps(coeff_class: CoeffClass, ring: RingSpec) -> list:
     constant.
     """
     reps = [ring.element(r) for r in _class_residues(coeff_class, ring.p.value)]
-    if (
-        ring.kind is RingKind.QUOTIENT_FIELD
-        and coeff_class is CoeffClass.OTHER
-        and ring.modulus is not None
-        and ring.modulus.degree_m >= 2
-    ):
+    if coeff_class is CoeffClass.OTHER and ring.degree_m >= 2:
         reps.append(ring.element(FpPoly.t(ring.p.value)))
     return reps
 
@@ -470,11 +466,9 @@ class ReportFormat(Enum):
 
 def render_report(report: VerificationReport, fmt: ReportFormat) -> str:
     if fmt is ReportFormat.CSV:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(CSV_HEADER.split(","))
-        for cell in report.cells:
-            writer.writerow(
+        return csv_text(
+            CSV_HEADER.split(","),
+            (
                 [
                     cell.claim_id,
                     cell.p,
@@ -487,8 +481,9 @@ def render_report(report: VerificationReport, fmt: ReportFormat) -> str:
                     cell.computed,
                     "true" if cell.match else "false",
                 ]
-            )
-        return out.getvalue()
+                for cell in report.cells
+            ),
+        )
     payload = {
         "cells": [
             {
@@ -507,7 +502,7 @@ def render_report(report: VerificationReport, fmt: ReportFormat) -> str:
         ],
         "skips": [{"claim_id": s.claim_id, "reason": s.reason} for s in report.skips],
     }
-    return json.dumps(payload, indent=2) + "\n"
+    return json_text(payload)
 
 
 def parse_report(text: str, fmt: ReportFormat) -> VerificationReport:

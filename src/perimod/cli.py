@@ -12,9 +12,6 @@ failures), 1 on usage or domain errors, 2 on resource errors.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import sys
 from collections import Counter
 from dataclasses import dataclass
@@ -37,6 +34,7 @@ from .rings import (
     format_poly,
     parse_poly,
 )
+from .tables import csv_text, json_text
 
 SUBCOMMANDS = ("count", "orbits", "verify", "avg", "density", "irreducibles")
 
@@ -175,9 +173,9 @@ def _canonical_map_params(ns: argparse.Namespace) -> list[tuple[str, str]]:
         ring = RingSpec.prime_field(p)
         c_elem = ring.element(_as_int(ns.c, "--c"))
         params.append(("c", c_elem.render()))
-    family = DegreeBase(ns.family)
-    if p < (3 if family is DegreeBase.P else 5):
-        raise UsageError(f"family {ns.family} needs p >= {3 if family is DegreeBase.P else 5}")
+    min_prime = DegreeSpec(DegreeBase(ns.family), ell).min_prime
+    if p < min_prime:
+        raise UsageError(f"family {ns.family} needs p >= {min_prime}")
     return params
 
 
@@ -259,19 +257,6 @@ def parse_args(argv: Sequence[str]) -> CommandSpec:
 # execution
 
 
-def _csv_text(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
-    return out.getvalue()
-
-
-def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
-
-
 def _map_from_spec(cmd: CommandSpec) -> PowerMapSpec:
     p = int(cmd.param("p"))
     if cmd.param("ring") == "fpt":
@@ -291,7 +276,7 @@ def _family_from(cmd: CommandSpec) -> DegreeSpec:
 def _run_count(cmd: CommandSpec) -> tuple[str, Optional[str]]:
     report = count_report(_map_from_spec(cmd))
     if cmd.format == "json":
-        text = _json_text(
+        text = json_text(
             {
                 "fixed": report.fixed,
                 "period_le2_roots": report.period_le2_roots,
@@ -299,7 +284,7 @@ def _run_count(cmd: CommandSpec) -> tuple[str, Optional[str]]:
             }
         )
     else:
-        text = _csv_text(
+        text = csv_text(
             ["fixed", "period_le2_roots", "exact2"],
             [[str(report.fixed), str(report.period_le2_roots), str(report.exact2)]],
         )
@@ -311,7 +296,7 @@ def _run_orbits(cmd: CommandSpec) -> tuple[str, Optional[str]]:
     lengths = Counter(length for length, _ in decomposition.cycles)
     tail = decomposition.tail_node_count
     if cmd.format == "json":
-        text = _json_text(
+        text = json_text(
             {
                 "cycle_lengths": [[length, lengths[length]] for length in sorted(lengths)],
                 "tail_node_count": tail,
@@ -319,7 +304,7 @@ def _run_orbits(cmd: CommandSpec) -> tuple[str, Optional[str]]:
         )
     else:
         rows = [[str(length), str(lengths[length]), str(tail)] for length in sorted(lengths)]
-        text = _csv_text(["cycle_length", "num_cycles", "tail_node_count"], rows)
+        text = csv_text(["cycle_length", "num_cycles", "tail_node_count"], rows)
     return text, None
 
 
@@ -338,7 +323,7 @@ def _series_text(cmd: CommandSpec, series, population: str) -> str:
     rows = stats.series_rows(series)
     if cmd.format == "json":
         keys = stats.SERIES_HEADER.split(",")
-        return _json_text(
+        return json_text(
             {
                 "population": population,
                 "series": [
@@ -346,7 +331,7 @@ def _series_text(cmd: CommandSpec, series, population: str) -> str:
                 ],
             }
         )
-    return _csv_text(stats.SERIES_HEADER.split(","), rows)
+    return csv_text(stats.SERIES_HEADER.split(","), rows)
 
 
 def _run_avg(cmd: CommandSpec) -> tuple[str, Optional[str]]:
@@ -403,9 +388,9 @@ def _run_density(cmd: CommandSpec) -> tuple[str, Optional[str]]:
 def _run_irreducibles(cmd: CommandSpec) -> tuple[str, Optional[str]]:
     polys = enumerate_monic_irreducibles(int(cmd.param("p")), int(cmd.param("m")))
     if cmd.format == "json":
-        text = _json_text({"pi": [format_poly(f) for f in polys]})
+        text = json_text({"pi": [format_poly(f) for f in polys]})
     else:
-        text = _csv_text(["pi"], [[format_poly(f)] for f in polys])
+        text = csv_text(["pi"], [[format_poly(f)] for f in polys])
     return text, None
 
 
@@ -430,8 +415,12 @@ def run(cmd: CommandSpec) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if cmd.output is not None:
-        with open(cmd.output, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        try:
+            with open(cmd.output, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         if summary is not None:
             print(summary)
     else:

@@ -136,7 +136,7 @@ def _successor_table(map_spec: PowerMapSpec) -> list[int]:
     q = ring.cardinality_q
     check_budget(q, f"scanning {ring.describe()}")
     u = pow_index_table(ring, map_spec.exponent)
-    addc = ring.translation_table(ring.index_of(map_spec.c))
+    addc = ring.translation_table(map_spec.c.rep)
     return [addc[x] for x in u]
 
 

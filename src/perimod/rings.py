@@ -6,9 +6,12 @@ result is always the identity.  Polynomials are stored as tuples of residues
 in ascending powers of t with trailing zeros trimmed (the zero polynomial is
 the empty tuple).
 
-Elements of a ring are also addressable by a dense integer index (0 <= i < q,
-digits of i in base p giving the coefficient vector).  The sweep-heavy callers
-in the dynamics module work on indices to keep exhaustive scans cheap.
+Every ring element is its dense integer index 0 <= i < q, for Z/p and for
+quotient fields alike: the base-p digits of i are the coefficients of the
+reduced polynomial, so a Z/p element is its residue.  RingElem.poly gives the
+FpPoly view, on which object arithmetic and mod_pow are computed.  The
+sweep-heavy callers in the dynamics module work on indices to keep
+exhaustive scans cheap.
 
 Whole-ring tables come from an integer field kernel: per ring, a pair of
 discrete log/antilog tables over the index, built once by walking the powers
@@ -401,10 +404,18 @@ class RingSpec:
         return RingKind.PRIME_FIELD if self.modulus is None else RingKind.QUOTIENT_FIELD
 
     @property
+    def modulus_coeffs(self) -> tuple[int, ...]:
+        """Ascending coefficients of the modulus; Z/p reads as F_p[t]/(t)."""
+        return (0, 1) if self.modulus is None else self.modulus.pi.coeffs
+
+    @property
+    def degree_m(self) -> int:
+        """Degree of the modulus: the number of base-p digits of an index."""
+        return len(self.modulus_coeffs) - 1
+
+    @property
     def cardinality_q(self) -> int:
-        if self.modulus is None:
-            return self.p.value
-        return self.p.value**self.modulus.degree_m
+        return self.p.value**self.degree_m
 
     @classmethod
     def prime_field(cls, p: Union[Prime, int]) -> "RingSpec":
@@ -420,23 +431,25 @@ class RingSpec:
     def element(self, value: "int | FpPoly | Sequence[int]") -> "RingElem":
         """Smart constructor: reduce an integer or polynomial into this ring."""
         p = self.p.value
-        if self.modulus is None:
-            if isinstance(value, FpPoly):
-                if value.degree > 0:
-                    raise UsageError("Z/p element cannot come from a non-constant polynomial")
-                value = value.coeffs[0] if value.coeffs else 0
-            elif not isinstance(value, int):
-                raise UsageError(f"cannot build a Z/{p} element from {value!r}")
-            return RingElem(self, value % p)
         if isinstance(value, int):
-            poly = FpPoly.const(p, value)
-        elif isinstance(value, FpPoly):
-            if value.p != p:
-                raise UsageError(f"polynomial over F_{value.p} does not belong to F_{p}[t]")
-            poly = value
-        else:
-            poly = FpPoly.make(p, value)
-        return RingElem(self, poly % self.modulus.pi)
+            return RingElem(self, value % p)
+        if not isinstance(value, (FpPoly, tuple, list)):
+            raise UsageError(f"cannot build an element of {self.describe()} from {value!r}")
+        poly = value if isinstance(value, FpPoly) else FpPoly.make(p, value)
+        if poly.p != p:
+            raise UsageError(f"polynomial over F_{poly.p} does not belong to F_{p}[t]")
+        if self.modulus is None and poly.degree > 0:
+            raise UsageError("Z/p element cannot come from a non-constant polynomial")
+        return self._from_poly(poly)
+
+    def _from_poly(self, poly: FpPoly) -> "RingElem":
+        """The element of a polynomial over F_p, reduced mod the modulus."""
+        if poly.degree >= self.degree_m:
+            poly = poly % FpPoly(poly.p, self.modulus_coeffs)
+        idx = 0
+        for a in reversed(poly.coeffs):
+            idx = idx * self.p.value + a
+        return RingElem(self, idx)
 
     def zero(self) -> "RingElem":
         return self.element(0)
@@ -449,28 +462,10 @@ class RingSpec:
     def index_of(self, e: "RingElem") -> int:
         if e.ring != self:
             raise UsageError("element belongs to a different ring")
-        if self.modulus is None:
-            return e.rep  # type: ignore[return-value]
-        idx = 0
-        for a in reversed(e.rep.coeffs):  # type: ignore[union-attr]
-            idx = idx * self.p.value + a
-        return idx
+        return e.rep
 
     def element_at(self, idx: int) -> "RingElem":
-        p = self.p.value
-        if self.modulus is None:
-            return RingElem(self, idx % p)
-        coeffs = []
-        v = idx
-        for _ in range(self.modulus.degree_m):
-            coeffs.append(v % p)
-            v //= p
-        return RingElem(self, FpPoly.make(p, coeffs))
-
-    @property
-    def modulus_coeffs(self) -> tuple[int, ...]:
-        """Ascending coefficients of the modulus; Z/p reads as F_p[t]/(t)."""
-        return (0, 1) if self.modulus is None else self.modulus.pi.coeffs
+        return RingElem(self, idx)
 
     def translation_table(self, c: int) -> list[int]:
         """Index table of z -> z + c over the whole ring, c given by its index.
@@ -481,7 +476,7 @@ class RingSpec:
         p = self.p.value
         table = [0]
         weight = 1
-        for _ in range(len(self.modulus_coeffs) - 1):
+        for _ in range(self.degree_m):
             c, ck = divmod(c, p)
             digit = [(a + ck) % p * weight for a in range(p)]
             table = [high + low for high in digit for low in table]
@@ -494,27 +489,37 @@ class RingSpec:
         return f"F_{self.p.value}[t]/({format_poly(self.modulus.pi)})"
 
 
+def _digits(idx: int, p: int) -> list[int]:
+    """Base-p digits of idx, least significant first, without trailing zeros."""
+    out = []
+    while idx:
+        idx, d = divmod(idx, p)
+        out.append(d)
+    return out
+
+
 @dataclass(frozen=True)
 class RingElem:
-    """A fully reduced element of a RingSpec.
+    """An element of a RingSpec, stored as its dense index.
 
-    rep is an integer residue in [0, p) for a prime field, or an FpPoly of
-    degree < m for a quotient field.  The strict constructor enforces this;
-    RingSpec.element reduces arbitrary input.
+    rep is the index 0 <= rep < q for every ring: its base-p digits are the
+    coefficients of the reduced polynomial, so for Z/p it is the residue
+    itself.  The poly property gives the FpPoly view.  The strict
+    constructor enforces the range; RingSpec.element reduces arbitrary input.
     """
 
     ring: RingSpec
-    rep: Union[int, FpPoly]
+    rep: int
 
     def __post_init__(self) -> None:
-        if self.ring.modulus is None:
-            if not isinstance(self.rep, int) or not (0 <= self.rep < self.ring.p.value):
-                raise UsageError(f"residue {self.rep!r} not reduced mod {self.ring.p.value}")
-        else:
-            if not isinstance(self.rep, FpPoly) or self.rep.p != self.ring.p.value:
-                raise UsageError("quotient-field element must be an FpPoly over the same prime")
-            if self.rep.degree >= self.ring.modulus.degree_m:
-                raise UsageError("quotient-field element not reduced mod the ring modulus")
+        if not isinstance(self.rep, int) or not (0 <= self.rep < self.ring.cardinality_q):
+            raise UsageError(f"index {self.rep!r} out of range for {self.ring.describe()}")
+
+    @property
+    def poly(self) -> FpPoly:
+        """The reduced polynomial of degree < m whose coefficients are rep's digits."""
+        p = self.ring.p.value
+        return FpPoly(p, tuple(_digits(self.rep, p)))
 
     def _require_same_ring(self, other: "RingElem") -> None:
         if self.ring != other.ring:
@@ -522,31 +527,24 @@ class RingElem:
 
     def __add__(self, other: "RingElem") -> "RingElem":
         self._require_same_ring(other)
-        if self.ring.modulus is None:
-            return RingElem(self.ring, (self.rep + other.rep) % self.ring.p.value)
-        return RingElem(self.ring, self.rep + other.rep)  # degree cannot grow
+        return self.ring._from_poly(self.poly + other.poly)
 
     def __sub__(self, other: "RingElem") -> "RingElem":
         self._require_same_ring(other)
-        if self.ring.modulus is None:
-            return RingElem(self.ring, (self.rep - other.rep) % self.ring.p.value)
-        return RingElem(self.ring, self.rep - other.rep)
+        return self.ring._from_poly(self.poly - other.poly)
 
     def __mul__(self, other: "RingElem") -> "RingElem":
         self._require_same_ring(other)
-        if self.ring.modulus is None:
-            return RingElem(self.ring, (self.rep * other.rep) % self.ring.p.value)
-        return RingElem(self.ring, (self.rep * other.rep) % self.ring.modulus.pi)
+        return self.ring._from_poly(self.poly * other.poly)
 
     @property
     def is_zero(self) -> bool:
-        return self.rep == 0 if isinstance(self.rep, int) else self.rep.is_zero
+        return self.rep == 0
 
     def render(self) -> str:
-        """Text form: decimal residue, or comma-coefficient polynomial."""
-        if isinstance(self.rep, int):
-            return str(self.rep)
-        return format_poly(self.rep)
+        """Text form: comma-separated ascending coefficients, "0" for zero (for
+        Z/p, the decimal residue)."""
+        return ",".join(map(str, _digits(self.rep, self.ring.p.value))) or "0"
 
     def __repr__(self) -> str:
         return f"RingElem({self.ring.describe()}, {self.render()})"
@@ -558,11 +556,8 @@ def mod_pow(base: RingElem, exponent: int, ring: RingSpec) -> RingElem:
         raise UsageError("base does not belong to the stated ring")
     if exponent < 0:
         raise UsageError(f"exponent must be nonnegative, got {exponent}")
-    if ring.modulus is None:
-        return RingElem(ring, pow(base.rep, exponent, ring.p.value))
-    if exponent == 0:
-        return ring.one()
-    return RingElem(ring, _poly_pow_mod(base.rep, exponent, ring.modulus.pi))
+    modulus = FpPoly(ring.p.value, ring.modulus_coeffs)
+    return ring._from_poly(_poly_pow_mod(base.poly, exponent, modulus))
 
 
 def poly_mul_mod(a: FpPoly, b: FpPoly, modulus: PolyModulus) -> FpPoly:

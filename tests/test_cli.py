@@ -176,6 +176,14 @@ def test_no_partial_output_on_resource_error(tmp_path, monkeypatch):
     assert not target.exists()
 
 
+def test_unwritable_output_exits_1_without_file(tmp_path, capsys):
+    target = tmp_path / "no-such-dir" / "x.csv"
+    assert main(["irreducibles", "--p", "3", "--m", "2", "--output", str(target)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not target.parent.exists()
+
+
 def test_main_maps_usage_errors_to_exit_1(capsys):
     assert main(["count", "--p", "9", "--family", "p", "--c", "1"]) == 1
     assert "not prime" in capsys.readouterr().err

@@ -8,6 +8,7 @@ from perimod.rings import (
     FpPoly,
     PolyModulus,
     Prime,
+    RingElem,
     RingSpec,
     enumerate_monic_irreducibles,
     format_poly,
@@ -349,16 +350,33 @@ def test_ring_element_reduction_and_arith():
     assert f9.element(7).render() == "1"
     z5 = RingSpec.prime_field(5)
     assert z5.element(-3).rep == 2
+    assert z5.element(FpPoly.const(5, 3)) == z5.element(3)
     with pytest.raises(UsageError):
         t + z5.element(1)
+    with pytest.raises(UsageError):
+        z5.element(FpPoly.t(5))  # Z/p takes constant polynomials only
+    with pytest.raises(UsageError):
+        z5.element([1, 1])
+    for bad in (-1, 5, 2.0, FpPoly.const(5, 2)):
+        with pytest.raises(UsageError):
+            RingElem(z5, bad)
+    for bad in (-1, 9, "1", FpPoly.t(3)):
+        with pytest.raises(UsageError):
+            RingElem(f9, bad)
 
 
 def test_index_round_trip_and_addition():
-    for ring in (RingSpec.prime_field(7), quotient_ring(3, [1, 2, 0, 1])):
+    for ring in (RingSpec.prime_field(7), quotient_ring(3, [1, 0, 1]), quotient_ring(3, [1, 2, 0, 1])):
         q = ring.cardinality_q
         elems = [ring.element_at(i) for i in range(q)]
         for i, elem in enumerate(elems):
             assert ring.index_of(elem) == i
+            assert elem.poly.degree < ring.degree_m
+            assert ring.element(elem.poly) == elem
+            assert elem.render() == format_poly(elem.poly)
+        for bad in (-1, q, q + 1):
+            with pytest.raises(UsageError):
+                ring.element_at(bad)
         for c in range(q):
             table = ring.translation_table(c)
             assert len(table) == q
