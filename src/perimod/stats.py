@@ -8,6 +8,8 @@ nothing here ever touches floating point.
 
 Per-prime count lookups go through dynamics.residue_count_table, the bulk
 form of the exhaustive scan, so sweeping every c up to 10^4 stays cheap.
+Densities are counted prime by prime, by residue class, rather than pair by
+pair (see density).
 """
 
 from __future__ import annotations
@@ -18,25 +20,13 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
-from .dynamics import DegreeBase, DegreeSpec, Interpretation, residue_count_table
+from .dynamics import DegreeSpec, Interpretation, residue_count_table
 from .errors import DomainError, ResourceError
-from .rings import _prime_factors, primes_in_range
+from .rings import _prime_factors, is_prime_int, primes_in_range
 
 FACTOR_BUDGET = 10**12  # trial division cap for divisibility conditions
 SWEEP_BUDGET = 10**6  # largest cutoff a full prime sweep may use
-
-_prime_cache: list[int] = []
-_prime_cache_limit = 0
-
-
-def _primes_up_to(limit: int) -> list[int]:
-    """Cached ascending prime list; grows geometrically to amortize sieving."""
-    global _prime_cache, _prime_cache_limit
-    if limit > _prime_cache_limit:
-        _prime_cache_limit = max(limit, 2 * _prime_cache_limit, 1024)
-        _prime_cache = primes_in_range(2, _prime_cache_limit)
-    hi = bisect_right(_prime_cache, limit)
-    return _prime_cache[:hi]
+DENSITY_BUDGET = 10**5  # largest density cutoff
 
 
 class AvgCondition(Enum):
@@ -93,17 +83,15 @@ class AverageSeries:
         return len(ratios) >= 2 and all(a < b for a, b in zip(ratios, ratios[1:]))
 
 
-# divisibility conditions: p | c + offset
-_DIVISOR_OFFSETS = {
-    AvgCondition.P_DIVIDES_C: 0,
-    AvgCondition.P_DIVIDES_C_PLUS_1: 1,
-    AvgCondition.P_DIVIDES_C_MINUS_1: -1,
-}
+# divisibility conditions p | c + offset, keyed by the value string that
+# AvgCondition and PredicateKind share
+_DIVISOR_OFFSETS = {"divides": 0, "divides-plus1": 1, "divides-minus1": -1}
 
 
-def _condition_primes(condition: AvgCondition, c: int, p_min: int) -> list[int]:
-    """The primes appearing in the average's sums at cutoff c."""
-    offset = _DIVISOR_OFFSETS.get(condition)
+def _condition_primes(condition: AvgCondition, c: int, swept: list[int], p_min: int) -> list[int]:
+    """The primes appearing in the average's sums at cutoff c; swept holds
+    the primes from p_min up to at least min(c, SWEEP_BUDGET)."""
+    offset = _DIVISOR_OFFSETS.get(condition.value)
     if offset is not None:
         divided = c + offset
         if divided > FACTOR_BUDGET:
@@ -111,24 +99,27 @@ def _condition_primes(condition: AvgCondition, c: int, p_min: int) -> list[int]:
         return [p for p in _prime_factors(divided) if p >= p_min]
     if c > SWEEP_BUDGET:
         raise ResourceError(f"sweeping all primes up to {c} exceeds {SWEEP_BUDGET}")
-    primes = _primes_up_to(c)
-    lo = bisect_left(primes, p_min)
+    primes = swept[: bisect_right(swept, c)]
     if condition is AvgCondition.P_NOT_DIVIDES_C:
-        return [p for p in primes[lo:] if c % p != 0]
-    return [p for p in primes[lo:] if c % p not in (0, 1, p - 1)]
+        return [p for p in primes if c % p != 0]
+    return [p for p in primes if c % p not in (0, 1, p - 1)]
 
 
 def partial_average(query: AverageQuery) -> AverageSeries:
     """For each cutoff c: sum of the count over the selected primes, divided
     by how many primes were selected."""
+    p_min = query.p_min
+    swept: list[int] = []
+    if query.condition.value not in _DIVISOR_OFFSETS:
+        swept = primes_in_range(p_min, min(max(query.cs, default=0), SWEEP_BUDGET))
     points = []
     counts_cache: dict[int, tuple[int, ...]] = {}
     for c in query.cs:
-        if c < query.p_min:
-            raise DomainError(f"cutoff {c} is below the family's smallest prime {query.p_min}")
+        if c < p_min:
+            raise DomainError(f"cutoff {c} is below the family's smallest prime {p_min}")
         numerator = 0
         denominator = 0
-        for p in _condition_primes(query.condition, c, query.p_min):
+        for p in _condition_primes(query.condition, c, swept, p_min):
             table = counts_cache.get(p)
             if table is None:
                 table = residue_count_table(p, query.family, query.interpretation)
@@ -142,14 +133,13 @@ def partial_average(query: AverageQuery) -> AverageSeries:
 
 def odd_primorials(k_max: int) -> list[int]:
     """c_k = 3 * 5 * ... * p_k (product of the first k odd primes), k = 2..k_max."""
-    odd_primes: list[int] = []
-    limit = 64
-    while len(odd_primes) < k_max:
-        odd_primes = primes_in_range(3, limit)
-        limit *= 2
     out = []
     c = 1
-    for k, p in enumerate(odd_primes[:k_max], start=1):
+    p = 1
+    for k in range(1, k_max + 1):
+        p += 2
+        while not is_prime_int(p):
+            p += 2
         c *= p
         if c > FACTOR_BUDGET:
             raise ResourceError(f"primorial for k = {k} exceeds the {FACTOR_BUDGET} budget")
@@ -236,51 +226,47 @@ class DensityResult:
 
 
 def density(query: DensityQuery) -> DensityResult:
+    """Hits and population at the quarter, half and full cutoffs, counted in
+    one pass over the primes.
+
+    For a prime p and a cutoff s, the n = s - p + 1 values c = p..s have
+    residues 0, 1, ..., p-1, 0, 1, ... in order, so with periods, rest =
+    divmod(n, p) the prime contributes periods * len(good) plus the number
+    of good residues below rest, where good is the sorted list of residues
+    satisfying the predicate.
+    """
     C = query.cutoff
     p_min = query.effective_p_min
     if C < p_min:
         raise DomainError(f"population is empty: cutoff {C} < p_min {p_min}")
-    if C > 10**5:
-        raise ResourceError(f"density cutoff {C} exceeds the 10^5 pair-sweep budget")
-    primes = primes_in_range(p_min, C)
+    if C > DENSITY_BUDGET:
+        raise ResourceError(f"density cutoff {C} exceeds the {DENSITY_BUDGET} budget")
     pred = query.predicate
-    tables: dict[int, tuple[int, ...]] = {}
-
-    def holds(p: int, c: int) -> bool:
-        if pred.kind is PredicateKind.DIVIDES:
-            result = c % p == 0
-        elif pred.kind is PredicateKind.DIVIDES_PLUS_1:
-            result = (c + 1) % p == 0
-        elif pred.kind is PredicateKind.DIVIDES_MINUS_1:
-            result = (c - 1) % p == 0
+    offset = _DIVISOR_OFFSETS.get(pred.kind.value)
+    snapshots = sorted({C // 4, C // 2, C})
+    hits = dict.fromkeys(snapshots, 0)
+    population = dict.fromkeys(snapshots, 0)
+    for p in primes_in_range(p_min, C):
+        if offset is None:
+            table = residue_count_table(p, query.family, pred.interpretation)
+            good = [r for r, count in enumerate(table) if count == pred.value]
         else:
-            table = tables.get(p)
-            if table is None:
-                table = residue_count_table(p, query.family, pred.interpretation)
-                tables[p] = table
-            result = table[c % p] == pred.value
-        return result != pred.negate
-
-    snapshots = sorted(s for s in {C // 4, C // 2, C} if s >= 1)
-    points = []
-    hits = 0
-    population = 0
-    snap_iter = iter(snapshots)
-    next_snap = next(snap_iter)
-    for c in range(1, C + 1):
-        for p in primes:
-            if p > c:
-                break
-            population += 1
-            if holds(p, c):
-                hits += 1
-        while next_snap is not None and c == next_snap:
-            if population:
-                points.append(DensityPoint(c, hits, population, Fraction(hits, population)))
-            next_snap = next(snap_iter, None)
+            good = [-offset % p]
+        for s in snapshots:
+            n = s - p + 1
+            if n > 0:
+                periods, rest = divmod(n, p)
+                found = periods * len(good) + bisect_left(good, rest)
+                hits[s] += n - found if pred.negate else found
+                population[s] += n
+    points = tuple(
+        DensityPoint(s, hits[s], population[s], Fraction(hits[s], population[s]))
+        for s in snapshots
+        if population[s]
+    )
     if not points or points[-1].cutoff != C:
         raise DomainError("population is empty at the requested cutoff")
-    return DensityResult(points=tuple(points))
+    return DensityResult(points=points)
 
 
 # ---------------------------------------------------------------------------

@@ -192,3 +192,27 @@ def test_main_maps_usage_errors_to_exit_1(capsys):
 def test_main_success(capsys):
     assert main(["count", "--p", "5", "--family", "p-1", "--c", "4"]) == 0
     assert capsys.readouterr().out.splitlines()[1] == "0,2,2"
+
+
+@pytest.mark.parametrize(
+    "argv,status",
+    [
+        (["density", "--family", "p", "--predicate", "divides", "--C", "100001"], 2),
+        (["avg", "--family", "p", "--condition", "not-divides", "--c", "1000001"], 2),
+        (["avg", "--family", "p", "--condition", "divides", "--c", "1000000000001"], 2),
+        (["avg", "--family", "p", "--primorial-k", "11"], 2),
+        (["irreducibles", "--p", "1009", "--m", "2"], 2),
+        (["avg", "--family", "p", "--primorial-k", "10"], 0),
+        (["density", "--family", "p", "--predicate", "divides", "--C", "100000"], 0),
+    ],
+)
+def test_limits_exit_2_just_past_and_0_at(argv, status, tmp_path, capsys):
+    target = tmp_path / "out.csv"
+    assert main(argv + ["--output", str(target)]) == status
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if status == 2:
+        assert err.startswith("error: ")
+        assert not target.exists()
+    else:
+        assert err == "" and target.exists()

@@ -1,11 +1,12 @@
 """Statistics tests: exact averages, divergence series, and densities."""
 
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
 from perimod.dynamics import DegreeBase, DegreeSpec, Interpretation, counting_function
-from perimod.errors import DomainError, ResourceError
+from perimod.errors import DomainError, ResourceError, UsageError
 from perimod.rings import RingSpec, enumerate_monic_irreducibles, primes_in_range
 from perimod.stats import (
     AverageQuery,
@@ -109,6 +110,8 @@ def test_odd_primorials():
     assert odd_primorials(4) == [15, 105, 1155]
     with pytest.raises(ResourceError):
         odd_primorials(20)
+    with pytest.raises(ResourceError):
+        odd_primorials(10**9)  # raises at k = 11 without first listing k_max primes
 
 
 def test_factor_budget_caps_divisibility_conditions():
@@ -201,6 +204,84 @@ def test_density_smallest_population():
     result = density(DensityQuery(P1, DensityPredicate(PredicateKind.DIVIDES), 3))
     assert result.points[-1].population == 1
     assert result.ratio == Fraction(1)
+
+
+@lru_cache(maxsize=None)
+def _scanned_counts(family, p):
+    """{interpretation: count} for every c mod p, iterating z^d + c directly."""
+    d = family.base_value(p) ** family.ell
+    powers = [pow(z, d, p) for z in range(p)]
+    out = []
+    for c in range(p):
+        phi = [(u + c) % p for u in powers]
+        fixed = sum(phi[z] == z for z in range(p))
+        roots = sum(phi[phi[z]] == z for z in range(p))
+        out.append(
+            {Interpretation.FIXED: fixed, ROOTS: roots, Interpretation.EXACT2: roots - fixed}
+        )
+    return out
+
+
+def _enumerated_density(family, pred, C, p_min):
+    """The density points, or the error type, from every pair (p, c) in turn."""
+    lo = family.min_prime if p_min is None else p_min
+    if C < lo:
+        return DomainError
+    primes = [p for p in range(max(lo, 2), C + 1) if all(p % f for f in range(2, p))]
+    if pred.kind is PredicateKind.COUNT_EQUALS:
+        for p in primes:  # the per-map counter rejects the same primes
+            try:
+                ring = RingSpec.prime_field(p)
+                zero = counting_function(family, pred.interpretation, ring, ring.element(0))
+            except (UsageError, DomainError) as exc:
+                return type(exc)
+            assert zero == _scanned_counts(family, p)[0][pred.interpretation]
+    offset = {
+        PredicateKind.DIVIDES: 0,
+        PredicateKind.DIVIDES_PLUS_1: 1,
+        PredicateKind.DIVIDES_MINUS_1: -1,
+    }.get(pred.kind)
+    points = []
+    hits = population = 0
+    for c in range(1, C + 1):
+        for p in primes:
+            if p > c:
+                break
+            if offset is not None:
+                holds = (c + offset) % p == 0
+            else:
+                holds = _scanned_counts(family, p)[c % p][pred.interpretation] == pred.value
+            population += 1
+            hits += holds != pred.negate
+        if c in (C // 4, C // 2, C) and population:
+            points.append((c, hits, population, Fraction(hits, population)))
+    if not points or points[-1][0] != C:
+        return DomainError
+    return points
+
+
+@pytest.mark.parametrize("family", [P1, U1])
+@pytest.mark.parametrize("p_min", [None, 2, 7])
+def test_density_matches_pair_enumeration(family, p_min):
+    predicates = [
+        DensityPredicate(kind) for kind in PredicateKind if kind is not PredicateKind.COUNT_EQUALS
+    ]
+    predicates += [
+        DensityPredicate(PredicateKind.COUNT_EQUALS, value, interpretation)
+        for value in range(3)
+        for interpretation in Interpretation
+    ]
+    for pred in predicates:
+        for predicate in (pred, pred.negated()):
+            for C in [*range(1, 31), 100, 257]:
+                query = DensityQuery(family, predicate, C, p_min)
+                expected = _enumerated_density(family, predicate, C, p_min)
+                if isinstance(expected, type):
+                    with pytest.raises(expected):
+                        density(query)
+                    continue
+                got = [(pt.cutoff, pt.hits, pt.population, pt.ratio) for pt in density(query).points]
+                assert got == expected, (predicate, C)
 
 
 def test_series_rows_schema():
