@@ -1,5 +1,6 @@
 """CLI tests: parsing, round trips, outputs, and exit statuses."""
 
+import hashlib
 import json
 
 import pytest
@@ -216,3 +217,64 @@ def test_limits_exit_2_just_past_and_0_at(argv, status, tmp_path, capsys):
         assert not target.exists()
     else:
         assert err == "" and target.exists()
+
+
+EMPTY = hashlib.sha256(b"").hexdigest()
+
+
+# SHA-256 of stdout and the exit status of small invocations of every
+# subcommand in both formats, plus usage and resource errors (which print
+# nothing on stdout).  Recorded before the flag-table rewrite of the CLI.
+@pytest.mark.parametrize(
+    "line,status,digest",
+    [
+        ("verify --p-max 5 --interpretation roots --format csv", 0, "5bedc526c24228b1387ffd430ea16b6dc7bab84547353fe80e17a2348aa50352"),
+        ("verify --p-max 5 --interpretation roots --format json", 0, "615ba64e2166a6035975d4daf99e6e43c3cffe0cdeb0d72f0b00bb52431568cc"),
+        ("verify --p-max 5 --ell-max 1 --m-max 1 --interpretation exact2 --format csv", 0, "5120d9e808f2b8a1b70e666b0ee55abc2a02516a8f0019731ef521ab7382a75e"),
+        ("verify --p-max 5 --ell-max 1 --m-max 1 --interpretation exact2 --format json", 0, "86032c9876da7cfa9b3a4ea171ff23a00eef651cfa1ba677aabdc28b0dbd0817"),
+        ("avg --family p --condition divides --c 105,15 --format csv", 0, "d92096abba6ad480fabae961216dbd8c33ecce95fb865ca2c43241896abec7a4"),
+        ("avg --family p --condition divides --c 105,15 --format json", 0, "308e12d481ff10797f0e7bc2c7a1252c34b0e7216f2c9b7886e609c3b1bf9c58"),
+        ("avg --family p-1 --condition not-divides --interpretation exact2 --c 105,15 --format csv", 0, "a0fe9ac3c15b780e0a256cf0d081784f285bbc1a6fdde7763c9220f69b9ba793"),
+        ("avg --family p-1 --condition not-divides --interpretation exact2 --c 105,15 --format json", 0, "6d9b83aab50f17f2add4f2323ed210c6016666e1672248702e2d52bcc4f6cf7c"),
+        ("avg --family p --primorial-k 4 --format csv", 0, "25280afb622dbe1cee9110b468aa07718385358b5d2e9ae94be0b2072207920d"),
+        ("avg --family p --primorial-k 4 --format json", 0, "f94727fc90ed156a8a085317aa794f32cfc09e2015a1c39df280a8a09931e8c7"),
+        ("density --family p-1 --predicate count-eq --count-value 1 --C 200 --format csv", 0, "5c719c0ada15bfbabe73c6f006520665239a114b200cd76aefe058192ecef893"),
+        ("density --family p-1 --predicate count-eq --count-value 1 --C 200 --format json", 0, "2891d3b2e5b832d3f625d2f8595dc7d824b59b0c0d4a1a117829bed5183430d1"),
+        ("density --family p --predicate count-eq --count-value 0 --C 200 --negate --p-min 7 --format csv", 0, "9a54401c7b312db1fed8b84f7faab4024b950982f5fa545af08b2273552f0669"),
+        ("density --family p --predicate count-eq --count-value 0 --C 200 --negate --p-min 7 --format json", 0, "deec91a7be2c8b31f291b05449ff857a38fcc58cda6220b87c3822dd99d0fec8"),
+        ("density --family p --predicate divides-minus1 --ell 2 --C 200 --format csv", 0, "77dd18f2630e52aa71a58d5375d7583bab02ced4997cde2cc77eb0b3591f5ca5"),
+        ("density --family p --predicate divides-minus1 --ell 2 --C 200 --format json", 0, "8da8ac0415a6e28e6042ed93e9cd2df63e6341c4efb5e3dbc5e762a360c8e766"),
+        ("count --p 5 --family p-1 --c 4 --format csv", 0, "2a2adca34e2f2ea62a084400b93d264eefe63f1549daf57d07626ad1d12d73a5"),
+        ("count --p 5 --family p-1 --c 4 --format json", 0, "ca2bf0a08e249f7d4468038a1537ac20722d84c78a6269be729d42dfd50e0fcb"),
+        ("count --ring fpt --p 3 --pi 1,0,1 --family p --c 0,1 --format csv", 0, "73a4ddb70f3408fc7b1fab266d8a9bf6b8c188dfd99a81bb99b1bfd9fa5ad56b"),
+        ("count --ring fpt --p 3 --pi 1,0,1 --family p --c 0,1 --format json", 0, "37f3a393ef0e4363dd62f3e12dc8128f17ebfa2a2188baf1fc63cca2e2aaaeda"),
+        ("orbits --p 7 --family p-1 --ell 2 --c 3 --format csv", 0, "caeb54796a6cf92b890214e01fef94ffc3f54c0d9dca40e8df0e6c86ab8ea736"),
+        ("orbits --p 7 --family p-1 --ell 2 --c 3 --format json", 0, "7c36d53622a144fb73c140086fdfc852aaaf2f00ebc1f862f75b805d55bd3732"),
+        ("orbits --ring fpt --p 3 --pi 1,0,1 --family p --c 0 --format csv", 0, "0cbdaa37ed039b6712a4a0e89e7b2c22437b7f0c1a971a3fbfa029c8ad8aa42f"),
+        ("orbits --ring fpt --p 3 --pi 1,0,1 --family p --c 0 --format json", 0, "1bea4514fb1bc2065dc846190a39bb514601a5453bf344a9f19e4acbacb5cbed"),
+        ("irreducibles --p 3 --m 2 --format csv", 0, "fd885ba1a7bb33e1e1469e35b5ffca91ca61cbd2d94d9d9292190f27dea42261"),
+        ("irreducibles --p 3 --m 2 --format json", 0, "6367bd13fa4f917bf10d8f27aaeae57e0475a884170e2228869dd965a708b7b7"),
+        ("", 1, EMPTY),
+        ("frobnicate", 1, EMPTY),
+        ("count --p 9 --family p --c 1", 1, EMPTY),
+        ("count --p 5 --family p --c x", 1, EMPTY),
+        ("count --p 5 --family p --ell 0 --c 1", 1, EMPTY),
+        ("count --ring fpt --p 5 --family p --c 0", 1, EMPTY),
+        ("count --ring fpt --p 5 --pi 1,0,1 --family p --c 0", 1, EMPTY),
+        ("count --p 3 --family p-1 --c 0", 1, EMPTY),
+        ("verify --p-max 2 --interpretation roots", 1, EMPTY),
+        ("verify --interpretation bogus", 1, EMPTY),
+        ("avg --family p --c 15", 1, EMPTY),
+        ("avg --family p --primorial-k 1", 1, EMPTY),
+        ("avg --family p --condition divides --c 15,x", 1, EMPTY),
+        ("density --family p --predicate divides --C 0", 1, EMPTY),
+        ("density --family p --predicate divides --C 10 --p-min x", 1, EMPTY),
+        ("irreducibles --p 3 --m 0", 1, EMPTY),
+        ("irreducibles --p 1009 --m 2", 2, EMPTY),
+        ("count --p 100003 --family p --c 1", 2, EMPTY),
+        ("count --p 5 --family p --c 1 --format xml", 1, EMPTY),
+    ],
+)
+def test_cli_stdout_and_status_are_pinned(line, status, digest, capsys):
+    assert main(line.split()) == status
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
