@@ -15,9 +15,10 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import lru_cache
+from operator import attrgetter
 from typing import Iterable, Sequence, Union
 
 from .dynamics import DegreeBase, DegreeSpec, Interpretation, counting_function
@@ -456,7 +457,12 @@ def verify_all(
 # ---------------------------------------------------------------------------
 # report rendering
 
-CSV_HEADER = "claim_id,p,ell,m,c_class,c_rep,interpretation,claimed,computed,match"
+_CELL_FIELDS = fields(VerificationCell)
+_CELL_NAMES = [f.name for f in _CELL_FIELDS]
+CSV_HEADER = ",".join(_CELL_NAMES)
+_cell_values = attrgetter(*_CELL_NAMES)
+# CSV text of a cell field back to its value, by the field's annotation.
+_FROM_CSV = {"str": str, "int": int, "bool": "true".__eq__}
 
 
 class ReportFormat(Enum):
@@ -466,40 +472,13 @@ class ReportFormat(Enum):
 
 def render_report(report: VerificationReport, fmt: ReportFormat) -> str:
     if fmt is ReportFormat.CSV:
+        # match, the last field, reads true/false in CSV and a bool in JSON
         return csv_text(
-            CSV_HEADER.split(","),
-            (
-                [
-                    cell.claim_id,
-                    cell.p,
-                    cell.ell,
-                    cell.m,
-                    cell.c_class,
-                    cell.c_rep,
-                    cell.interpretation,
-                    cell.claimed,
-                    cell.computed,
-                    "true" if cell.match else "false",
-                ]
-                for cell in report.cells
-            ),
+            _CELL_NAMES,
+            ((*_cell_values(cell)[:-1], "true" if cell.match else "false") for cell in report.cells),
         )
     payload = {
-        "cells": [
-            {
-                "claim_id": cell.claim_id,
-                "p": cell.p,
-                "ell": cell.ell,
-                "m": cell.m,
-                "c_class": cell.c_class,
-                "c_rep": cell.c_rep,
-                "interpretation": cell.interpretation,
-                "claimed": cell.claimed,
-                "computed": cell.computed,
-                "match": cell.match,
-            }
-            for cell in report.cells
-        ],
+        "cells": [dict(zip(_CELL_NAMES, _cell_values(cell))) for cell in report.cells],
         "skips": [{"claim_id": s.claim_id, "reason": s.reason} for s in report.skips],
     }
     return json_text(payload)
@@ -509,21 +488,10 @@ def parse_report(text: str, fmt: ReportFormat) -> VerificationReport:
     """Inverse of render_report (CSV drops skip notes by construction)."""
     if fmt is ReportFormat.CSV:
         rows = list(csv.reader(io.StringIO(text)))
-        if not rows or rows[0] != CSV_HEADER.split(","):
+        if not rows or rows[0] != _CELL_NAMES:
             raise UsageError("report header does not match the expected schema")
         cells = [
-            VerificationCell(
-                claim_id=row[0],
-                p=int(row[1]),
-                ell=int(row[2]),
-                m=int(row[3]),
-                c_class=row[4],
-                c_rep=row[5],
-                interpretation=row[6],
-                claimed=row[7],
-                computed=int(row[8]),
-                match=row[9] == "true",
-            )
+            VerificationCell(*(_FROM_CSV[f.type](v) for f, v in zip(_CELL_FIELDS, row)))
             for row in rows[1:]
         ]
         return VerificationReport(cells=tuple(cells))

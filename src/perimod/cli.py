@@ -1,7 +1,18 @@
 """Command-line front end.
 
-Subcommands: count, orbits, verify, avg, density, irreducibles.  Every flag
-is validated before any computation starts, reports are fully built before a
+Subcommands: count, orbits, verify, avg, density, irreducibles.  One table,
+_FLAGS, declares every flag of every subcommand once, in canonical order: its
+name and its argparse keywords (a type converter that also checks the range,
+choices, default).  That table alone builds the parser, range-checks each
+value (a bad one exits 1 with ``error: argument --flag: ...``) and orders the
+canonical CommandSpec.params.  What no single flag can check (the ring and
+coefficient of count/orbits, the cutoff flags of avg, the size of
+irreducibles) is checked right after parsing, still before any computation.
+
+parse_args turns argv into a CommandSpec of canonical strings.  run renders
+the spec back with to_argv() and parses that argv again through the same
+internal path to get typed values, so it builds the count/orbits map itself
+and a spec never carries a parsed object.  Reports are fully built before a
 single byte is written (so a failing run never leaves partial output), and
 identical invocations produce byte-identical files.
 
@@ -14,8 +25,8 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import asdict, dataclass
+from typing import Callable, Optional, Sequence
 
 from . import claims, stats
 from .dynamics import (
@@ -29,16 +40,106 @@ from .dynamics import (
 from .errors import DomainError, ResourceError, UsageError
 from .rings import (
     Prime,
+    RingKind,
     RingSpec,
+    brute_force_budget,
+    check_enumeration_budget,
     enumerate_monic_irreducibles,
     format_poly,
     parse_poly,
 )
 from .tables import csv_text, json_text
 
-SUBCOMMANDS = ("count", "orbits", "verify", "avg", "density", "irreducibles")
 
-_BOOLEAN_PARAMS = frozenset({"negate"})
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
+def _at_least(low: int) -> Callable[[str], int]:
+    def convert(text: str) -> int:
+        value = _integer(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return convert
+
+
+def _odd_prime_candidate(text: str) -> int:
+    """The cheap half of the primality check; trial division waits until the
+    size checks have passed, so a huge p fails fast."""
+    value = _integer(text)
+    if value < 3 or value % 2 == 0:
+        raise argparse.ArgumentTypeError(f"must be an odd prime >= 3, got {value}")
+    return value
+
+
+def _cutoffs(text: str) -> list[int]:
+    return [_integer(part) for part in text.split(",")]
+
+
+_INTERPRETATIONS = [i.value for i in Interpretation]
+_P = {"type": _odd_prime_candidate, "required": True}
+_FAMILY = {"choices": [b.value for b in DegreeBase], "required": True}
+_ELL = {"type": _at_least(1), "default": 1}
+_INTERPRETATION = {"choices": _INTERPRETATIONS, "default": Interpretation.ROOTS_LE2.value}
+_MAP_FLAGS = {
+    "ring": {"choices": [k.value for k in RingKind], "default": RingKind.PRIME_FIELD.value},
+    "p": _P,
+    "family": _FAMILY,
+    "ell": _ELL,
+    "pi": {},
+    "c": {"required": True},
+}
+
+# Per subcommand: flag name -> argparse keywords, in canonical param order.
+_FLAGS = {
+    "count": _MAP_FLAGS,
+    "orbits": _MAP_FLAGS,
+    "verify": {
+        "p-max": {"type": _at_least(3), "default": 13},
+        "ell-max": {"type": _at_least(1), "default": 2},
+        "m-max": {"type": _at_least(1), "default": 2},
+        "interpretation": {"choices": _INTERPRETATIONS, "required": True},
+    },
+    "avg": {
+        "family": _FAMILY,
+        "ell": _ELL,
+        "interpretation": _INTERPRETATION,
+        "condition": {"choices": [c.value for c in stats.AvgCondition]},
+        "c": {"type": _cutoffs, "help": "comma-separated cutoffs"},
+        "primorial-k": {"type": _at_least(2)},
+    },
+    "density": {
+        "family": _FAMILY,
+        "ell": _ELL,
+        "predicate": {"choices": [k.value for k in stats.PredicateKind], "required": True},
+        "interpretation": _INTERPRETATION,
+        "C": {"type": _at_least(1), "required": True},
+        "count-value": {"type": _integer, "default": 0},
+        "negate": {"action": "store_true"},
+        "p-min": {"type": _integer},
+    },
+    "irreducibles": {"p": _P, "m": {"type": _at_least(1), "required": True}},
+}
+
+# Output flags: CommandSpec fields rather than params.
+_OUTPUT_FLAGS = {
+    "format": {"choices": [f.value for f in claims.ReportFormat], "default": "csv"},
+    "output": {},
+}
+
+SUBCOMMANDS = tuple(_FLAGS)
+
+_BOOLEAN_PARAMS = frozenset(
+    name
+    for flags in _FLAGS.values()
+    for name, keywords in flags.items()
+    if keywords.get("action") == "store_true"
+)
 
 
 @dataclass(frozen=True)
@@ -76,371 +177,212 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="perimod", add_help=True)
-    sub = parser.add_subparsers(dest="subcommand")
-
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=["csv", "json"], default="csv")
-        p.add_argument("--output", default=None)
-
-    def add_map_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--ring", choices=["zp", "fpt"], default="zp")
-        p.add_argument("--p", required=True)
-        p.add_argument("--pi", default=None)
-        p.add_argument("--family", choices=["p", "p-1"], required=True)
-        p.add_argument("--ell", default="1")
-        p.add_argument("--c", required=True)
-
-    for name in ("count", "orbits"):
-        p = sub.add_parser(name, add_help=True)
-        add_map_flags(p)
-        add_common(p)
-
-    p = sub.add_parser("verify")
-    p.add_argument("--p-max", dest="p_max", default="13")
-    p.add_argument("--ell-max", dest="ell_max", default="2")
-    p.add_argument("--m-max", dest="m_max", default="2")
-    p.add_argument("--interpretation", choices=["roots", "exact2", "fixed"], required=True)
-    add_common(p)
-
-    p = sub.add_parser("avg")
-    p.add_argument("--family", choices=["p", "p-1"], required=True)
-    p.add_argument("--ell", default="1")
-    p.add_argument(
-        "--condition",
-        choices=[c.value for c in stats.AvgCondition],
-        default=None,
-    )
-    p.add_argument("--interpretation", choices=["roots", "exact2", "fixed"], default="roots")
-    p.add_argument("--c", default=None, help="comma-separated cutoffs")
-    p.add_argument("--primorial-k", dest="primorial_k", default=None)
-    add_common(p)
-
-    p = sub.add_parser("density")
-    p.add_argument("--family", choices=["p", "p-1"], required=True)
-    p.add_argument("--ell", default="1")
-    p.add_argument(
-        "--predicate",
-        choices=[k.value for k in stats.PredicateKind],
-        required=True,
-    )
-    p.add_argument("--count-value", dest="count_value", default="0")
-    p.add_argument("--negate", action="store_true")
-    p.add_argument("--interpretation", choices=["roots", "exact2", "fixed"], default="roots")
-    p.add_argument("--C", dest="cutoff", required=True)
-    p.add_argument("--p-min", dest="p_min", default=None)
-    add_common(p)
-
-    p = sub.add_parser("irreducibles")
-    p.add_argument("--p", required=True)
-    p.add_argument("--m", required=True)
-    add_common(p)
-
-    return parser
-
-
-def _as_int(value: str, flag: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"{flag} expects an integer, got {value!r}") from exc
-
-
-def _as_prime(value: str, flag: str) -> int:
-    n = _as_int(value, flag)
-    Prime(n)  # raises UsageError for non-primes, evens, and p < 3
-    return n
-
-
-def _canonical_map_params(ns: argparse.Namespace) -> list[tuple[str, str]]:
-    p = _as_prime(ns.p, "--p")
-    ell = _as_int(ns.ell, "--ell")
-    if ell < 1:
-        raise UsageError(f"--ell must be >= 1, got {ell}")
-    params = [("ring", ns.ring), ("p", str(p)), ("family", ns.family), ("ell", str(ell))]
-    if ns.ring == "fpt":
+def _build_map(ns: argparse.Namespace) -> PowerMapSpec:
+    """The map z -> z^d + c that --ring, --p, --pi, --family, --ell and --c
+    name, with --pi and --c validated against the ring."""
+    budget = brute_force_budget()
+    if ns.p > budget * budget:
+        # Every ring over F_p has at least p elements.  Up to budget^2 the
+        # trial division of p costs less than the scan budget, so a composite
+        # p still exits 1 and the scan reports the ring size; past it, stop.
+        raise ResourceError(f"a ring over F_{ns.p} has at least {ns.p} elements, budget is {budget}")
+    if ns.p < ns.degree.min_prime:
+        raise UsageError(f"family {ns.family} needs p >= {ns.degree.min_prime}")
+    if RingKind(ns.ring) is RingKind.QUOTIENT_FIELD:
         if ns.pi is None:
             raise UsageError("--pi is required for --ring fpt")
-        pi = parse_poly(ns.pi, p)
-        ring = RingSpec.quotient_field(p, pi)  # validates monic + irreducible
-        c_elem = ring.element(parse_poly(ns.c, p))
-        params.append(("pi", format_poly(pi)))
-        params.append(("c", c_elem.render()))
+        ring = RingSpec.quotient_field(ns.p, parse_poly(ns.pi, ns.p))
+        c = ring.element(parse_poly(ns.c, ns.p))
     else:
         if ns.pi is not None:
             raise UsageError("--pi only applies to --ring fpt")
-        ring = RingSpec.prime_field(p)
-        c_elem = ring.element(_as_int(ns.c, "--c"))
-        params.append(("c", c_elem.render()))
-    min_prime = DegreeSpec(DegreeBase(ns.family), ell).min_prime
-    if p < min_prime:
-        raise UsageError(f"family {ns.family} needs p >= {min_prime}")
-    return params
+        ring = RingSpec.prime_field(ns.p)
+        try:
+            value = int(ns.c)
+        except ValueError:
+            raise UsageError(f"argument --c: invalid int value: {ns.c!r}") from None
+        c = ring.element(value)
+    return PowerMapSpec(ring, ns.degree, c)
 
 
-def parse_args(argv: Sequence[str]) -> CommandSpec:
-    """Validate argv into a CommandSpec, raising UsageError on any bad flag."""
-    parser = _build_parser()
+def _parse(argv: Sequence[str]) -> argparse.Namespace:
+    """Typed, checked flag values of argv, before any computation."""
+    parser = _Parser(prog="perimod")
+    sub = parser.add_subparsers(dest="subcommand")
+    for name, flags in _FLAGS.items():
+        subparser = sub.add_parser(name)
+        for flag, keywords in {**flags, **_OUTPUT_FLAGS}.items():
+            subparser.add_argument(f"--{flag}", **keywords)
     ns = parser.parse_args(list(argv))
     if ns.subcommand is None:
         raise UsageError(f"expected a subcommand: {', '.join(SUBCOMMANDS)}")
-
+    if "family" in _FLAGS[ns.subcommand]:
+        ns.degree = DegreeSpec(DegreeBase(ns.family), ns.ell)
     if ns.subcommand in ("count", "orbits"):
-        params = _canonical_map_params(ns)
-    elif ns.subcommand == "verify":
-        p_max = _as_int(ns.p_max, "--p-max")
-        ell_max = _as_int(ns.ell_max, "--ell-max")
-        m_max = _as_int(ns.m_max, "--m-max")
-        if p_max < 3 or ell_max < 1 or m_max < 1:
-            raise UsageError("need --p-max >= 3, --ell-max >= 1, --m-max >= 1")
-        params = [
-            ("p-max", str(p_max)),
-            ("ell-max", str(ell_max)),
-            ("m-max", str(m_max)),
-            ("interpretation", ns.interpretation),
-        ]
+        ns.map = _build_map(ns)
+        ns.c = ns.map.c.render()
+        if ns.pi is not None:
+            ns.pi = format_poly(ns.map.ring.modulus.pi)
     elif ns.subcommand == "avg":
-        ell = _as_int(ns.ell, "--ell")
-        if ell < 1:
-            raise UsageError(f"--ell must be >= 1, got {ell}")
-        params = [("family", ns.family), ("ell", str(ell)), ("interpretation", ns.interpretation)]
         if (ns.c is None) == (ns.primorial_k is None):
             raise UsageError("avg needs exactly one of --c or --primorial-k")
-        if ns.c is not None:
-            if ns.condition is None:
-                raise UsageError("--condition is required with --c")
-            cutoffs = [_as_int(part, "--c") for part in ns.c.split(",")]
-            if not cutoffs:
-                raise UsageError("--c must list at least one cutoff")
-            params.append(("condition", ns.condition))
-            params.append(("c", ",".join(str(c) for c in cutoffs)))
-        else:
-            k = _as_int(ns.primorial_k, "--primorial-k")
-            if k < 2:
-                raise UsageError(f"--primorial-k must be >= 2, got {k}")
-            params.append(("primorial-k", str(k)))
-    elif ns.subcommand == "density":
-        ell = _as_int(ns.ell, "--ell")
-        cutoff = _as_int(ns.cutoff, "--C")
-        if ell < 1 or cutoff < 1:
-            raise UsageError("need --ell >= 1 and --C >= 1")
-        params = [
-            ("family", ns.family),
-            ("ell", str(ell)),
-            ("predicate", ns.predicate),
-            ("interpretation", ns.interpretation),
-            ("C", str(cutoff)),
-        ]
-        if ns.predicate == stats.PredicateKind.COUNT_EQUALS.value:
-            params.append(("count-value", str(_as_int(ns.count_value, "--count-value"))))
-        if ns.negate:
-            params.append(("negate", "true"))
-        if ns.p_min is not None:
-            params.append(("p-min", str(_as_int(ns.p_min, "--p-min"))))
-    else:  # irreducibles
-        p = _as_prime(ns.p, "--p")
-        m = _as_int(ns.m, "--m")
-        if m < 1:
-            raise UsageError(f"--m must be >= 1, got {m}")
-        params = [("p", str(p)), ("m", str(m))]
+        if ns.c is not None and ns.condition is None:
+            raise UsageError("--condition is required with --c")
+    elif ns.subcommand == "irreducibles":
+        check_enumeration_budget(ns.p, ns.m)  # before the trial division
+        Prime(ns.p)
+    return ns
 
-    return CommandSpec(
-        subcommand=ns.subcommand,
-        params=tuple(params),
-        format=ns.format,
-        output=ns.output,
-    )
+
+def _text(value: object) -> str:
+    if value is True:
+        return "true"
+    if isinstance(value, list):
+        return ",".join(str(v) for v in value)
+    return str(value)
+
+
+def parse_args(argv: Sequence[str]) -> CommandSpec:
+    """Validate argv into a CommandSpec, raising UsageError on any bad flag
+    and ResourceError when --p or --p/--m alone put a run past a limit."""
+    ns = _parse(argv)
+    params = []
+    for flag in _FLAGS[ns.subcommand]:
+        value = getattr(ns, flag.replace("-", "_"))
+        if value is not None and value is not False:
+            params.append((flag, _text(value)))
+    return CommandSpec(ns.subcommand, tuple(params), ns.format, ns.output)
 
 
 # ---------------------------------------------------------------------------
-# execution
+# execution: each runner returns (json payload, csv header, csv rows, summary)
+
+_Table = tuple[object, list[str], list, Optional[str]]
 
 
-def _map_from_spec(cmd: CommandSpec) -> PowerMapSpec:
-    p = int(cmd.param("p"))
-    if cmd.param("ring") == "fpt":
-        ring = RingSpec.quotient_field(p, parse_poly(cmd.param("pi"), p))
-        c = ring.element(parse_poly(cmd.param("c"), p))
-    else:
-        ring = RingSpec.prime_field(p)
-        c = ring.element(int(cmd.param("c")))
-    family = DegreeSpec(DegreeBase(cmd.param("family")), int(cmd.param("ell")))
-    return PowerMapSpec(ring, family, c)
+def _run_count(ns: argparse.Namespace) -> _Table:
+    counts = asdict(count_report(ns.map))
+    return counts, list(counts), [list(counts.values())], None
 
 
-def _family_from(cmd: CommandSpec) -> DegreeSpec:
-    return DegreeSpec(DegreeBase(cmd.param("family")), int(cmd.param("ell")))
-
-
-def _run_count(cmd: CommandSpec) -> tuple[str, Optional[str]]:
-    report = count_report(_map_from_spec(cmd))
-    if cmd.format == "json":
-        text = json_text(
-            {
-                "fixed": report.fixed,
-                "period_le2_roots": report.period_le2_roots,
-                "exact2": report.exact2,
-            }
-        )
-    else:
-        text = csv_text(
-            ["fixed", "period_le2_roots", "exact2"],
-            [[str(report.fixed), str(report.period_le2_roots), str(report.exact2)]],
-        )
-    return text, None
-
-
-def _run_orbits(cmd: CommandSpec) -> tuple[str, Optional[str]]:
-    decomposition = orbit_decomposition(_map_from_spec(cmd))
-    lengths = Counter(length for length, _ in decomposition.cycles)
+def _run_orbits(ns: argparse.Namespace) -> _Table:
+    decomposition = orbit_decomposition(ns.map)
+    lengths = sorted(Counter(length for length, _ in decomposition.cycles).items())
     tail = decomposition.tail_node_count
-    if cmd.format == "json":
-        text = json_text(
-            {
-                "cycle_lengths": [[length, lengths[length]] for length in sorted(lengths)],
-                "tail_node_count": tail,
-            }
-        )
-    else:
-        rows = [[str(length), str(lengths[length]), str(tail)] for length in sorted(lengths)]
-        text = csv_text(["cycle_length", "num_cycles", "tail_node_count"], rows)
-    return text, None
+    payload = {"cycle_lengths": lengths, "tail_node_count": tail}
+    rows = [[length, cycles, tail] for length, cycles in lengths]
+    return payload, ["cycle_length", "num_cycles", "tail_node_count"], rows, None
 
 
-def _run_verify(cmd: CommandSpec) -> tuple[str, Optional[str]]:
-    report = claims.verify_all(
-        p_max=int(cmd.param("p-max")),
-        ell_max=int(cmd.param("ell-max")),
-        m_max=int(cmd.param("m-max")),
-        interpretation=Interpretation(cmd.param("interpretation")),
-    )
-    fmt = claims.ReportFormat.JSON if cmd.format == "json" else claims.ReportFormat.CSV
-    return claims.render_report(report, fmt), report.summary_line()
-
-
-def _series_text(cmd: CommandSpec, series, population: str) -> str:
+def _series_table(series, population: str, summary: str) -> _Table:
+    header = stats.SERIES_HEADER.split(",")
     rows = stats.series_rows(series)
-    if cmd.format == "json":
-        keys = stats.SERIES_HEADER.split(",")
-        return json_text(
-            {
-                "population": population,
-                "series": [
-                    {k: (int(v) if v else None) for k, v in zip(keys, row)} for row in rows
-                ],
-            }
-        )
-    return csv_text(stats.SERIES_HEADER.split(","), rows)
+    payload = {
+        "population": population,
+        "series": [{k: (int(v) if v else None) for k, v in zip(header, row)} for row in rows],
+    }
+    return payload, header, rows, summary
 
 
-def _run_avg(cmd: CommandSpec) -> tuple[str, Optional[str]]:
-    family = _family_from(cmd)
-    interpretation = Interpretation(cmd.param("interpretation"))
-    p_min = family.min_prime
-    if cmd.param("primorial-k") is not None:
-        series = stats.divergence_series(family, int(cmd.param("primorial-k")), interpretation)
+def _run_avg(ns: argparse.Namespace) -> _Table:
+    interpretation = Interpretation(ns.interpretation)
+    p_min = ns.degree.min_prime
+    if ns.primorial_k is not None:
+        series = stats.divergence_series(ns.degree, ns.primorial_k, interpretation)
         population = (
             f"primes p with {p_min} <= p <= c and p | c, "
             "c running over products of the first k odd primes"
         )
-        last = series.points[-1]
-        summary = (
-            f"{last.numerator}/{last.denominator} "
-            f"strictly-increasing={'true' if series.strictly_increasing() else 'false'}"
+        trend = f" strictly-increasing={'true' if series.strictly_increasing() else 'false'}"
+    else:
+        condition = stats.AvgCondition(ns.condition)
+        series = stats.partial_average(
+            stats.AverageQuery(ns.degree, condition, interpretation, tuple(ns.c))
         )
-        return _series_text(cmd, series, population), summary
-    query = stats.AverageQuery(
-        family=family,
-        condition=stats.AvgCondition(cmd.param("condition")),
-        interpretation=interpretation,
-        cs=tuple(int(part) for part in cmd.param("c").split(",")),
-    )
-    series = stats.partial_average(query)
-    population = f"primes p with {p_min} <= p <= c, condition {query.condition.value}"
+        population = f"primes p with {p_min} <= p <= c, condition {ns.condition}"
+        trend = ""
     last = series.points[-1]
-    summary = f"{last.numerator}/{last.denominator}" if last.denominator else "empty"
-    return _series_text(cmd, series, population), summary
+    summary = f"{last.numerator}/{last.denominator}{trend}" if last.denominator else "empty"
+    return _series_table(series, population, summary)
 
 
-def _run_density(cmd: CommandSpec) -> tuple[str, Optional[str]]:
+def _run_density(ns: argparse.Namespace) -> _Table:
     predicate = stats.DensityPredicate(
-        kind=stats.PredicateKind(cmd.param("predicate")),
-        value=int(cmd.param("count-value", "0")),
-        interpretation=Interpretation(cmd.param("interpretation")),
-        negate=cmd.param("negate") == "true",
+        kind=stats.PredicateKind(ns.predicate),
+        value=ns.count_value,
+        interpretation=Interpretation(ns.interpretation),
+        negate=ns.negate,
     )
-    p_min = cmd.param("p-min")
-    query = stats.DensityQuery(
-        family=_family_from(cmd),
-        predicate=predicate,
-        cutoff=int(cmd.param("C")),
-        p_min=int(p_min) if p_min is not None else None,
-    )
+    query = stats.DensityQuery(ns.degree, predicate, cutoff=ns.C, p_min=ns.p_min)
     result = stats.density(query)
     population = (
         f"pairs (p, c) with p prime, {query.effective_p_min} <= p <= c <= {query.cutoff}"
     )
     final = result.points[-1]
-    return _series_text(cmd, result, population), f"{final.hits}/{final.population}"
+    return _series_table(result, population, f"{final.hits}/{final.population}")
 
 
-def _run_irreducibles(cmd: CommandSpec) -> tuple[str, Optional[str]]:
-    polys = enumerate_monic_irreducibles(int(cmd.param("p")), int(cmd.param("m")))
-    if cmd.format == "json":
-        text = json_text({"pi": [format_poly(f) for f in polys]})
-    else:
-        text = csv_text(["pi"], [[format_poly(f)] for f in polys])
-    return text, None
+def _run_irreducibles(ns: argparse.Namespace) -> _Table:
+    pis = [format_poly(f) for f in enumerate_monic_irreducibles(ns.p, ns.m)]
+    return {"pi": pis}, ["pi"], [[pi] for pi in pis], None
 
 
 _RUNNERS = {
     "count": _run_count,
     "orbits": _run_orbits,
-    "verify": _run_verify,
     "avg": _run_avg,
     "density": _run_density,
     "irreducibles": _run_irreducibles,
 }
 
 
-def run(cmd: CommandSpec) -> int:
-    """Execute a validated CommandSpec; returns the process exit status."""
-    try:
-        text, summary = _RUNNERS[cmd.subcommand](cmd)
-    except ResourceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (UsageError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if cmd.output is not None:
-        try:
-            with open(cmd.output, "w", encoding="utf-8", newline="") as handle:
-                handle.write(text)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        if summary is not None:
-            print(summary)
+def _execute(cmd: CommandSpec) -> int:
+    ns = _parse(cmd.to_argv())
+    if cmd.subcommand == "verify":
+        report = claims.verify_all(
+            p_max=ns.p_max,
+            ell_max=ns.ell_max,
+            m_max=ns.m_max,
+            interpretation=Interpretation(ns.interpretation),
+        )
+        text = claims.render_report(report, claims.ReportFormat(cmd.format))
+        summary = report.summary_line()
     else:
+        payload, header, rows, summary = _RUNNERS[cmd.subcommand](ns)
+        text = json_text(payload) if cmd.format == "json" else csv_text(header, rows)
+    if cmd.output is None:
         sys.stdout.write(text)
         if summary is not None:
             print(summary, file=sys.stderr)
+    else:
+        with open(cmd.output, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        if summary is not None:
+            print(summary)
     return 0
+
+
+def _exit_status(action: Callable[[], int]) -> int:
+    """Run action; a perimod error (or an unwritable output) becomes one
+    ``error:`` line on stderr and exit status 2 (resources) or 1 (the rest)."""
+    try:
+        return action()
+    except ResourceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (UsageError, DomainError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
+
+def run(cmd: CommandSpec) -> int:
+    """Execute a validated CommandSpec; returns the process exit status."""
+    return _exit_status(lambda: _execute(cmd))
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = sys.argv[1:] if argv is None else list(argv)
-    try:
-        cmd = parse_args(args)
-    except ResourceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (UsageError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return run(cmd)
+    return _exit_status(lambda: run(parse_args(args)))
 
 
 if __name__ == "__main__":

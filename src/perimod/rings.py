@@ -358,9 +358,15 @@ def enumerate_monic_irreducibles(p: Union[Prime, int], m: int) -> list[FpPoly]:
     pv = int(p)
     if m < 1:
         raise DomainError(f"degree must be >= 1, got {m}")
-    if pv**m > ENUMERATION_BUDGET:
-        raise ResourceError(f"enumerating degree-{m} monics over F_{pv} exceeds {ENUMERATION_BUDGET}")
+    check_enumeration_budget(pv, m)
     return list(_monic_irreducibles(pv, m))
+
+
+def check_enumeration_budget(p: int, m: int) -> None:
+    """Refuse to enumerate the p^m monics of degree m past ENUMERATION_BUDGET.
+    m is capped first (p >= 2), so a huge m builds no huge power."""
+    if p ** min(m, ENUMERATION_BUDGET.bit_length()) > ENUMERATION_BUDGET:
+        raise ResourceError(f"enumerating degree-{m} monics over F_{p} exceeds {ENUMERATION_BUDGET}")
 
 
 # ---------------------------------------------------------------------------

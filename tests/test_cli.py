@@ -39,6 +39,8 @@ def test_parse_orbits_quotient_example():
         (["avg", "--family", "p", "--condition", "divides"], "--c or --primorial-k"),
         (["frobnicate"], "invalid choice"),
         ([], "subcommand"),
+        (["count", "--p", "1000000000000000000", "--family", "p", "--c", "1"], "odd prime"),
+        (["verify", "--p-max", "2", "--interpretation", "roots"], "argument --p-max: must be >= 3"),
     ],
 )
 def test_parse_rejects_bad_invocations(argv, fragment):
@@ -205,6 +207,9 @@ def test_main_success(capsys):
         (["irreducibles", "--p", "1009", "--m", "2"], 2),
         (["avg", "--family", "p", "--primorial-k", "10"], 0),
         (["density", "--family", "p", "--predicate", "divides", "--C", "100000"], 0),
+        # a ring over F_p has at least p elements: refused before trial division
+        (["count", "--p", "1000000000000000003", "--family", "p", "--c", "1"], 2),
+        (["irreducibles", "--p", "1000000000000000003", "--m", "1"], 2),
     ],
 )
 def test_limits_exit_2_just_past_and_0_at(argv, status, tmp_path, capsys):
@@ -224,7 +229,8 @@ EMPTY = hashlib.sha256(b"").hexdigest()
 
 # SHA-256 of stdout and the exit status of small invocations of every
 # subcommand in both formats, plus usage and resource errors (which print
-# nothing on stdout).  Recorded before the flag-table rewrite of the CLI.
+# nothing on stdout).  They pin the CLI's observable output: a change below
+# it must leave every digest as it is.
 @pytest.mark.parametrize(
     "line,status,digest",
     [
