@@ -34,7 +34,6 @@ from .dynamics import (
 from .errors import DomainError, PerimodError, ResourceError, UsageError
 from .rings import (
     FpPoly,
-    PolyModulus,
     Prime,
     RingElem,
     RingSpec,
@@ -44,8 +43,6 @@ from .rings import (
     mod_pow,
     parse_poly,
     poly_gcd,
-    poly_mul_mod,
-    ring_elements,
 )
 
 __all__ = [
@@ -57,7 +54,6 @@ __all__ = [
     "Interpretation",
     "OrbitDecomposition",
     "PerimodError",
-    "PolyModulus",
     "PowerMapSpec",
     "Prime",
     "ResourceError",
@@ -78,8 +74,6 @@ __all__ = [
     "orbit_decomposition",
     "parse_poly",
     "poly_gcd",
-    "poly_mul_mod",
-    "ring_elements",
 ]
 
 __version__ = "0.1.0"

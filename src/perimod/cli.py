@@ -222,12 +222,14 @@ def _parse(argv: Sequence[str]) -> argparse.Namespace:
         ns.map = _build_map(ns)
         ns.c = ns.map.c.render()
         if ns.pi is not None:
-            ns.pi = format_poly(ns.map.ring.modulus.pi)
+            ns.pi = format_poly(ns.map.ring.modulus)
     elif ns.subcommand == "avg":
         if (ns.c is None) == (ns.primorial_k is None):
             raise UsageError("avg needs exactly one of --c or --primorial-k")
         if ns.c is not None and ns.condition is None:
             raise UsageError("--condition is required with --c")
+        if ns.primorial_k is not None and ns.condition is not None:
+            raise UsageError("--condition does not apply with --primorial-k")
     elif ns.subcommand == "irreducibles":
         check_enumeration_budget(ns.p, ns.m)  # before the trial division
         Prime(ns.p)

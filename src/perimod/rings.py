@@ -4,23 +4,22 @@ Everything here is immutable and pure: ring elements are frozen dataclasses,
 operations return fully reduced canonical representatives, and re-reducing a
 result is always the identity.  Polynomials are stored as tuples of residues
 in ascending powers of t with trailing zeros trimmed (the zero polynomial is
-the empty tuple).
+the empty tuple).  FpPoly keeps parsing, formatting and the long division
+that poly_gcd and the reduction of input polynomials need.
 
 Every ring element is its dense integer index 0 <= i < q, for Z/p and for
 quotient fields alike: the base-p digits of i are the coefficients of the
 reduced polynomial, so a Z/p element is its residue.  RingElem.poly gives the
-FpPoly view, on which object arithmetic and mod_pow are computed.  The
-sweep-heavy callers in the dynamics module work on indices to keep
-exhaustive scans cheap.
+FpPoly view.  RingSpec checks its modulus (monic, irreducible) when built.
 
-Whole-ring tables come from an integer field kernel: per ring, a pair of
-discrete log/antilog tables over the index, built once by walking the powers
-of a generator of the unit group on plain coefficient lists (Z/p is read as
-F_p[t]/(t), so it takes the same path with m = 1).  A power table is then one
-lookup per element, and the z -> z + c table is built digit by digit.  The
-log/antilog pair is cached per ring and each power table per ring and
-exponent.  mod_pow on RingElem objects stays the object-level reference that
-map application and the tests use.
+One coefficient-list kernel, _mul_mod, does every product (Z/p is read as
+F_p[t]/(t), m = 1): RingElem *, mod_pow and Rabin's t^(p^k) by
+square-and-multiply (_pow_mod), and the per-ring discrete log/antilog tables
+over the index, built once by walking the powers of a generator of the unit
+group.  A power table is one lookup per element in them; + and - and the
+z -> z + c table work digit by digit.  The log/antilog pair is cached per
+ring and each power table per ring and exponent.  The tests check the kernel
+against a schoolbook oracle, tests/polyoracle.py, that shares no code with it.
 """
 
 from __future__ import annotations
@@ -151,14 +150,6 @@ class FpPoly:
         return cls(p, ())
 
     @classmethod
-    def one(cls, p: int) -> "FpPoly":
-        return cls(p, (1,))
-
-    @classmethod
-    def const(cls, p: int, a: int) -> "FpPoly":
-        return cls.make(p, (a,))
-
-    @classmethod
     def t(cls, p: int) -> "FpPoly":
         return cls(p, (0, 1))
 
@@ -179,41 +170,12 @@ class FpPoly:
         if self.p != other.p:
             raise UsageError(f"mixed coefficient moduli: {self.p} vs {other.p}")
 
-    def __add__(self, other: "FpPoly") -> "FpPoly":
-        self._check_same_p(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + (0,) * (n - len(self.coeffs))
-        b = other.coeffs + (0,) * (n - len(other.coeffs))
-        return FpPoly.make(self.p, [(x + y) % self.p for x, y in zip(a, b)])
-
-    def __sub__(self, other: "FpPoly") -> "FpPoly":
-        self._check_same_p(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + (0,) * (n - len(self.coeffs))
-        b = other.coeffs + (0,) * (n - len(other.coeffs))
-        return FpPoly.make(self.p, [(x - y) % self.p for x, y in zip(a, b)])
-
-    def __mul__(self, other: "FpPoly") -> "FpPoly":
-        self._check_same_p(other)
-        if self.is_zero or other.is_zero:
-            return FpPoly.zero(self.p)
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = (out[i + j] + a * b) % self.p
-        return FpPoly.make(self.p, out)
-
-    def scale(self, a: int) -> "FpPoly":
-        return FpPoly.make(self.p, [(a * c) % self.p for c in self.coeffs])
-
     def monic(self) -> "FpPoly":
         """Monic normalization; the zero polynomial stays zero."""
         if self.is_zero or self.is_monic:
             return self
         inv = pow(self.coeffs[-1], self.p - 2, self.p)
-        return self.scale(inv)
+        return FpPoly.make(self.p, [inv * c for c in self.coeffs])
 
     def divmod(self, divisor: "FpPoly") -> tuple["FpPoly", "FpPoly"]:
         """Long division: self = q * divisor + r with deg r < deg divisor."""
@@ -276,19 +238,33 @@ def poly_gcd(a: FpPoly, b: FpPoly) -> FpPoly:
     return a.monic()
 
 
-def _poly_pow_mod(base: FpPoly, exponent: int, modulus: FpPoly) -> FpPoly:
-    """base^exponent mod modulus by square-and-multiply (modulus any nonzero poly)."""
-    if modulus.is_zero:
-        raise DomainError("power modulus must be nonzero")
-    result = FpPoly.one(base.p)
-    acc = base % modulus
-    e = exponent
-    while e > 0:
+def _mul_mod(a: list[int], b: list[int], p: int, low: Sequence[int]) -> list[int]:
+    """a * b on length-m coefficient lists, reduced modulo the monic
+    t^m + low[m-1] t^(m-1) + ... + low[0]."""
+    acc = [0] * len(a)
+    top = max((k for k, bk in enumerate(b) if bk), default=-1)
+    for k in range(top + 1):
+        if k:  # a <- a * t, with t^m replaced by -low
+            lead = a[-1]
+            a = [0] + a[:-1]
+            if lead:
+                a = [(x - lead * y) % p for x, y in zip(a, low)]
+        if b[k]:
+            acc = [(x + b[k] * y) % p for x, y in zip(acc, a)]
+    return acc
+
+
+def _pow_mod(a: list[int], e: int, p: int, low: Sequence[int]) -> list[int]:
+    """a^e on length-m coefficient lists by square-and-multiply on _mul_mod;
+    a^0 is 1, also for a = 0."""
+    result = [1] + [0] * (len(a) - 1)
+    while e:
         if e & 1:
-            result = (result * acc) % modulus
-        acc = (acc * acc) % modulus
+            result = _mul_mod(result, a, p, low)
         e >>= 1
-    return result % modulus
+        if e:
+            a = _mul_mod(a, a, p, low)
+    return result
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -317,33 +293,23 @@ def is_irreducible(f: FpPoly) -> bool:
         return True
     p = f.p
     f = f.monic()
-    t = FpPoly.t(p)
+    low = f.coeffs[:n]
+    t = [0, 1] + [0] * (n - 2)
     # t^(p^k) mod f by iterated p-th powering (x -> x^p is a ring map mod f)
     needed = {n // r for r in _prime_factors(n)}
     frob = t
-    powers: dict[int, FpPoly] = {}
     for k in range(1, n + 1):
-        frob = _poly_pow_mod(frob, p, f)
-        if k in needed:
-            powers[k] = frob
-    if frob != t % f:
-        return False
-    for k in needed:
-        if poly_gcd(powers[k] - t, f).degree != 0:
+        frob = _pow_mod(frob, p, p, low)
+        if k in needed and poly_gcd(FpPoly.make(p, [a - b for a, b in zip(frob, t)]), f).degree != 0:
             return False
-    return True
+    return frob == t
 
 
 @lru_cache(maxsize=None)
 def _monic_irreducibles(p: int, m: int) -> tuple[FpPoly, ...]:
     out = []
     for n in range(p**m):
-        lower = []
-        v = n
-        for _ in range(m):
-            lower.append(v % p)
-            v //= p
-        f = FpPoly(p, tuple(lower) + (1,))
+        f = FpPoly(p, tuple(_coeffs(n, p, m)) + (1,))
         if is_irreducible(f):
             out.append(f)
     return tuple(out)
@@ -373,26 +339,6 @@ def check_enumeration_budget(p: int, m: int) -> None:
 # rings and their elements
 
 
-@dataclass(frozen=True)
-class PolyModulus:
-    """An irreducible monic modulus pi, carrying its degree m >= 1."""
-
-    pi: FpPoly
-    degree_m: int
-
-    def __post_init__(self) -> None:
-        if not self.pi.is_monic:
-            raise UsageError(f"modulus must be monic: {format_poly(self.pi)}")
-        if self.degree_m != self.pi.degree or self.degree_m < 1:
-            raise UsageError("stated degree does not match the modulus polynomial")
-        if not is_irreducible(self.pi):
-            raise UsageError(f"modulus {format_poly(self.pi)} is reducible over F_{self.pi.p}")
-
-    @classmethod
-    def of(cls, pi: FpPoly) -> "PolyModulus":
-        return cls(pi, pi.degree)
-
-
 class RingKind(Enum):
     PRIME_FIELD = "zp"
     QUOTIENT_FIELD = "fpt"
@@ -403,7 +349,20 @@ class RingSpec:
     """Which finite ring is in play: Z/pZ, or F_p[t]/(pi)."""
 
     p: Prime
-    modulus: "PolyModulus | None" = None
+    modulus: "FpPoly | None" = None
+
+    def __post_init__(self) -> None:
+        pi = self.modulus
+        if pi is None:
+            return
+        if pi.p != self.p.value:
+            raise UsageError(f"modulus over F_{pi.p} does not match prime {self.p.value}")
+        if not pi.is_monic:
+            raise UsageError(f"modulus must be monic: {format_poly(pi)}")
+        if pi.degree < 1:
+            raise UsageError("stated degree does not match the modulus polynomial")
+        if not is_irreducible(pi):
+            raise UsageError(f"modulus {format_poly(pi)} is reducible over F_{pi.p}")
 
     @property
     def kind(self) -> RingKind:
@@ -412,7 +371,7 @@ class RingSpec:
     @property
     def modulus_coeffs(self) -> tuple[int, ...]:
         """Ascending coefficients of the modulus; Z/p reads as F_p[t]/(t)."""
-        return (0, 1) if self.modulus is None else self.modulus.pi.coeffs
+        return (0, 1) if self.modulus is None else self.modulus.coeffs
 
     @property
     def degree_m(self) -> int:
@@ -429,10 +388,7 @@ class RingSpec:
 
     @classmethod
     def quotient_field(cls, p: Union[Prime, int], pi: FpPoly) -> "RingSpec":
-        prime = p if isinstance(p, Prime) else Prime(p)
-        if pi.p != prime.value:
-            raise UsageError(f"modulus over F_{pi.p} does not match prime {prime.value}")
-        return cls(prime, PolyModulus.of(pi))
+        return cls(p if isinstance(p, Prime) else Prime(p), pi)
 
     def element(self, value: "int | FpPoly | Sequence[int]") -> "RingElem":
         """Smart constructor: reduce an integer or polynomial into this ring."""
@@ -446,16 +402,9 @@ class RingSpec:
             raise UsageError(f"polynomial over F_{poly.p} does not belong to F_{p}[t]")
         if self.modulus is None and poly.degree > 0:
             raise UsageError("Z/p element cannot come from a non-constant polynomial")
-        return self._from_poly(poly)
-
-    def _from_poly(self, poly: FpPoly) -> "RingElem":
-        """The element of a polynomial over F_p, reduced mod the modulus."""
         if poly.degree >= self.degree_m:
-            poly = poly % FpPoly(poly.p, self.modulus_coeffs)
-        idx = 0
-        for a in reversed(poly.coeffs):
-            idx = idx * self.p.value + a
-        return RingElem(self, idx)
+            poly = poly % self.modulus
+        return RingElem(self, _index(poly.coeffs, p))
 
     def zero(self) -> "RingElem":
         return self.element(0)
@@ -492,7 +441,7 @@ class RingSpec:
     def describe(self) -> str:
         if self.modulus is None:
             return f"Z/{self.p.value}"
-        return f"F_{self.p.value}[t]/({format_poly(self.modulus.pi)})"
+        return f"F_{self.p.value}[t]/({format_poly(self.modulus)})"
 
 
 def _digits(idx: int, p: int) -> list[int]:
@@ -502,6 +451,19 @@ def _digits(idx: int, p: int) -> list[int]:
         idx, d = divmod(idx, p)
         out.append(d)
     return out
+
+
+def _coeffs(idx: int, p: int, m: int) -> list[int]:
+    """The m base-p digits of idx, least significant first, zeros kept."""
+    return [idx // p**k % p for k in range(m)]
+
+
+def _index(coeffs: Sequence[int], p: int) -> int:
+    """The index whose base-p digits are coeffs, least significant first."""
+    idx = 0
+    for a in reversed(coeffs):
+        idx = idx * p + a
+    return idx
 
 
 @dataclass(frozen=True)
@@ -527,21 +489,24 @@ class RingElem:
         p = self.ring.p.value
         return FpPoly(p, tuple(_digits(self.rep, p)))
 
-    def _require_same_ring(self, other: "RingElem") -> None:
+    def _operands(self, other: "RingElem") -> tuple[list[int], list[int], int]:
+        """Both coefficient lists (m digits each) and p, for one ring."""
         if self.ring != other.ring:
             raise UsageError("elements belong to different rings")
+        p, m = self.ring.p.value, self.ring.degree_m
+        return _coeffs(self.rep, p, m), _coeffs(other.rep, p, m), p
 
     def __add__(self, other: "RingElem") -> "RingElem":
-        self._require_same_ring(other)
-        return self.ring._from_poly(self.poly + other.poly)
+        a, b, p = self._operands(other)
+        return RingElem(self.ring, _index([(x + y) % p for x, y in zip(a, b)], p))
 
     def __sub__(self, other: "RingElem") -> "RingElem":
-        self._require_same_ring(other)
-        return self.ring._from_poly(self.poly - other.poly)
+        a, b, p = self._operands(other)
+        return RingElem(self.ring, _index([(x - y) % p for x, y in zip(a, b)], p))
 
     def __mul__(self, other: "RingElem") -> "RingElem":
-        self._require_same_ring(other)
-        return self.ring._from_poly(self.poly * other.poly)
+        a, b, p = self._operands(other)
+        return RingElem(self.ring, _index(_mul_mod(a, b, p, self.ring.modulus_coeffs[:-1]), p))
 
     @property
     def is_zero(self) -> bool:
@@ -562,38 +527,9 @@ def mod_pow(base: RingElem, exponent: int, ring: RingSpec) -> RingElem:
         raise UsageError("base does not belong to the stated ring")
     if exponent < 0:
         raise UsageError(f"exponent must be nonnegative, got {exponent}")
-    modulus = FpPoly(ring.p.value, ring.modulus_coeffs)
-    return ring._from_poly(_poly_pow_mod(base.poly, exponent, modulus))
-
-
-def poly_mul_mod(a: FpPoly, b: FpPoly, modulus: PolyModulus) -> FpPoly:
-    """a * b reduced modulo the irreducible modulus, in canonical form."""
-    if a.p != modulus.pi.p or b.p != modulus.pi.p:
-        raise UsageError("operands and modulus must share one prime")
-    return (a * b) % modulus.pi
-
-
-def ring_elements(ring: RingSpec) -> list[RingElem]:
-    """All q elements exactly once, in index (base-p value) order."""
-    q = ring.cardinality_q
-    check_budget(q, f"enumerating {ring.describe()}")
-    return [ring.element_at(i) for i in range(q)]
-
-
-def _mul_mod(a: list[int], b: list[int], p: int, low: Sequence[int]) -> list[int]:
-    """a * b on length-m coefficient lists, reduced modulo the monic
-    t^m + low[m-1] t^(m-1) + ... + low[0]; b must be nonzero."""
-    acc = [0] * len(a)
-    top = max(k for k, bk in enumerate(b) if bk)
-    for k in range(top + 1):
-        if k:  # a <- a * t, with t^m replaced by -low
-            lead = a[-1]
-            a = [0] + a[:-1]
-            if lead:
-                a = [(x - lead * y) % p for x, y in zip(a, low)]
-        if b[k]:
-            acc = [(x + b[k] * y) % p for x, y in zip(acc, a)]
-    return acc
+    p = ring.p.value
+    power = _pow_mod(_coeffs(base.rep, p, ring.degree_m), exponent, p, ring.modulus_coeffs[:-1])
+    return RingElem(ring, _index(power, p))
 
 
 @lru_cache(maxsize=None)
@@ -605,18 +541,16 @@ def log_tables(ring: RingSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:
     index, in index order, whose powers first return to 1 at step q - 1.
     """
     p = ring.p.value
-    pi = ring.modulus_coeffs
-    m = len(pi) - 1
-    low = pi[:m]
+    m = ring.degree_m
+    low = ring.modulus_coeffs[:-1]
     q = p**m
-    weights = [p**k for k in range(m)]
-    one = [1] + [0] * (m - 1)
+    one = _coeffs(1, p, m)
     for candidate in range(1, q):
-        g = [candidate // w % p for w in weights]
+        g = _coeffs(candidate, p, m)
         antilog = [1]
         x = g
         while x != one:
-            antilog.append(sum(a * w for a, w in zip(x, weights)))
+            antilog.append(_index(x, p))
             x = _mul_mod(x, g, p, low)
         if len(antilog) == q - 1:
             break

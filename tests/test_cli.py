@@ -41,6 +41,7 @@ def test_parse_orbits_quotient_example():
         ([], "subcommand"),
         (["count", "--p", "1000000000000000000", "--family", "p", "--c", "1"], "odd prime"),
         (["verify", "--p-max", "2", "--interpretation", "roots"], "argument --p-max: must be >= 3"),
+        (["avg", "--family", "p", "--primorial-k", "4", "--condition", "divides"], "--condition"),
     ],
 )
 def test_parse_rejects_bad_invocations(argv, fragment):

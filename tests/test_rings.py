@@ -1,15 +1,19 @@
 """Ring-layer tests: every operation against an independent oracle."""
 
+import ast
+from pathlib import Path
+
 import pytest
+from polyoracle import elements, naive_mul, naive_pow, poly_mul, poly_rem
 
 from perimod.dynamics import DegreeBase, DegreeSpec
 from perimod.errors import DomainError, ResourceError, UsageError
 from perimod.rings import (
     FpPoly,
-    PolyModulus,
     Prime,
     RingElem,
     RingSpec,
+    check_budget,
     enumerate_monic_irreducibles,
     format_poly,
     is_irreducible,
@@ -17,22 +21,12 @@ from perimod.rings import (
     mod_pow,
     parse_poly,
     poly_gcd,
-    poly_mul_mod,
     pow_index_table,
     primes_in_range,
-    ring_elements,
 )
 
 # ---------------------------------------------------------------------------
-# oracles
-
-
-def naive_pow(base, exponent, ring):
-    """Repeated multiplication, the independent route mod_pow is checked against."""
-    acc = ring.one()
-    for _ in range(exponent):
-        acc = acc * base
-    return acc
+# oracles (tests/polyoracle.py holds the ring arithmetic)
 
 
 def all_monics(p, degree):
@@ -52,7 +46,7 @@ def reducible_by_trial_division(f):
     """f (monic, degree >= 1) divisible by some lower-degree monic?"""
     for d in range(1, f.degree):
         for g in all_monics(f.p, d):
-            if (f % g).is_zero:
+            if not any(poly_rem(f.coeffs, g.coeffs, f.p)):
                 return True
     return False
 
@@ -86,7 +80,7 @@ def naive_order(z):
     one = z.ring.one()
     acc, order = z, 1
     while acc != one:
-        acc, order = acc * z, order + 1
+        acc, order = naive_mul(acc, z), order + 1
     return order
 
 
@@ -148,12 +142,18 @@ def test_poly_text_format_round_trip():
 
 
 def test_poly_modulus_requires_monic_irreducible():
-    with pytest.raises(UsageError):
-        PolyModulus.of(FpPoly.make(5, [1, 0, 1]))  # t^2+1 splits mod 5
-    with pytest.raises(UsageError):
-        PolyModulus.of(FpPoly.make(3, [1, 2]))  # not monic
-    good = PolyModulus.of(FpPoly.make(3, [1, 0, 1]))
-    assert good.degree_m == 2
+    with pytest.raises(UsageError, match="reducible"):
+        quotient_ring(5, [1, 0, 1])  # t^2+1 splits mod 5
+    with pytest.raises(UsageError, match="monic"):
+        quotient_ring(3, [1, 2])  # not monic
+    with pytest.raises(UsageError, match="degree"):
+        quotient_ring(3, [1])
+    with pytest.raises(UsageError, match="does not match prime 5"):
+        RingSpec.quotient_field(5, FpPoly.make(3, [1, 0, 1]))
+    with pytest.raises(UsageError, match="reducible"):
+        RingSpec(Prime(5), FpPoly.make(5, [1, 0, 1]))  # a direct RingSpec is checked too
+    good = quotient_ring(3, [1, 0, 1])
+    assert good.degree_m == 2 and good.modulus == FpPoly.make(3, [1, 0, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +166,7 @@ def test_mod_pow_examples():
     z3 = RingSpec.prime_field(3)
     assert mod_pow(z3.element(0), 5, z3).rep == 0
     z7 = RingSpec.prime_field(7)
-    assert mod_pow(z7.element(3), 9, z7).rep == 6  # frozen from naive_pow
+    assert mod_pow(z7.element(3), 9, z7).rep == 6  # 3^9 = 19683 = 6 mod 7
 
 
 def test_mod_pow_zero_exponent_is_one_even_for_zero_base():
@@ -193,22 +193,22 @@ def test_mod_pow_agrees_with_repeated_multiplication():
         quotient_ring(7, [1, 0, 1]),  # F_49
     ]
     for ring in rings:
-        for z in ring_elements(ring):
+        for z in elements(ring):
             acc = ring.one()
             for e in range(0, 2001):
                 if e <= 120 or e % 97 == 0 or e == 2000:
                     assert mod_pow(z, e, ring) == acc
-                acc = acc * z
+                acc = naive_mul(acc, z)
 
 
-def test_pow_index_table_matches_mod_pow():
+def test_pow_index_table_matches_oracle_power():
     rings = default_sweep_rings()
     assert len(rings) == 211
     for ring in rings + [quotient_ring(3, [1, 2, 0, 1])]:  # plus F_27, m = 3
-        elems = ring_elements(ring)
+        elems = elements(ring)
         for e in sorted(sweep_exponents(ring)):
             table = pow_index_table(ring, e)
-            assert table == tuple(ring.index_of(mod_pow(z, e, ring)) for z in elems), (ring, e)
+            assert table == tuple(naive_pow(z, e).rep for z in elems), (ring, e)
         assert pow_index_table(ring, 0) == (1,) * len(elems)  # 0^0 = 1, as in mod_pow
     with pytest.raises(UsageError):
         pow_index_table(RingSpec.prime_field(5), -1)
@@ -227,7 +227,7 @@ def test_log_tables_are_inverse_bijections_from_first_generator():
         acc = ring.one()
         for k in range(q - 1):
             assert ring.index_of(acc) == antilog[k]
-            acc = acc * g
+            acc = naive_mul(acc, g)
         assert naive_order(g) == q - 1
         assert all(naive_order(ring.element_at(i)) < q - 1 for i in range(1, antilog[1]))
     # over t^2 + 1, t has order 4 in F_9^*, so the search must go past it
@@ -247,7 +247,7 @@ def test_frobenius_fixed_field_fact():
     ]
     for ring in rings:
         q = ring.cardinality_q
-        for z in ring_elements(ring):
+        for z in elements(ring):
             assert mod_pow(z, q, ring) == z
 
 
@@ -255,20 +255,29 @@ def test_frobenius_fixed_field_fact():
 # polynomial products, gcd, irreducibility
 
 
-def test_poly_mul_mod_examples():
-    pm = PolyModulus.of(FpPoly.make(3, [1, 0, 1]))
-    t = FpPoly.t(3)
-    assert poly_mul_mod(t, t, pm) == FpPoly.const(3, 2)  # t^2 = -1 = 2
-    a = FpPoly.make(3, [2, 1])
-    assert poly_mul_mod(a, FpPoly.one(3), pm) == a
-    pm_t = PolyModulus.of(FpPoly.t(5))
-    assert poly_mul_mod(FpPoly.make(5, [1, 1]), FpPoly.make(5, [2, 1]), pm_t) == FpPoly.const(5, 2)
-
-
-def test_poly_mul_mod_rejects_mixed_primes():
-    pm = PolyModulus.of(FpPoly.make(3, [1, 0, 1]))
+def test_ring_products():
+    f9 = quotient_ring(3, [1, 0, 1])
+    t = f9.element(FpPoly.t(3))
+    assert (t * t).render() == "2"  # t^2 = -1 = 2
+    a = f9.element([2, 1])
+    assert a * f9.one() == a
+    f5 = quotient_ring(5, [0, 1])  # F_5[t]/(t)
+    assert (f5.element([1, 1]) * f5.element([2, 1])).render() == "2"
+    assert [x * y for x in elements(f9) for y in elements(f9)] == [
+        naive_mul(x, y) for x in elements(f9) for y in elements(f9)
+    ]
     with pytest.raises(UsageError):
-        poly_mul_mod(FpPoly.t(5), FpPoly.t(5), pm)
+        t * quotient_ring(5, [2, 0, 1]).element(FpPoly.t(5))  # mixed primes
+
+
+def test_polyoracle_imports_nothing_from_perimod():
+    modules = []
+    for node in ast.walk(ast.parse((Path(__file__).parent / "polyoracle.py").read_text())):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules.append("." * node.level + (node.module or ""))
+    assert not [name for name in modules if name.startswith((".", "perimod"))]
 
 
 def test_poly_gcd_examples():
@@ -276,7 +285,7 @@ def test_poly_gcd_examples():
     a = FpPoly.make(5, [3, 2, 4])
     assert poly_gcd(a, FpPoly.zero(5)) == a.monic()
     assert poly_gcd(FpPoly.zero(3), FpPoly.zero(3)).is_zero
-    assert poly_gcd(FpPoly.make(3, [1, 0, 1]), FpPoly.make(3, [2, 0, 1])) == FpPoly.one(3)
+    assert poly_gcd(FpPoly.make(3, [1, 0, 1]), FpPoly.make(3, [2, 0, 1])) == FpPoly.make(3, [1])
 
 
 def test_poly_gcd_against_common_divisor_enumeration():
@@ -285,8 +294,8 @@ def test_poly_gcd_against_common_divisor_enumeration():
     polys = [FpPoly.make(p, [1, 1]), FpPoly.make(p, [2, 1]), FpPoly.make(p, [1, 0, 1])]
     for a in polys:
         for b in polys:
-            prod_a = a * FpPoly.make(p, [1, 2])
-            prod_b = b * FpPoly.make(p, [1, 2])
+            prod_a = FpPoly.make(p, poly_mul(a.coeffs, [1, 2], p))
+            prod_b = FpPoly.make(p, poly_mul(b.coeffs, [1, 2], p))
             g = poly_gcd(prod_a, prod_b)
             assert (prod_a % g).is_zero and (prod_b % g).is_zero
             for d in range(g.degree + 1, min(prod_a.degree, prod_b.degree) + 1):
@@ -301,7 +310,7 @@ def test_is_irreducible_examples():
     with pytest.raises(DomainError):
         is_irreducible(FpPoly.zero(3))
     with pytest.raises(DomainError):
-        is_irreducible(FpPoly.const(3, 2))
+        is_irreducible(FpPoly.make(3, [2]))
 
 
 def test_is_irreducible_matches_trial_division():
@@ -315,12 +324,13 @@ def test_enumerate_monic_irreducibles():
     assert [format_poly(f) for f in enumerate_monic_irreducibles(3, 1)] == ["0,1", "1,1", "2,1"]
     assert len(enumerate_monic_irreducibles(3, 2)) == 3
     assert len(enumerate_monic_irreducibles(5, 2)) == 10
-    for p in (3, 5, 7):
-        for m in (1, 2, 3, 4):
-            found = enumerate_monic_irreducibles(p, m)
-            assert len(found) == mobius_irreducible_count(p, m)
-            assert len(set(found)) == len(found)
-            assert all(f.degree == m and f.is_monic for f in found)
+    # m = 6 has two prime factors, so Rabin's gcd step runs for r = 2 and r = 3
+    assert mobius_irreducible_count(3, 6) == 116
+    for p, m in [(p, m) for p in (3, 5, 7) for m in (1, 2, 3, 4)] + [(3, 6)]:
+        found = enumerate_monic_irreducibles(p, m)
+        assert len(found) == mobius_irreducible_count(p, m)
+        assert len(set(found)) == len(found)
+        assert all(f.degree == m and f.is_monic for f in found)
 
 
 def test_enumerate_budget():
@@ -334,12 +344,11 @@ def test_enumerate_budget():
 
 def test_ring_elements_examples():
     z3 = RingSpec.prime_field(3)
-    assert [e.rep for e in ring_elements(z3)] == [0, 1, 2]
+    assert [z3.element_at(i).rep for i in range(z3.cardinality_q)] == [0, 1, 2]
     f9 = quotient_ring(3, [1, 0, 1])
-    elems = ring_elements(f9)
-    assert len(elems) == 9 and len(set(elems)) == 9
+    assert f9.cardinality_q == 9 and len({f9.element_at(i).poly for i in range(9)}) == 9
     f5 = quotient_ring(5, [0, 1])  # F_5[t]/(t)
-    assert len(ring_elements(f5)) == 5
+    assert f5.cardinality_q == 5
 
 
 def test_ring_element_reduction_and_arith():
@@ -350,14 +359,14 @@ def test_ring_element_reduction_and_arith():
     assert f9.element(7).render() == "1"
     z5 = RingSpec.prime_field(5)
     assert z5.element(-3).rep == 2
-    assert z5.element(FpPoly.const(5, 3)) == z5.element(3)
+    assert z5.element(FpPoly.make(5, [3])) == z5.element(3)
     with pytest.raises(UsageError):
         t + z5.element(1)
     with pytest.raises(UsageError):
         z5.element(FpPoly.t(5))  # Z/p takes constant polynomials only
     with pytest.raises(UsageError):
         z5.element([1, 1])
-    for bad in (-1, 5, 2.0, FpPoly.const(5, 2)):
+    for bad in (-1, 5, 2.0, FpPoly.make(5, [2])):
         with pytest.raises(UsageError):
             RingElem(z5, bad)
     for bad in (-1, 9, "1", FpPoly.t(3)):
@@ -387,9 +396,9 @@ def test_index_round_trip_and_addition():
 def test_budget_override(monkeypatch):
     monkeypatch.setenv("PERIMOD_BUDGET", "5")
     with pytest.raises(ResourceError):
-        ring_elements(RingSpec.prime_field(7))
+        check_budget(7, "enumerating Z/7")
     monkeypatch.setenv("PERIMOD_BUDGET", "7")
-    assert len(ring_elements(RingSpec.prime_field(7))) == 7
+    check_budget(7, "enumerating Z/7")
     monkeypatch.setenv("PERIMOD_BUDGET", "not-a-number")
     with pytest.raises(UsageError):
-        ring_elements(RingSpec.prime_field(7))
+        check_budget(7, "enumerating Z/7")
