@@ -1,5 +1,7 @@
 """Claim catalog and verifier tests."""
 
+import hashlib
+
 import pytest
 
 from perimod.claims import (
@@ -52,6 +54,28 @@ def test_catalog_has_all_branches():
             assert (ring_kind, DegreeBase.P_MINUS_1, EllDomain.ANY, coeff) in seen
         assert (ring_kind, DegreeBase.P, EllDomain.IN_1P, CoeffClass.DIVISIBLE) in seen
         assert (ring_kind, DegreeBase.P, EllDomain.NOT_1P, CoeffClass.DIVISIBLE) in seen
+
+
+# SHA-256 of every record's enum fields and its rendered prediction for
+# p in (3, 5, 7, 11, 13) and ell in 1..4 ("empty" where the interval is
+# empty); recorded before the catalog became a literal table.
+CATALOG_DIGEST = "6ce6f5b6429bcef2eea6890a4707b54042c002200e296c60c72d3e015afb18ce"
+
+
+def test_catalog_is_pinned():
+    def rendered(prediction, p, ell):
+        try:
+            return prediction.render(p, ell)
+        except DomainError:
+            return "empty"
+
+    lines = []
+    for r in claim_catalog():
+        row = [r.id, r.family.value, r.ell_domain.value, r.ring_kind.value, r.coeff_class.value]
+        row += [rendered(r.prediction, p, ell) for p in (3, 5, 7, 11, 13) for ell in range(1, 5)]
+        lines.append("|".join(row))
+    assert len(lines) == 34
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == CATALOG_DIGEST
 
 
 def test_catalog_spec_examples():
