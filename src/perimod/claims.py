@@ -3,11 +3,14 @@ brute-force verifier that sweeps each claim's parameter domain cell by cell.
 
 Every claim is one branch of a published counting statement for the families
 z^(p^ell) + c and z^((p-1)^ell) + c over Z/pZ and F_p[t]/(pi): a coefficient
-congruence class together with a predicted count (an exact value, the ring
-prime p itself, or a bounded range in ell).  The verifier recomputes each
-cell exhaustively and reports matches and mismatches as data; a mismatch is
-a report row, never an execution failure, because documenting where brute
-force disagrees with the claimed counts is the point of the exercise.
+congruence class together with a predicted count, the closed interval
+[lo, hi] whose bounds are ints or the tokens "p" (the ring prime) and "ell"
+(an exact count v is [v, v]).  The statements are one literal table, a row
+per branch, read once for each ring to give the 34 catalog records.  The
+verifier recomputes each cell exhaustively and reports matches and
+mismatches as data; a mismatch is a report row, never an execution failure,
+because documenting where brute force disagrees with the claimed counts is
+the point of the exercise.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass, fields
 from enum import Enum
 from functools import lru_cache
 from operator import attrgetter
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 from .dynamics import DegreeBase, DegreeSpec, Interpretation, counting_function
 from .errors import DomainError, UsageError
@@ -65,52 +68,20 @@ class EllDomain(Enum):
         return True
 
 
-class PredictionKind(Enum):
-    EXACT = "exact"
-    SYMBOLIC_P = "symbolic-p"
-    INTERVAL = "interval"
-
-
-Expr = Union[int, str]  # literal, or the tokens "p" / "ell"
-
-
-def _eval_expr(expr: Expr, p: int, ell: int) -> int:
-    if expr == "p":
-        return p
-    if expr == "ell":
-        return ell
-    return int(expr)
+Expr = Union[int, str]  # an int, or the token "p" (the ring prime) or "ell"
 
 
 @dataclass(frozen=True)
 class Prediction:
-    """Predicted count: Exact(v), SymbolicP (the ring prime), or an
-    Interval(lo, hi) whose bounds may be expressions in p and ell."""
+    """Predicted count: the closed interval [lo, hi].  An exact count v is
+    (v, v); the ring prime is ("p", "p")."""
 
-    kind: PredictionKind
-    value: int = 0
-    lo: Expr = 0
-    hi: Expr = 0
-
-    @classmethod
-    def exact(cls, value: int) -> "Prediction":
-        return cls(PredictionKind.EXACT, value=value)
-
-    @classmethod
-    def symbolic_p(cls) -> "Prediction":
-        return cls(PredictionKind.SYMBOLIC_P)
-
-    @classmethod
-    def interval(cls, lo: Expr, hi: Expr) -> "Prediction":
-        return cls(PredictionKind.INTERVAL, lo=lo, hi=hi)
+    lo: Expr
+    hi: Expr
 
     def bounds(self, p: int, ell: int) -> tuple[int, int]:
-        if self.kind is PredictionKind.EXACT:
-            return self.value, self.value
-        if self.kind is PredictionKind.SYMBOLIC_P:
-            return p, p
-        lo = _eval_expr(self.lo, p, ell)
-        hi = _eval_expr(self.hi, p, ell)
+        lo = p if self.lo == "p" else ell if self.lo == "ell" else self.lo
+        hi = p if self.hi == "p" else ell if self.hi == "ell" else self.hi
         if lo > hi:
             raise DomainError(f"empty predicted interval [{lo}, {hi}]")
         return lo, hi
@@ -127,7 +98,7 @@ class Prediction:
 @dataclass(frozen=True)
 class ClaimRecord:
     """One claimed counting branch: parameter domain, coefficient class,
-    predicted count, and the source label of the statement it encodes."""
+    predicted count, and the theorem it encodes."""
 
     id: str
     family: DegreeBase
@@ -136,10 +107,6 @@ class ClaimRecord:
     coeff_class: CoeffClass
     prediction: Prediction
     citation: str
-
-    @property
-    def p_min(self) -> int:
-        return DegreeSpec(self.family, 1).min_prime  # the same for every ell
 
 
 @dataclass(frozen=True)
@@ -184,145 +151,54 @@ class VerificationReport:
         )
 
 
-def _zero_branches(
-    prefix: str, family: DegreeBase, ell_domain: EllDomain, ring_kind: RingKind, citation: str
-) -> list[ClaimRecord]:
-    """The "otherwise the count is 0" branch, split over the three
-    non-divisible coefficient classes so every residue is checked."""
-    return [
-        ClaimRecord(
-            id=f"{prefix}-{cls.value}",
-            family=family,
-            ell_domain=ell_domain,
-            ring_kind=ring_kind,
-            coeff_class=cls,
-            prediction=Prediction.exact(0),
-            citation=citation,
-        )
-        for cls in (CoeffClass.PLUS_ONE, CoeffClass.MINUS_ONE, CoeffClass.OTHER)
-    ]
+# The paper's statements, one row per branch, grouped by family and read
+# once for each ring: (id after the ring tag, family, ell domain,
+# coefficient class, lo, hi, Z/p source, F_p[t]/(pi) source).  The count is
+# predicted in [lo, hi]; a coefficient class reads c modulo p or pi.  Each
+# "otherwise the count is 0" branch is split over the three non-divisible
+# classes so every residue is checked.
+_STATEMENTS = (
+    (  # z^(p^ell) + c
+        ("ppow-l1-divisible", "p", "l1", "divisible", "p", "p", "Thm 2.1/2.2", "Thm 4.1/4.2"),
+        ("ppow-l1-plus1", "p", "l1", "plus1", 0, 0, "Thm 2.1/2.2", "Thm 4.1/4.2"),
+        ("ppow-l1-minus1", "p", "l1", "minus1", 0, 0, "Thm 2.1/2.2", "Thm 4.1/4.2"),
+        ("ppow-l1-other", "p", "l1", "other", 0, 0, "Thm 2.1/2.2", "Thm 4.1/4.2"),
+        ("ppow-gen-divisible-unit-ell", "p", "l-in-1p", "divisible", "p", "p", "Thm 2.3", "Thm 4.3"),
+        ("ppow-gen-divisible-mid-ell", "p", "l-not-1p", "divisible", 2, "ell", "Thm 2.3", "Thm 4.3"),
+        ("ppow-gen-plus1", "p", "l-any", "plus1", 0, 0, "Thm 2.3", "Thm 4.3"),
+        ("ppow-gen-minus1", "p", "l-any", "minus1", 0, 0, "Thm 2.3", "Thm 4.3"),
+        ("ppow-gen-other", "p", "l-any", "other", 0, 0, "Thm 2.3", "Thm 4.3"),
+    ),
+    (  # z^((p-1)^ell) + c
+        ("unitpow-l1-divisible", "p-1", "l1", "divisible", 2, 2, "Thm 3.1/3.2", "Thm 5.1/5.2"),
+        ("unitpow-l1-plus1", "p-1", "l1", "plus1", 1, 1, "Thm 3.1/3.2", "Thm 5.1/5.2"),
+        ("unitpow-l1-minus1", "p-1", "l1", "minus1", 1, 1, "Thm 3.1/3.2", "Thm 5.1/5.2"),
+        ("unitpow-l1-other", "p-1", "l1", "other", 0, 0, "Thm 3.1/3.2", "Thm 5.1/5.2"),
+        ("unitpow-gen-divisible", "p-1", "l-any", "divisible", 2, 2, "Thm 3.3", "Thm 5.3"),
+        ("unitpow-gen-plus1", "p-1", "l-any", "plus1", 1, 1, "Thm 3.3", "Thm 5.3"),
+        ("unitpow-gen-minus1", "p-1", "l-any", "minus1", 1, 1, "Thm 3.3", "Thm 5.3"),
+        ("unitpow-gen-other", "p-1", "l-any", "other", 0, 0, "Thm 3.3", "Thm 5.3"),
+    ),
+)
 
 
 def claim_catalog() -> tuple[ClaimRecord, ...]:
-    """The full catalog: for each of the four (family, ring) groups, the
-    ell = 1 statement and the general-ell statement, one record per
-    coefficient-class branch, zero-prediction branches included."""
-    records: list[ClaimRecord] = []
-
-    for ring_kind, ring_tag, mod_word in (
-        (RingKind.PRIME_FIELD, "zp", "p"),
-        (RingKind.QUOTIENT_FIELD, "fpt", "pi"),
-    ):
-        src = "Thm 2.1/2.2" if ring_kind is RingKind.PRIME_FIELD else "Thm 4.1/4.2"
-        src_gen = "Thm 2.3" if ring_kind is RingKind.PRIME_FIELD else "Thm 4.3"
-        records.append(
-            ClaimRecord(
-                id=f"{ring_tag}-ppow-l1-divisible",
-                family=DegreeBase.P,
-                ell_domain=EllDomain.ONE,
-                ring_kind=ring_kind,
-                coeff_class=CoeffClass.DIVISIBLE,
-                prediction=Prediction.symbolic_p(),
-                citation=f"{src}: count = p for c = 0 (mod {mod_word}), ell = 1",
-            )
+    """The 34 records: for each family, each ring (its value is the id's
+    prefix), each statement branch."""
+    return tuple(
+        ClaimRecord(
+            f"{ring_kind.value}-{tag}",
+            DegreeBase(family),
+            EllDomain(ell_domain),
+            ring_kind,
+            CoeffClass(coeff_class),
+            Prediction(lo, hi),
+            zp_source if ring_kind is RingKind.PRIME_FIELD else fpt_source,
         )
-        records.extend(
-            _zero_branches(
-                f"{ring_tag}-ppow-l1",
-                DegreeBase.P,
-                EllDomain.ONE,
-                ring_kind,
-                f"{src}: count = 0 for c != 0 (mod {mod_word}), ell = 1",
-            )
-        )
-        records.append(
-            ClaimRecord(
-                id=f"{ring_tag}-ppow-gen-divisible-unit-ell",
-                family=DegreeBase.P,
-                ell_domain=EllDomain.IN_1P,
-                ring_kind=ring_kind,
-                coeff_class=CoeffClass.DIVISIBLE,
-                prediction=Prediction.symbolic_p(),
-                citation=f"{src_gen}: count = p for c = 0 (mod {mod_word}), ell in {{1, p}}",
-            )
-        )
-        records.append(
-            ClaimRecord(
-                id=f"{ring_tag}-ppow-gen-divisible-mid-ell",
-                family=DegreeBase.P,
-                ell_domain=EllDomain.NOT_1P,
-                ring_kind=ring_kind,
-                coeff_class=CoeffClass.DIVISIBLE,
-                prediction=Prediction.interval(2, "ell"),
-                citation=f"{src_gen}: 2 <= count <= ell for c = 0 (mod {mod_word}), ell not in {{1, p}}",
-            )
-        )
-        records.extend(
-            _zero_branches(
-                f"{ring_tag}-ppow-gen",
-                DegreeBase.P,
-                EllDomain.ANY,
-                ring_kind,
-                f"{src_gen}: count = 0 for c != 0 (mod {mod_word}), any ell",
-            )
-        )
-
-    for ring_kind, ring_tag, mod_word in (
-        (RingKind.PRIME_FIELD, "zp", "p"),
-        (RingKind.QUOTIENT_FIELD, "fpt", "pi"),
-    ):
-        src = "Thm 3.1/3.2" if ring_kind is RingKind.PRIME_FIELD else "Thm 5.1/5.2"
-        src_gen = "Thm 3.3" if ring_kind is RingKind.PRIME_FIELD else "Thm 5.3"
-        for stmt_tag, ell_domain, source in (
-            ("l1", EllDomain.ONE, src),
-            ("gen", EllDomain.ANY, src_gen),
-        ):
-            suffix = "ell = 1" if ell_domain is EllDomain.ONE else "any ell"
-            records.extend(
-                [
-                    ClaimRecord(
-                        id=f"{ring_tag}-unitpow-{stmt_tag}-divisible",
-                        family=DegreeBase.P_MINUS_1,
-                        ell_domain=ell_domain,
-                        ring_kind=ring_kind,
-                        coeff_class=CoeffClass.DIVISIBLE,
-                        prediction=Prediction.exact(2),
-                        citation=f"{source}: count = 2 for c = 0 (mod {mod_word}), {suffix}",
-                    ),
-                    ClaimRecord(
-                        id=f"{ring_tag}-unitpow-{stmt_tag}-plus1",
-                        family=DegreeBase.P_MINUS_1,
-                        ell_domain=ell_domain,
-                        ring_kind=ring_kind,
-                        coeff_class=CoeffClass.PLUS_ONE,
-                        prediction=Prediction.exact(1),
-                        citation=f"{source}: count = 1 for c = +1 (mod {mod_word}), {suffix}",
-                    ),
-                    ClaimRecord(
-                        id=f"{ring_tag}-unitpow-{stmt_tag}-minus1",
-                        family=DegreeBase.P_MINUS_1,
-                        ell_domain=ell_domain,
-                        ring_kind=ring_kind,
-                        coeff_class=CoeffClass.MINUS_ONE,
-                        prediction=Prediction.exact(1),
-                        citation=f"{source}: count = 1 for c = -1 (mod {mod_word}), {suffix}",
-                    ),
-                    ClaimRecord(
-                        id=f"{ring_tag}-unitpow-{stmt_tag}-other",
-                        family=DegreeBase.P_MINUS_1,
-                        ell_domain=ell_domain,
-                        ring_kind=ring_kind,
-                        coeff_class=CoeffClass.OTHER,
-                        prediction=Prediction.exact(0),
-                        citation=f"{source}: count = 0 for c != 0, +1, -1 (mod {mod_word}), {suffix}",
-                    ),
-                ]
-            )
-
-    ids = [record.id for record in records]
-    if len(set(ids)) != len(ids):
-        raise AssertionError("claim catalog ids are not unique")
-    return tuple(records)
+        for group in _STATEMENTS
+        for ring_kind in RingKind
+        for tag, family, ell_domain, coeff_class, lo, hi, zp_source, fpt_source in group
+    )
 
 
 def _class_residues(coeff_class: CoeffClass, p: int) -> list[int]:
@@ -368,7 +244,7 @@ def _claim_cells(
     family_cache: dict[int, DegreeSpec] = {}
     cells: list[VerificationCell] = []
     for p in primes:
-        if p < claim.p_min:
+        if p < claim.family.min_prime:
             continue
         if claim.ring_kind is RingKind.PRIME_FIELD:
             rings = [(0, RingSpec.prime_field(p))]
@@ -401,9 +277,9 @@ def _claim_cells(
 def _skip_reason(
     claim: ClaimRecord, primes: Sequence[int], ells: Sequence[int]
 ) -> str:
-    admissible = [p for p in primes if p >= claim.p_min]
+    admissible = [p for p in primes if p >= claim.family.min_prime]
     if not admissible:
-        return f"requires p >= {claim.p_min}"
+        return f"requires p >= {claim.family.min_prime}"
     if not any(claim.ell_domain.admits(ell, p) for p in admissible for ell in ells):
         return f"no admissible ell in range for domain {claim.ell_domain.value}"
     return "no coefficient representatives in the swept range"
@@ -500,13 +376,3 @@ def parse_report(text: str, fmt: ReportFormat) -> VerificationReport:
     skips = [SkipNote(**skip) for skip in payload.get("skips", [])]
     return VerificationReport(cells=tuple(cells), skips=tuple(skips))
 
-
-def iter_claims(ids: Iterable[str]) -> list[ClaimRecord]:
-    """Look up catalog records by id; unknown ids raise UsageError."""
-    catalog = {record.id: record for record in claim_catalog()}
-    out = []
-    for claim_id in ids:
-        if claim_id not in catalog:
-            raise UsageError(f"unknown claim id {claim_id!r}")
-        out.append(catalog[claim_id])
-    return out

@@ -281,7 +281,7 @@ def _series_table(series, population: str, summary: str) -> _Table:
     rows = stats.series_rows(series)
     payload = {
         "population": population,
-        "series": [{k: (int(v) if v else None) for k, v in zip(header, row)} for row in rows],
+        "series": [dict(zip(header, row)) for row in rows],
     }
     return payload, header, rows, summary
 

@@ -26,6 +26,12 @@ class DegreeBase(Enum):
     P = "p"
     P_MINUS_1 = "p-1"
 
+    @property
+    def min_prime(self) -> int:
+        """Smallest prime the family is defined for (degree >= 2 and the
+        counting results' hypotheses: p >= 3 for base p, p >= 5 for base p-1)."""
+        return 3 if self is DegreeBase.P else 5
+
 
 class Interpretation(Enum):
     """Which count a "2-periodic" query means."""
@@ -48,9 +54,7 @@ class DegreeSpec:
 
     @property
     def min_prime(self) -> int:
-        """Smallest prime the family is defined for (degree >= 2 and the
-        counting results' hypotheses: p >= 3 for base p, p >= 5 for base p-1)."""
-        return 3 if self.base is DegreeBase.P else 5
+        return self.base.min_prime
 
     def base_value(self, p: int) -> int:
         return p if self.base is DegreeBase.P else p - 1

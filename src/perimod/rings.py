@@ -346,12 +346,15 @@ class RingKind(Enum):
 
 @dataclass(frozen=True)
 class RingSpec:
-    """Which finite ring is in play: Z/pZ, or F_p[t]/(pi)."""
+    """Which finite ring is in play: Z/pZ, or F_p[t]/(pi).  An int p is
+    checked and stored as a Prime."""
 
     p: Prime
     modulus: "FpPoly | None" = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.p, Prime):
+            object.__setattr__(self, "p", Prime(self.p))
         pi = self.modulus
         if pi is None:
             return
@@ -360,7 +363,7 @@ class RingSpec:
         if not pi.is_monic:
             raise UsageError(f"modulus must be monic: {format_poly(pi)}")
         if pi.degree < 1:
-            raise UsageError("stated degree does not match the modulus polynomial")
+            raise UsageError(f"modulus must have degree >= 1, got {pi.degree}")
         if not is_irreducible(pi):
             raise UsageError(f"modulus {format_poly(pi)} is reducible over F_{pi.p}")
 
@@ -384,11 +387,11 @@ class RingSpec:
 
     @classmethod
     def prime_field(cls, p: Union[Prime, int]) -> "RingSpec":
-        return cls(p if isinstance(p, Prime) else Prime(p))
+        return cls(p)
 
     @classmethod
     def quotient_field(cls, p: Union[Prime, int], pi: FpPoly) -> "RingSpec":
-        return cls(p if isinstance(p, Prime) else Prime(p), pi)
+        return cls(p, pi)
 
     def element(self, value: "int | FpPoly | Sequence[int]") -> "RingElem":
         """Smart constructor: reduce an integer or polynomial into this ring."""

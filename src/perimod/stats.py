@@ -46,10 +46,6 @@ class AverageQuery:
     interpretation: Interpretation
     cs: tuple[int, ...]
 
-    @property
-    def p_min(self) -> int:
-        return self.family.min_prime
-
 
 @dataclass(frozen=True)
 class AveragePoint:
@@ -108,7 +104,7 @@ def _condition_primes(condition: AvgCondition, c: int, swept: list[int], p_min: 
 def partial_average(query: AverageQuery) -> AverageSeries:
     """For each cutoff c: sum of the count over the selected primes, divided
     by how many primes were selected."""
-    p_min = query.p_min
+    p_min = query.family.min_prime
     swept: list[int] = []
     if query.condition.value not in _DIVISOR_OFFSETS:
         swept = primes_in_range(p_min, min(max(query.cs, default=0), SWEEP_BUDGET))
@@ -275,31 +271,15 @@ def density(query: DensityQuery) -> DensityResult:
 SERIES_HEADER = "cutoff_or_c,numerator,denominator,ratio_num,ratio_den"
 
 
-def series_rows(series: "AverageSeries | DensityResult") -> list[tuple[str, str, str, str, str]]:
+def series_rows(series: "AverageSeries | DensityResult") -> list[tuple]:
+    """One (cutoff, numerator, denominator, ratio numerator, ratio
+    denominator) row of ints per point; an empty average's ratio is None."""
     rows = []
-    if isinstance(series, AverageSeries):
-        for pt in series.points:
-            if pt.ratio is None:
-                rows.append((str(pt.c), str(pt.numerator), str(pt.denominator), "", ""))
-            else:
-                rows.append(
-                    (
-                        str(pt.c),
-                        str(pt.numerator),
-                        str(pt.denominator),
-                        str(pt.ratio.numerator),
-                        str(pt.ratio.denominator),
-                    )
-                )
-    else:
-        for dpt in series.points:
-            rows.append(
-                (
-                    str(dpt.cutoff),
-                    str(dpt.hits),
-                    str(dpt.population),
-                    str(dpt.ratio.numerator),
-                    str(dpt.ratio.denominator),
-                )
-            )
+    for pt in series.points:
+        if isinstance(pt, AveragePoint):
+            head = (pt.c, pt.numerator, pt.denominator)
+        else:
+            head = (pt.cutoff, pt.hits, pt.population)
+        ratio = (None, None) if pt.ratio is None else (pt.ratio.numerator, pt.ratio.denominator)
+        rows.append((*head, *ratio))
     return rows

@@ -10,11 +10,9 @@ from perimod.claims import (
     CoeffClass,
     EllDomain,
     Prediction,
-    PredictionKind,
     ReportFormat,
     VerificationReport,
     claim_catalog,
-    iter_claims,
     parse_report,
     render_report,
     verify_all,
@@ -81,22 +79,22 @@ def test_catalog_is_pinned():
 def test_catalog_spec_examples():
     index = catalog_index()
     rec = index["zp-ppow-l1-divisible"]
-    assert rec.prediction.kind is PredictionKind.SYMBOLIC_P
+    assert rec.prediction == Prediction("p", "p")
     rec = index["zp-unitpow-gen-other"]
     assert rec.ell_domain is EllDomain.ANY
-    assert rec.prediction == Prediction.exact(0)
+    assert rec.prediction == Prediction(0, 0)
     rec = index["zp-ppow-gen-divisible-mid-ell"]
     assert rec.ell_domain is EllDomain.NOT_1P
-    assert rec.prediction.kind is PredictionKind.INTERVAL
+    assert rec.prediction == Prediction(2, "ell")
     assert rec.prediction.bounds(7, 4) == (2, 4)
 
 
 def test_prediction_instantiation():
-    assert Prediction.exact(3).render(5, 1) == "3"
-    assert Prediction.symbolic_p().render(7, 2) == "7"
-    assert Prediction.interval(2, "ell").render(5, 4) == "2..4"
-    assert Prediction.interval(2, "ell").matches(3, 5, 4)
-    assert not Prediction.interval(2, "ell").matches(5, 5, 4)
+    assert Prediction(3, 3).render(5, 1) == "3"
+    assert Prediction("p", "p").render(7, 2) == "7"
+    assert Prediction(2, "ell").render(5, 4) == "2..4"
+    assert Prediction(2, "ell").matches(3, 5, 4)
+    assert not Prediction(2, "ell").matches(5, 5, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -143,12 +141,6 @@ def test_verify_claim_empty_domain_raises():
     index = catalog_index()
     with pytest.raises(DomainError):
         verify_claim(index["zp-unitpow-l1-divisible"], [3], [1], [1], ROOTS)
-
-
-def test_iter_claims_rejects_unknown_ids():
-    assert [c.id for c in iter_claims(["zp-ppow-l1-other"])] == ["zp-ppow-l1-other"]
-    with pytest.raises(UsageError):
-        iter_claims(["no-such-claim"])
 
 
 # ---------------------------------------------------------------------------

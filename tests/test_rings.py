@@ -154,6 +154,13 @@ def test_poly_modulus_requires_monic_irreducible():
         RingSpec(Prime(5), FpPoly.make(5, [1, 0, 1]))  # a direct RingSpec is checked too
     good = quotient_ring(3, [1, 0, 1])
     assert good.degree_m == 2 and good.modulus == FpPoly.make(3, [1, 0, 1])
+    # an int prime is checked and stored as a Prime
+    assert RingSpec(5) == RingSpec.prime_field(5)
+    assert RingSpec(3, FpPoly.make(3, [1, 0, 1])) == good
+    with pytest.raises(UsageError, match="not prime"):
+        RingSpec(9)
+    with pytest.raises(UsageError, match="odd prime"):
+        RingSpec(4)
 
 
 # ---------------------------------------------------------------------------

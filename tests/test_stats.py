@@ -287,11 +287,11 @@ def test_density_matches_pair_enumeration(family, p_min):
 def test_series_rows_schema():
     series = avg(P1, AvgCondition.P_DIVIDES_C, [4, 15])
     rows = series_rows(series)
-    assert rows[0] == ("4", "0", "0", "", "")  # empty point: no division
-    assert rows[1] == ("15", "8", "2", "4", "1")
+    assert rows[0] == (4, 0, 0, None, None)  # empty point: no division
+    assert rows[1] == (15, 8, 2, 4, 1)
     result = density(DensityQuery(P1, DensityPredicate(PredicateKind.DIVIDES), 10, 3))
     rows = series_rows(result)
-    assert rows[-1] == ("10", "6", "18", "1", "3")
+    assert rows[-1] == (10, 6, 18, 1, 3)
 
 
 # ---------------------------------------------------------------------------
