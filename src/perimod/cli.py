@@ -119,7 +119,7 @@ _FLAGS = {
         "predicate": {"choices": [k.value for k in stats.PredicateKind], "required": True},
         "interpretation": _INTERPRETATION,
         "C": {"type": _at_least(1), "required": True},
-        "count-value": {"type": _integer, "default": 0},
+        "count-value": {"type": _integer, "help": "count-eq only; 0 when absent"},
         "negate": {"action": "store_true"},
         "p-min": {"type": _integer},
     },
@@ -230,6 +230,12 @@ def _parse(argv: Sequence[str]) -> argparse.Namespace:
             raise UsageError("--condition is required with --c")
         if ns.primorial_k is not None and ns.condition is not None:
             raise UsageError("--condition does not apply with --primorial-k")
+    elif ns.subcommand == "density":
+        if ns.predicate != stats.PredicateKind.COUNT_EQUALS.value:
+            if ns.count_value is not None:
+                raise UsageError("--count-value only applies to --predicate count-eq")
+        elif ns.count_value is None:
+            ns.count_value = 0
     elif ns.subcommand == "irreducibles":
         check_enumeration_budget(ns.p, ns.m)  # before the trial division
         Prime(ns.p)

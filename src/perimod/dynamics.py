@@ -10,6 +10,12 @@ set of roots of the second iterate minus the identity (period dividing 2),
 and that set with fixed points excluded (exact period 2).  Both are
 first-class here, alongside the plain fixed-point count; counting_function
 makes the choice explicit and nothing in this package silently prefers one.
+
+Over Z/p the reduced exponent is 1 (base p) or p-1 (base p-1), so a map is
+the translation z + c or sends every z into {c, c+1}.  residue_count_table
+uses this to give the count for every residue c at once as a
+ResidueProfile: one generic value plus the values at c = 0 and c = p-1,
+each found by evaluating the map on at most two points.
 """
 
 from __future__ import annotations
@@ -216,37 +222,68 @@ def counting_function(
     return count_exact_period2(map_spec)
 
 
+@dataclass(frozen=True)
+class ResidueProfile:
+    """counting_function over Z/p as a function of the residue c mod p: one
+    generic value, taken at every residue except 0 and p-1, and the values
+    at those two.  profile[r] reads the value at residue 0 <= r < p."""
+
+    p: int
+    generic: int
+    at_zero: int
+    at_minus_one: int
+
+    def __len__(self) -> int:
+        return self.p
+
+    def __getitem__(self, r: int) -> int:
+        if not 0 <= r < self.p:
+            raise IndexError(f"residue {r} is outside 0..{self.p - 1}")
+        if r == 0:
+            return self.at_zero
+        return self.at_minus_one if r == self.p - 1 else self.generic
+
+
+def _period_count(p: int, e: int, c: int, k: int) -> int:
+    """#{z in Z/p : phi^k(z) = z} for phi(z) = z^e + c, with e = 1 or p-1."""
+    if e == 1:  # the translation: phi^k(z) = z + kc
+        return p if k * c % p == 0 else 0
+    # z^(p-1) is 0 at z = 0 and 1 elsewhere, so phi maps Z/p into {c, c+1},
+    # and every point of period dividing k lies in that image
+    hits = 0
+    for z in {c % p, (c + 1) % p}:
+        w = z
+        for _ in range(k):
+            w = (pow(w, e, p) + c) % p
+        hits += w == z
+    return hits
+
+
 @lru_cache(maxsize=None)
 def residue_count_table(
     p: int, family: DegreeSpec, interpretation: Interpretation
-) -> tuple[int, ...]:
-    """counting_function over Z/p for every residue c at once.
+) -> ResidueProfile:
+    """counting_function over Z/p for every residue c at once, in O(1).
 
-    Exhaustive in substance but organized per residue: a point z is a root of
-    phi_c^2(x) - x exactly when w := z^e + c satisfies w + w^e = z + z^e, so
-    bucketing elements by x + x^e yields, for each in-bucket pair (z, w), the
-    unique c = w - z^e it witnesses.  Fixed points come from the histogram of
-    z - z^e.  Agreement with the per-map scans is pinned by tests.
+    Over Z/p the reduced exponent e is base^ell mod p-1, which is 1 for
+    base p and p-1 for base p-1.  With e = 1 the map is the translation
+    z + c; with e = p-1 its image is {c, c+1}, which changes shape only
+    where c or c+1 is 0.  Either way the count depends on c only through
+    whether c is 0, p-1 or neither, so it is evaluated at c = 0, p-1 and 1.
+    Agreement with the per-map scans and with a residue-by-residue oracle
+    is pinned by tests.
     """
     Prime(p)  # reject composite or even moduli up front
     if p < family.min_prime:
         raise DomainError(f"family {family.describe()} needs p >= {family.min_prime}")
     e = family.reduced_exponent_for(p, p)
-    u = list(range(p)) if e == 1 else [pow(z, e, p) for z in range(p)]
-    fixed = [0] * p
-    for z in range(p):
-        fixed[(z - u[z]) % p] += 1
-    if interpretation is Interpretation.FIXED:
-        return tuple(fixed)
-    buckets: list[list[int]] = [[] for _ in range(p)]
-    for x in range(p):
-        buckets[(x + u[x]) % p].append(x)
-    le2 = [0] * p
-    for group in buckets:
-        for z in group:
-            uz = u[z]
-            for w in group:
-                le2[(w - uz) % p] += 1
-    if interpretation is Interpretation.ROOTS_LE2:
-        return tuple(le2)
-    return tuple(a - b for a, b in zip(le2, fixed))
+
+    def count(c: int) -> int:
+        if interpretation is Interpretation.FIXED:
+            return _period_count(p, e, c, 1)
+        le2 = _period_count(p, e, c, 2)
+        if interpretation is Interpretation.ROOTS_LE2:
+            return le2
+        return le2 - _period_count(p, e, c, 1)
+
+    return ResidueProfile(p, generic=count(1), at_zero=count(0), at_minus_one=count(p - 1))

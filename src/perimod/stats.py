@@ -6,10 +6,12 @@ a divisibility condition on c, and a density query counts pairs (p, c) with
 p_min <= p <= c <= C satisfying a predicate.  All ratios are exact rationals;
 nothing here ever touches floating point.
 
-Per-prime count lookups go through dynamics.residue_count_table, the bulk
-form of the exhaustive scan, so sweeping every c up to 10^4 stays cheap.
-Densities are counted prime by prime, by residue class, rather than pair by
-pair (see density).
+Per-prime counts come from dynamics.residue_count_table, a residue profile:
+over Z/p a map's count depends on c only through whether c mod p is 0, p-1
+or neither, so each prime costs O(1) whatever its size.  A sweep average
+sums the primes' generic values as prefix sums and corrects only the primes
+dividing c, c-1 or c+1; a density is counted prime by prime, by residue
+class, over at most two residues per prime (see density).
 """
 
 from __future__ import annotations
@@ -18,9 +20,10 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional
 
-from .dynamics import DegreeSpec, Interpretation, residue_count_table
+from .dynamics import DegreeSpec, Interpretation, ResidueProfile, residue_count_table
 from .errors import DomainError, ResourceError
 from .rings import _prime_factors, is_prime_int, primes_in_range
 
@@ -84,47 +87,78 @@ class AverageSeries:
 _DIVISOR_OFFSETS = {"divides": 0, "divides-plus1": 1, "divides-minus1": -1}
 
 
-def _condition_primes(condition: AvgCondition, c: int, swept: list[int], p_min: int) -> list[int]:
-    """The primes appearing in the average's sums at cutoff c; swept holds
-    the primes from p_min up to at least min(c, SWEEP_BUDGET)."""
-    offset = _DIVISOR_OFFSETS.get(condition.value)
-    if offset is not None:
-        divided = c + offset
-        if divided > FACTOR_BUDGET:
-            raise ResourceError(f"factoring {divided} exceeds the {FACTOR_BUDGET} budget")
-        return [p for p in _prime_factors(divided) if p >= p_min]
-    if c > SWEEP_BUDGET:
-        raise ResourceError(f"sweeping all primes up to {c} exceeds {SWEEP_BUDGET}")
-    primes = swept[: bisect_right(swept, c)]
+def _sweep_keeps(condition: AvgCondition, r: int, p: int) -> bool:
+    """Whether a sweep condition keeps a prime p <= c at a cutoff c = r mod p."""
     if condition is AvgCondition.P_NOT_DIVIDES_C:
-        return [p for p in primes if c % p != 0]
-    return [p for p in primes if c % p not in (0, 1, p - 1)]
+        return r != 0
+    return r not in (0, 1, p - 1)
+
+
+def _sweep_sums(query: AverageQuery, p_min: int) -> list[tuple[int, int]]:
+    """(numerator, denominator) at each cutoff of a sweep condition.
+
+    The generic values of the primes up to c are summed once, as prefix
+    sums, then corrected at the primes with c mod p in {0, 1, p-1}: only
+    there can a prime's value differ from its generic one, or the condition
+    drop it.  Those are the primes dividing c, c-1 or c+1, so each prime
+    lays its corrections out over the cutoffs in its residue classes."""
+    top = max(query.cs, default=0)
+    swept = primes_in_range(p_min, top)
+    profiles = [residue_count_table(p, query.family, query.interpretation) for p in swept]
+    generic_sums = list(accumulate((profile.generic for profile in profiles), initial=0))
+    numerator_fix = [0] * (top + 1)
+    denominator_fix = [0] * (top + 1)
+    for p, profile in zip(swept, profiles):
+        for r in (0, 1, p - 1):
+            kept = _sweep_keeps(query.condition, r, p)
+            d_num = (profile[r] if kept else 0) - profile.generic
+            d_den = 0 if kept else -1
+            if d_num or d_den:
+                for c in range(p + r, top + 1, p):
+                    numerator_fix[c] += d_num
+                    denominator_fix[c] += d_den
+    sums = []
+    for c in query.cs:
+        k = bisect_right(swept, c)
+        sums.append((generic_sums[k] + numerator_fix[c], k + denominator_fix[c]))
+    return sums
+
+
+def _divisor_sums(query: AverageQuery, offset: int, p_min: int) -> list[tuple[int, int]]:
+    """(numerator, denominator) at each cutoff c of the condition p | c + offset."""
+    profiles: dict[int, ResidueProfile] = {}
+    sums = []
+    for c in query.cs:
+        primes = [p for p in _prime_factors(c + offset) if p >= p_min]
+        for p in primes:
+            if p not in profiles:
+                profiles[p] = residue_count_table(p, query.family, query.interpretation)
+        sums.append((sum(profiles[p][c % p] for p in primes), len(primes)))
+    return sums
 
 
 def partial_average(query: AverageQuery) -> AverageSeries:
     """For each cutoff c: sum of the count over the selected primes, divided
     by how many primes were selected."""
     p_min = query.family.min_prime
-    swept: list[int] = []
-    if query.condition.value not in _DIVISOR_OFFSETS:
-        swept = primes_in_range(p_min, min(max(query.cs, default=0), SWEEP_BUDGET))
-    points = []
-    counts_cache: dict[int, tuple[int, ...]] = {}
-    for c in query.cs:
+    offset = _DIVISOR_OFFSETS.get(query.condition.value)
+    for c in query.cs:  # the first cutoff out of range decides the error
         if c < p_min:
             raise DomainError(f"cutoff {c} is below the family's smallest prime {p_min}")
-        numerator = 0
-        denominator = 0
-        for p in _condition_primes(query.condition, c, swept, p_min):
-            table = counts_cache.get(p)
-            if table is None:
-                table = residue_count_table(p, query.family, query.interpretation)
-                counts_cache[p] = table
-            numerator += table[c % p]
-            denominator += 1
-        ratio = Fraction(numerator, denominator) if denominator else None
-        points.append(AveragePoint(c, numerator, denominator, ratio))
-    return AverageSeries(points=tuple(points))
+        if offset is None and c > SWEEP_BUDGET:
+            raise ResourceError(f"sweeping all primes up to {c} exceeds {SWEEP_BUDGET}")
+        if offset is not None and c + offset > FACTOR_BUDGET:
+            raise ResourceError(f"factoring {c + offset} exceeds the {FACTOR_BUDGET} budget")
+    if offset is None:
+        sums = _sweep_sums(query, p_min)
+    else:
+        sums = _divisor_sums(query, offset, p_min)
+    return AverageSeries(
+        points=tuple(
+            AveragePoint(c, num, den, Fraction(num, den) if den else None)
+            for c, (num, den) in zip(query.cs, sums)
+        )
+    )
 
 
 def odd_primorials(k_max: int) -> list[int]:
@@ -227,9 +261,12 @@ def density(query: DensityQuery) -> DensityResult:
 
     For a prime p and a cutoff s, the n = s - p + 1 values c = p..s have
     residues 0, 1, ..., p-1, 0, 1, ... in order, so with periods, rest =
-    divmod(n, p) the prime contributes periods * len(good) plus the number
-    of good residues below rest, where good is the sorted list of residues
-    satisfying the predicate.
+    divmod(n, p) an ascending residue list R meets them periods * len(R)
+    times plus once per residue in R below rest.  R is the residue of a
+    divisibility predicate, or, for count-eq, those of the residues 0 and
+    p-1 whose verdict differs from the prime's generic residues (see
+    dynamics.ResidueProfile).  When the generic residues satisfy the
+    predicate, the hits are the n - found pairs outside R.
     """
     C = query.cutoff
     p_min = query.effective_p_min
@@ -244,16 +281,18 @@ def density(query: DensityQuery) -> DensityResult:
     population = dict.fromkeys(snapshots, 0)
     for p in primes_in_range(p_min, C):
         if offset is None:
-            table = residue_count_table(p, query.family, pred.interpretation)
-            good = [r for r, count in enumerate(table) if count == pred.value]
+            profile = residue_count_table(p, query.family, pred.interpretation)
+            generic_holds = profile.generic == pred.value
+            special = [r for r in (0, p - 1) if (profile[r] == pred.value) != generic_holds]
         else:
-            good = [-offset % p]
+            generic_holds = False
+            special = [-offset % p]
         for s in snapshots:
             n = s - p + 1
             if n > 0:
                 periods, rest = divmod(n, p)
-                found = periods * len(good) + bisect_left(good, rest)
-                hits[s] += n - found if pred.negate else found
+                found = periods * len(special) + bisect_left(special, rest)
+                hits[s] += n - found if generic_holds != pred.negate else found
                 population[s] += n
     points = tuple(
         DensityPoint(s, hits[s], population[s], Fraction(hits[s], population[s]))

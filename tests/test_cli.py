@@ -42,6 +42,7 @@ def test_parse_orbits_quotient_example():
         (["count", "--p", "1000000000000000000", "--family", "p", "--c", "1"], "odd prime"),
         (["verify", "--p-max", "2", "--interpretation", "roots"], "argument --p-max: must be >= 3"),
         (["avg", "--family", "p", "--primorial-k", "4", "--condition", "divides"], "--condition"),
+        (["density", "--family", "p", "--predicate", "divides", "--count-value", "5", "--C", "10"], "--count-value"),
     ],
 )
 def test_parse_rejects_bad_invocations(argv, fragment):
@@ -211,6 +212,8 @@ def test_main_success(capsys):
         # a ring over F_p has at least p elements: refused before trial division
         (["count", "--p", "1000000000000000003", "--family", "p", "--c", "1"], 2),
         (["irreducibles", "--p", "1000000000000000003", "--m", "1"], 2),
+        (["density", "--family", "p-1", "--predicate", "count-eq", "--C", "100000"], 0),
+        (["density", "--family", "p-1", "--predicate", "count-eq", "--C", "100001"], 2),
     ],
 )
 def test_limits_exit_2_just_past_and_0_at(argv, status, tmp_path, capsys):

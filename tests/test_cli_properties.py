@@ -66,11 +66,11 @@ def avg_flags(draw):
 @st.composite
 def density_flags(draw):
     flags = family_flags(draw)
-    predicates = ["divides", "divides-plus1", "divides-minus1", "count-eq"]
+    predicate = draw(st.sampled_from(["divides", "divides-plus1", "divides-minus1", "count-eq"]))
     flags += [
-        ["--predicate", draw(st.sampled_from(predicates))],
+        ["--predicate", predicate],
         ["--C", str(draw(st.integers(1, 10**5)))],
-        draw(flag("count-value", small)),
+        draw(flag("count-value", small)) if predicate == "count-eq" else [],
         draw(flag("p-min", small)),
         ["--negate"] if draw(st.booleans()) else [],
     ]

@@ -5,6 +5,7 @@ from math import gcd
 
 import pytest
 from polyoracle import elements, naive_add, naive_mul
+from residueoracle import degree, residue_counts
 
 from perimod.dynamics import (
     DegreeBase,
@@ -22,7 +23,7 @@ from perimod.dynamics import (
     residue_count_table,
 )
 from perimod.errors import DomainError, ResourceError, UsageError
-from perimod.rings import FpPoly, RingSpec, enumerate_monic_irreducibles
+from perimod.rings import FpPoly, RingSpec, enumerate_monic_irreducibles, primes_in_range
 
 P = DegreeBase.P
 PM1 = DegreeBase.P_MINUS_1
@@ -279,7 +280,8 @@ def test_budget_guard(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# bulk residue table (the stats fast path) against the per-map scans
+# residue profiles (the stats fast path) against the per-map scans and the
+# residue-by-residue bucket oracle
 
 
 def test_residue_count_table_matches_scans():
@@ -295,6 +297,28 @@ def test_residue_count_table_matches_scans():
                     assert len(table) == p
                     for c in range(p):
                         assert table[c] == counting_function(family, interp, ring, ring.element(c))
+
+
+def test_residue_profile_matches_bucket_oracle():
+    for p in primes_in_range(3, 300):
+        for base in (P, PM1):
+            if p < base.min_prime:
+                continue
+            for ell in (1, 2, 3):
+                family = DegreeSpec(base, ell)
+                assert family.reduced_exponent_for(p, p) in (1, p - 1)
+                expected = residue_counts(p, degree(base.value, ell, p))
+                for interp in (FIXED, ROOTS, EXACT2):
+                    profile = residue_count_table(p, family, interp)
+                    assert list(profile) == list(expected[interp.value]), (p, family, interp)
+
+
+def test_residue_profile_indexes_residues_only():
+    profile = residue_count_table(7, DegreeSpec(PM1, 1), ROOTS)
+    assert (profile[0], profile[3], profile[6]) == (profile.at_zero, profile.generic, profile.at_minus_one)
+    for r in (-1, 7):
+        with pytest.raises(IndexError):
+            profile[r]
 
 
 def test_residue_count_table_rejects_bad_modulus():

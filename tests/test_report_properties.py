@@ -17,10 +17,11 @@ from perimod.claims import (  # noqa: E402
     render_report,
 )
 
-# printable characters, "," and '"' among them, plus a few beyond ASCII; no
-# control characters (the csv module leaves a lone "\r" unquoted when the
-# line terminator is "\n")
-text = st.text(alphabet=string.ascii_letters + string.digits + string.punctuation + " πé→", max_size=12)
+# printable characters, "," and '"' among them, the line-break and tab
+# characters, and a few beyond ASCII
+text = st.text(
+    alphabet=string.ascii_letters + string.digits + string.punctuation + " \r\n\tπé→", max_size=12
+)
 cells = st.builds(
     VerificationCell,
     claim_id=text,

@@ -4,6 +4,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+from residueoracle import degree, residue_counts
 
 from perimod.dynamics import DegreeBase, DegreeSpec, Interpretation, counting_function
 from perimod.errors import DomainError, ResourceError, UsageError
@@ -74,6 +75,50 @@ def test_average_against_direct_counting():
             expected_num += counting_function(family, ROOTS, ring, ring.element(c % p))
             expected_den += 1
         assert (point.numerator, point.denominator) == (expected_num, expected_den)
+
+
+def _oracle_average(family, condition, interpretation, c):
+    """(numerator, denominator) at cutoff c, summing the oracle's count over
+    every selected prime in turn."""
+    numerator = denominator = 0
+    for p in primes_in_range(family.min_prime, c + 1):
+        r = c % p
+        selected = {
+            AvgCondition.P_DIVIDES_C: r == 0,
+            AvgCondition.P_DIVIDES_C_PLUS_1: (c + 1) % p == 0,
+            AvgCondition.P_DIVIDES_C_MINUS_1: (c - 1) % p == 0,
+            AvgCondition.P_NOT_DIVIDES_C: p <= c and r != 0,
+            AvgCondition.OTHER_RESIDUES: p <= c and r not in (0, 1, p - 1),
+        }[condition]
+        if selected:
+            d = degree(family.base.value, family.ell, p)
+            numerator += residue_counts(p, d)[interpretation.value][r]
+            denominator += 1
+    return numerator, denominator
+
+
+@pytest.mark.parametrize("family", [P1, U1])
+@pytest.mark.parametrize("condition", list(AvgCondition))
+def test_average_matches_per_prime_oracle_sums(family, condition):
+    cs = range(family.min_prime, 401)
+    for interpretation in Interpretation:
+        series = avg(family, condition, cs, interpretation)
+        got = [(pt.c, pt.numerator, pt.denominator) for pt in series.points]
+        assert got == [(c, *_oracle_average(family, condition, interpretation, c)) for c in cs]
+    # unsorted and repeated cutoffs give the same points
+    shuffled = [400, family.min_prime, 97, 400, 96]
+    series = avg(family, condition, shuffled)
+    got = [(pt.c, pt.numerator, pt.denominator) for pt in series.points]
+    assert got == [(c, *_oracle_average(family, condition, ROOTS, c)) for c in shuffled]
+
+
+@pytest.mark.parametrize("condition", list(AvgCondition))
+def test_first_bad_cutoff_decides_the_error(condition):
+    too_big = 10**6 + 1 if condition.value in ("not-divides", "other") else 10**12 + 2
+    with pytest.raises(DomainError):
+        avg(U1, condition, [10, 4, too_big])
+    with pytest.raises(ResourceError):
+        avg(U1, condition, [10, too_big, 4])
 
 
 def test_plus_minus_conditions_reach_c_plus_minus_1():
