@@ -6,11 +6,11 @@ Library layout:
             enumeration of irreducible monic moduli
 - dynamics: map application, orbit decomposition, and the three counting
             interpretations (fixed / roots of the second iterate / exact
-            period 2)
+            period 2), read through counting_function or count_report
 - claims:   catalog of the claimed counting branches plus the brute-force
             verifier and its CSV/JSON report
 - stats:    exact-rational partial averages, divergence series, and
-            finite-cutoff densities
+            finite-cutoff densities, each returned as one Series of points
 - tables:   the one CSV/JSON text writer every report goes through
 - cli:      the perimod command-line tool
 """
@@ -23,9 +23,6 @@ from .dynamics import (
     OrbitDecomposition,
     PowerMapSpec,
     apply,
-    count_exact_period2,
-    count_fixed,
-    count_period_le2_roots,
     count_report,
     counting_function,
     iterate,
@@ -61,9 +58,6 @@ __all__ = [
     "RingSpec",
     "UsageError",
     "apply",
-    "count_exact_period2",
-    "count_fixed",
-    "count_period_le2_roots",
     "count_report",
     "counting_function",
     "enumerate_monic_irreducibles",

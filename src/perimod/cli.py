@@ -282,7 +282,10 @@ def _run_orbits(ns: argparse.Namespace) -> _Table:
     return payload, ["cycle_length", "num_cycles", "tail_node_count"], rows, None
 
 
-def _series_table(series, population: str, summary: str) -> _Table:
+def _series_table(series: stats.Series, population: str, trend: str = "") -> _Table:
+    """An avg or density table, summed up by its last point's ratio."""
+    last = series.points[-1]
+    summary = f"{last.numerator}/{last.population}{trend}" if last.population else "empty"
     header = stats.SERIES_HEADER.split(",")
     rows = stats.series_rows(series)
     payload = {
@@ -307,11 +310,10 @@ def _run_avg(ns: argparse.Namespace) -> _Table:
         series = stats.partial_average(
             stats.AverageQuery(ns.degree, condition, interpretation, tuple(ns.c))
         )
-        population = f"primes p with {p_min} <= p <= c, condition {ns.condition}"
+        p_max = "c + 1" if condition is stats.AvgCondition.P_DIVIDES_C_PLUS_1 else "c"
+        population = f"primes p with {p_min} <= p <= {p_max}, condition {ns.condition}"
         trend = ""
-    last = series.points[-1]
-    summary = f"{last.numerator}/{last.denominator}{trend}" if last.denominator else "empty"
-    return _series_table(series, population, summary)
+    return _series_table(series, population, trend)
 
 
 def _run_density(ns: argparse.Namespace) -> _Table:
@@ -322,12 +324,10 @@ def _run_density(ns: argparse.Namespace) -> _Table:
         negate=ns.negate,
     )
     query = stats.DensityQuery(ns.degree, predicate, cutoff=ns.C, p_min=ns.p_min)
-    result = stats.density(query)
     population = (
         f"pairs (p, c) with p prime, {query.effective_p_min} <= p <= c <= {query.cutoff}"
     )
-    final = result.points[-1]
-    return _series_table(result, population, f"{final.hits}/{final.population}")
+    return _series_table(stats.density(query), population)
 
 
 def _run_irreducibles(ns: argparse.Namespace) -> _Table:

@@ -8,8 +8,10 @@ multiplication for every element including 0.
 Two readings of "number of 2-periodic points" circulate for these maps: the
 set of roots of the second iterate minus the identity (period dividing 2),
 and that set with fixed points excluded (exact period 2).  Both are
-first-class here, alongside the plain fixed-point count; counting_function
-makes the choice explicit and nothing in this package silently prefers one.
+first-class Interpretation values here, alongside the plain fixed-point
+count.  counting_function (one interpretation) and count_report (all three)
+scan the map's successor table once per interpretation; nothing in this
+package silently prefers one reading.
 
 Over Z/p the reduced exponent is 1 (base p) or p-1 (base p-1), so a map is
 the translation z + c or sends every z into {c, c+1}.  residue_count_table
@@ -25,7 +27,7 @@ from enum import Enum
 from functools import lru_cache
 
 from .errors import DomainError, UsageError
-from .rings import Prime, RingElem, RingSpec, check_budget, mod_pow, pow_index_table
+from .rings import RingElem, RingSpec, check_budget, mod_pow, pow_index_table
 
 
 class DegreeBase(Enum):
@@ -117,7 +119,8 @@ class OrbitDecomposition:
 
 @dataclass(frozen=True)
 class CountReport:
-    """The three counts for one map; period_le2_roots = fixed + exact2 always."""
+    """The three counts for one map, fields in Interpretation order;
+    period_le2_roots = fixed + exact2 always."""
 
     fixed: int
     period_le2_roots: int
@@ -181,30 +184,21 @@ def orbit_decomposition(map_spec: PowerMapSpec) -> OrbitDecomposition:
     )
 
 
-def count_fixed(map_spec: PowerMapSpec) -> int:
-    """#{z : phi(z) = z} by exhaustive scan."""
+def _scan_count(map_spec: PowerMapSpec, interpretation: Interpretation) -> int:
+    """The interpretation's count by exhaustive scan of the successor table:
+    #{z : phi(z) = z}, #{z : phi^2(z) = z}, or those of the second set that
+    are not fixed (always even).  One pass per interpretation."""
     succ = _successor_table(map_spec)
-    return sum(1 for i, s in enumerate(succ) if s == i)
-
-
-def count_period_le2_roots(map_spec: PowerMapSpec) -> int:
-    """#{z : phi^2(z) = z} (all roots of phi^2(x) - x) by exhaustive scan."""
-    succ = _successor_table(map_spec)
-    return sum(1 for i, s in enumerate(succ) if succ[s] == i)
-
-
-def count_exact_period2(map_spec: PowerMapSpec) -> int:
-    """#{z : phi^2(z) = z and phi(z) != z}; always even."""
-    succ = _successor_table(map_spec)
+    if interpretation is Interpretation.FIXED:
+        return sum(1 for i, s in enumerate(succ) if s == i)
+    if interpretation is Interpretation.ROOTS_LE2:
+        return sum(1 for i, s in enumerate(succ) if succ[s] == i)
     return sum(1 for i, s in enumerate(succ) if s != i and succ[s] == i)
 
 
 def count_report(map_spec: PowerMapSpec) -> CountReport:
-    return CountReport(
-        fixed=count_fixed(map_spec),
-        period_le2_roots=count_period_le2_roots(map_spec),
-        exact2=count_exact_period2(map_spec),
-    )
+    """All three counts of one map, in Interpretation order."""
+    return CountReport(*(_scan_count(map_spec, i) for i in Interpretation))
 
 
 def counting_function(
@@ -214,12 +208,7 @@ def counting_function(
     c: RingElem,
 ) -> int:
     """Single entry point for the claim and statistics modules."""
-    map_spec = PowerMapSpec(ring, family, c)
-    if interpretation is Interpretation.FIXED:
-        return count_fixed(map_spec)
-    if interpretation is Interpretation.ROOTS_LE2:
-        return count_period_le2_roots(map_spec)
-    return count_exact_period2(map_spec)
+    return _scan_count(PowerMapSpec(ring, family, c), interpretation)
 
 
 @dataclass(frozen=True)
@@ -272,8 +261,12 @@ def residue_count_table(
     whether c is 0, p-1 or neither, so it is evaluated at c = 0, p-1 and 1.
     Agreement with the per-map scans and with a residue-by-residue oracle
     is pinned by tests.
+
+    p must be prime, but only odd and >= 3 is checked: every caller takes p
+    from a prime sieve, and trial division would cost more than the profile.
     """
-    Prime(p)  # reject composite or even moduli up front
+    if p < 3 or p % 2 == 0:
+        raise UsageError(f"modulus must be an odd prime >= 3, got {p!r}")
     if p < family.min_prime:
         raise DomainError(f"family {family.describe()} needs p >= {family.min_prime}")
     e = family.reduced_exponent_for(p, p)

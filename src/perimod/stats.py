@@ -1,10 +1,12 @@
 """Partial averages and finite-cutoff densities of the point counts.
 
 The limit statements being reproduced ("as c grows") are realized at finite
-cutoffs: an average at cutoff c sums the count over the primes p <= c meeting
-a divisibility condition on c, and a density query counts pairs (p, c) with
-p_min <= p <= c <= C satisfying a predicate.  All ratios are exact rationals;
-nothing here ever touches floating point.
+cutoffs: an average at cutoff c sums the count over the primes p <= c (or
+p <= c + 1, under the condition p | c + 1) meeting a condition on c, and a
+density query counts pairs (p, c) with p_min <= p <= c <= C satisfying a
+predicate.  Averages, divergence series and densities all come back as one
+Series of SeriesPoint(cutoff, numerator, population, ratio), the ratio an
+exact rational; nothing here ever touches floating point.
 
 Per-prime counts come from dynamics.residue_count_table, a residue profile:
 over Z/p a map's count depends on c only through whether c mod p is 0, p-1
@@ -51,29 +53,21 @@ class AverageQuery:
 
 
 @dataclass(frozen=True)
-class AveragePoint:
-    """One cutoff: numerator sum, denominator count, exact ratio.
+class SeriesPoint:
+    """One cutoff of an average or a density: the numerator (a sum of counts,
+    or the pairs that hold), the population it is taken over (selected
+    primes, or pairs) and their exact ratio, None when the population is
+    empty: an empty average is flagged, never divided."""
 
-    A point whose condition selects no primes is flagged empty (ratio None),
-    never divided.
-    """
-
-    c: int
+    cutoff: int
     numerator: int
-    denominator: int
+    population: int
     ratio: Optional[Fraction]
-
-    @property
-    def is_empty(self) -> bool:
-        return self.denominator == 0
 
 
 @dataclass(frozen=True)
-class AverageSeries:
-    points: tuple[AveragePoint, ...]
-
-    def ratios(self) -> list[Optional[Fraction]]:
-        return [pt.ratio for pt in self.points]
+class Series:
+    points: tuple[SeriesPoint, ...]
 
     def strictly_increasing(self) -> bool:
         """Trend verdict over the nonempty points; divergent limits are only
@@ -137,7 +131,7 @@ def _divisor_sums(query: AverageQuery, offset: int, p_min: int) -> list[tuple[in
     return sums
 
 
-def partial_average(query: AverageQuery) -> AverageSeries:
+def partial_average(query: AverageQuery) -> Series:
     """For each cutoff c: sum of the count over the selected primes, divided
     by how many primes were selected."""
     p_min = query.family.min_prime
@@ -153,9 +147,9 @@ def partial_average(query: AverageQuery) -> AverageSeries:
         sums = _sweep_sums(query, p_min)
     else:
         sums = _divisor_sums(query, offset, p_min)
-    return AverageSeries(
-        points=tuple(
-            AveragePoint(c, num, den, Fraction(num, den) if den else None)
+    return Series(
+        tuple(
+            SeriesPoint(c, num, den, Fraction(num, den) if den else None)
             for c, (num, den) in zip(query.cs, sums)
         )
     )
@@ -182,7 +176,7 @@ def divergence_series(
     family: DegreeSpec,
     k_max: int,
     interpretation: Interpretation = Interpretation.ROOTS_LE2,
-) -> AverageSeries:
+) -> Series:
     """The p-divides-c average along the odd-primorial subsequence.
 
     Each ratio is the mean of the counts at the first k odd primes; for the
@@ -235,29 +229,9 @@ class DensityQuery:
         return self.p_min if self.p_min is not None else self.family.min_prime
 
 
-@dataclass(frozen=True)
-class DensityPoint:
-    cutoff: int
-    hits: int
-    population: int
-    ratio: Fraction
-
-
-@dataclass(frozen=True)
-class DensityResult:
-    """Density at the full cutoff plus intermediate cutoffs for trend
-    inspection (quarter and half, when nonempty)."""
-
-    points: tuple[DensityPoint, ...]
-
-    @property
-    def ratio(self) -> Fraction:
-        return self.points[-1].ratio
-
-
-def density(query: DensityQuery) -> DensityResult:
-    """Hits and population at the quarter, half and full cutoffs, counted in
-    one pass over the primes.
+def density(query: DensityQuery) -> Series:
+    """Hits (each point's numerator) and population at the quarter, half and
+    full cutoffs, counted in one pass over the primes.
 
     For a prime p and a cutoff s, the n = s - p + 1 values c = p..s have
     residues 0, 1, ..., p-1, 0, 1, ... in order, so with periods, rest =
@@ -295,13 +269,13 @@ def density(query: DensityQuery) -> DensityResult:
                 hits[s] += n - found if generic_holds != pred.negate else found
                 population[s] += n
     points = tuple(
-        DensityPoint(s, hits[s], population[s], Fraction(hits[s], population[s]))
+        SeriesPoint(s, hits[s], population[s], Fraction(hits[s], population[s]))
         for s in snapshots
         if population[s]
     )
     if not points or points[-1].cutoff != C:
         raise DomainError("population is empty at the requested cutoff")
-    return DensityResult(points=points)
+    return Series(points)
 
 
 # ---------------------------------------------------------------------------
@@ -310,15 +284,12 @@ def density(query: DensityQuery) -> DensityResult:
 SERIES_HEADER = "cutoff_or_c,numerator,denominator,ratio_num,ratio_den"
 
 
-def series_rows(series: "AverageSeries | DensityResult") -> list[tuple]:
+def series_rows(series: Series) -> list[tuple]:
     """One (cutoff, numerator, denominator, ratio numerator, ratio
-    denominator) row of ints per point; an empty average's ratio is None."""
+    denominator) row of ints per point, the denominator being the
+    population; an empty average's ratio is None."""
     rows = []
     for pt in series.points:
-        if isinstance(pt, AveragePoint):
-            head = (pt.c, pt.numerator, pt.denominator)
-        else:
-            head = (pt.cutoff, pt.hits, pt.population)
         ratio = (None, None) if pt.ratio is None else (pt.ratio.numerator, pt.ratio.denominator)
-        rows.append((*head, *ratio))
+        rows.append((pt.cutoff, pt.numerator, pt.population, *ratio))
     return rows

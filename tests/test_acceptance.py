@@ -24,9 +24,6 @@ from perimod.dynamics import (
     DegreeSpec,
     Interpretation,
     PowerMapSpec,
-    count_exact_period2,
-    count_fixed,
-    count_period_le2_roots,
     count_report,
     counting_function,
 )
@@ -138,9 +135,8 @@ def test_criterion_4():
                 for pi in enumerate_monic_irreducibles(p, m):
                     ring = RingSpec.quotient_field(p, pi)
                     spec = PowerMapSpec(ring, family, ring.zero())
-                    fixed = count_fixed(spec)
-                    le2 = count_period_le2_roots(spec)
-                    exact2 = count_exact_period2(spec)
+                    report = count_report(spec)
+                    fixed, le2, exact2 = report.fixed, report.period_le2_roots, report.exact2
                     assert fixed == p ** gcd(ell, m)
                     assert le2 == p ** gcd(2 * ell, m)
                     assert exact2 == le2 - fixed
@@ -161,9 +157,8 @@ def test_criterion_5():
         for ell in (1, 2, 3):
             family = DegreeSpec(FAMILY_U, ell)
             for c in range(p):
-                spec = PowerMapSpec(ring, family, ring.element(c))
-                le2 = count_period_le2_roots(spec)
-                exact2 = count_exact_period2(spec)
+                le2 = counting_function(family, ROOTS, ring, ring.element(c))
+                exact2 = counting_function(family, EXACT2, ring, ring.element(c))
                 assert le2 == (2 if c in (0, p - 1) else 1)
                 assert exact2 == (2 if c == p - 1 else 0)
     elapsed = time.monotonic() - start
@@ -177,10 +172,10 @@ def test_criterion_6():
         AverageQuery(family, AvgCondition.P_NOT_DIVIDES_C, ROOTS, tuple(range(3, 10_001)))
     )
     for point in sweep.points:
-        if point.is_empty:
-            assert point.c == 3  # single cutoff whose prime set is empty
+        if point.population == 0:
+            assert point.cutoff == 3  # single cutoff whose prime set is empty
         else:
-            assert point.ratio == Fraction(0), f"nonzero average at c={point.c}"
+            assert point.ratio == Fraction(0), f"nonzero average at c={point.cutoff}"
 
     unit = partial_average(
         AverageQuery(DegreeSpec(FAMILY_U, 1), AvgCondition.P_DIVIDES_C, ROOTS, (35, 105, 385))
@@ -201,10 +196,10 @@ def test_criterion_7():
     u_family = DegreeSpec(FAMILY_U, 1)
     assert density(
         DensityQuery(p_family, DensityPredicate(PredicateKind.DIVIDES), 10, 3)
-    ).ratio == Fraction(1, 3)
+    ).points[-1].ratio == Fraction(1, 3)
     assert density(
         DensityQuery(u_family, DensityPredicate(PredicateKind.DIVIDES), 10, 5)
-    ).ratio == Fraction(3, 10)
+    ).points[-1].ratio == Fraction(3, 10)
 
     divides = density(DensityQuery(p_family, DensityPredicate(PredicateKind.DIVIDES), 1000))
     by_cutoff = {pt.cutoff: pt.ratio for pt in divides.points}
@@ -214,7 +209,7 @@ def test_criterion_7():
     zero_count = density(
         DensityQuery(p_family, DensityPredicate(PredicateKind.COUNT_EQUALS, 0, ROOTS), 1000)
     )
-    assert zero_count.ratio > Fraction(95, 100)
+    assert zero_count.points[-1].ratio > Fraction(95, 100)
 
 
 @criterion(8, "irreducible enumeration matches the Mobius count; Rabin agrees with trial division, < 30 s")

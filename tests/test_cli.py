@@ -158,6 +158,19 @@ def test_run_density_json_carries_population_note(capsys):
     }
 
 
+def test_run_avg_divides_plus1_population_reaches_c_plus_1(capsys):
+    # p = 5 divides c + 1 = 5 although 5 > c = 4, and the note says so
+    cmd = parse_args(
+        ["avg", "--family", "p", "--condition", "divides-plus1", "--c", "4", "--format", "json"]
+    )
+    assert run(cmd) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["population"] == "primes p with 3 <= p <= c + 1, condition divides-plus1"
+    assert payload["series"] == [
+        {"cutoff_or_c": 4, "numerator": 0, "denominator": 1, "ratio_num": 0, "ratio_den": 1}
+    ]
+
+
 def test_run_avg_primorial_summary(capsys):
     cmd = parse_args(["avg", "--family", "p", "--primorial-k", "4"])
     assert run(cmd) == 0

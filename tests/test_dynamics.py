@@ -1,6 +1,7 @@
 """Dynamics tests: map application, orbit structure, and the three counts,
 checked against naive repeated-multiplication oracles and closed forms."""
 
+from dataclasses import asdict, astuple
 from math import gcd
 
 import pytest
@@ -8,14 +9,12 @@ from polyoracle import elements, naive_add, naive_mul
 from residueoracle import degree, residue_counts
 
 from perimod.dynamics import (
+    CountReport,
     DegreeBase,
     DegreeSpec,
     Interpretation,
     PowerMapSpec,
     apply,
-    count_exact_period2,
-    count_fixed,
-    count_period_le2_roots,
     count_report,
     counting_function,
     iterate,
@@ -181,17 +180,11 @@ def test_count_examples():
     f9 = fq(3, [1, 0, 1])
     m_frob = PowerMapSpec(f9, DegreeSpec(P, 1), f9.element(0))
 
-    assert count_fixed(m_id) == 3
-    assert count_fixed(m1) == 1
-    assert count_fixed(m4) == 0
-
-    assert count_period_le2_roots(m_id) == 3
-    assert count_period_le2_roots(m1) == 1
-    assert count_period_le2_roots(m4) == 2  # roots {0, 4}; claimed value would be 1
-
-    assert count_exact_period2(m_id) == 0
-    assert count_exact_period2(m4) == 2
-    assert count_exact_period2(m_frob) == 6
+    assert count_report(m_id) == CountReport(fixed=3, period_le2_roots=3, exact2=0)
+    assert count_report(m1) == CountReport(fixed=1, period_le2_roots=1, exact2=0)
+    # roots {0, 4}; claimed value would be 1
+    assert count_report(m4) == CountReport(fixed=0, period_le2_roots=2, exact2=2)
+    assert count_report(m_frob).exact2 == 6
 
 
 def test_counting_function_dispatch():
@@ -201,6 +194,28 @@ def test_counting_function_dispatch():
     assert counting_function(DegreeSpec(PM1, 1), ROOTS, z5, z5.element(0)) == 2
     assert counting_function(DegreeSpec(P, 1), EXACT2, z3, z3.element(0)) == 0
     assert counting_function(DegreeSpec(P, 1), ROOTS, z3, z3.element(0)) == 3
+
+
+def test_count_report_agrees_with_counting_function_by_name():
+    # count_report fills CountReport positionally in Interpretation order, so
+    # reordering either the enum or the fields must fail here
+    for p in (3, 5, 7):
+        quotients = [
+            RingSpec.quotient_field(p, pi) for m in (1, 2) for pi in enumerate_monic_irreducibles(p, m)
+        ]
+        for ring in [zp(p), *quotients]:
+            for base in (P, PM1):
+                if p < base.min_prime:
+                    continue
+                for ell in (1, 2):
+                    family = DegreeSpec(base, ell)
+                    for c in elements(ring):
+                        expected = {
+                            "fixed": counting_function(family, FIXED, ring, c),
+                            "period_le2_roots": counting_function(family, ROOTS, ring, c),
+                            "exact2": counting_function(family, EXACT2, ring, c),
+                        }
+                        assert asdict(count_report(PowerMapSpec(ring, family, c))) == expected
 
 
 def test_counts_match_naive_oracle_everywhere():
@@ -215,7 +230,7 @@ def test_counts_match_naive_oracle_everywhere():
     for ring, degree in cases:
         for c in elements(ring):
             m = PowerMapSpec(ring, degree, c)
-            assert (count_fixed(m), count_period_le2_roots(m), count_exact_period2(m)) == brute_counts(m)
+            assert astuple(count_report(m)) == brute_counts(m)
 
 
 def test_conservation_parity_and_orbit_consistency():
@@ -244,9 +259,8 @@ def test_frobenius_closed_forms():
                 for pi in enumerate_monic_irreducibles(p, m):
                     ring = RingSpec.quotient_field(p, pi)
                     spec = PowerMapSpec(ring, DegreeSpec(P, ell), ring.zero())
-                    assert count_fixed(spec) == p ** gcd(ell, m)
-                    assert count_period_le2_roots(spec) == p ** gcd(2 * ell, m)
-                    assert count_exact_period2(spec) == p ** gcd(2 * ell, m) - p ** gcd(ell, m)
+                    fixed, le2 = p ** gcd(ell, m), p ** gcd(2 * ell, m)
+                    assert count_report(spec) == CountReport(fixed, le2, le2 - fixed)
 
 
 def test_units_closed_forms():
@@ -255,9 +269,8 @@ def test_units_closed_forms():
         for ell in (1, 2, 3):
             degree = DegreeSpec(PM1, ell)
             for c in range(p):
-                m = PowerMapSpec(ring, degree, ring.element(c))
-                le2 = count_period_le2_roots(m)
-                exact2 = count_exact_period2(m)
+                le2 = counting_function(degree, ROOTS, ring, ring.element(c))
+                exact2 = counting_function(degree, EXACT2, ring, ring.element(c))
                 assert le2 == (2 if c in (0, p - 1) else 1)
                 assert exact2 == (2 if c == p - 1 else 0)
 
@@ -276,7 +289,7 @@ def test_budget_guard(monkeypatch):
     m = PowerMapSpec(ring, DegreeSpec(P, 1), ring.zero())
     monkeypatch.setenv("PERIMOD_BUDGET", "10")
     with pytest.raises(ResourceError):
-        count_fixed(m)
+        count_report(m)
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +336,6 @@ def test_residue_profile_indexes_residues_only():
 
 def test_residue_count_table_rejects_bad_modulus():
     with pytest.raises(UsageError):
-        residue_count_table(9, DegreeSpec(P, 1), ROOTS)
+        residue_count_table(4, DegreeSpec(P, 1), ROOTS)
     with pytest.raises(DomainError):
         residue_count_table(3, DegreeSpec(PM1, 1), ROOTS)

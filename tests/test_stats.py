@@ -38,13 +38,13 @@ def avg(family, condition, cs, interpretation=ROOTS):
 
 def test_not_divides_average_is_zero():
     point = avg(P1, AvgCondition.P_NOT_DIVIDES_C, [100]).points[0]
-    assert point.denominator == 23  # primes 3..97 not dividing 100, minus {5}
+    assert point.population == 23  # primes 3..97 not dividing 100, minus {5}
     assert point.ratio == Fraction(0)
 
 
 def test_divides_average_examples():
     point = avg(P1, AvgCondition.P_DIVIDES_C, [105]).points[0]
-    assert (point.numerator, point.denominator) == (15, 3)
+    assert (point.numerator, point.population) == (15, 3)
     assert point.ratio == Fraction(5)
     series = avg(U1, AvgCondition.P_DIVIDES_C, [35, 105, 385])
     assert [pt.ratio for pt in series.points] == [Fraction(2)] * 3
@@ -74,7 +74,7 @@ def test_average_against_direct_counting():
             ring = RingSpec.prime_field(p)
             expected_num += counting_function(family, ROOTS, ring, ring.element(c % p))
             expected_den += 1
-        assert (point.numerator, point.denominator) == (expected_num, expected_den)
+        assert (point.numerator, point.population) == (expected_num, expected_den)
 
 
 def _oracle_average(family, condition, interpretation, c):
@@ -103,12 +103,12 @@ def test_average_matches_per_prime_oracle_sums(family, condition):
     cs = range(family.min_prime, 401)
     for interpretation in Interpretation:
         series = avg(family, condition, cs, interpretation)
-        got = [(pt.c, pt.numerator, pt.denominator) for pt in series.points]
+        got = [(pt.cutoff, pt.numerator, pt.population) for pt in series.points]
         assert got == [(c, *_oracle_average(family, condition, interpretation, c)) for c in cs]
     # unsorted and repeated cutoffs give the same points
     shuffled = [400, family.min_prime, 97, 400, 96]
     series = avg(family, condition, shuffled)
-    got = [(pt.c, pt.numerator, pt.denominator) for pt in series.points]
+    got = [(pt.cutoff, pt.numerator, pt.population) for pt in series.points]
     assert got == [(c, *_oracle_average(family, condition, ROOTS, c)) for c in shuffled]
 
 
@@ -124,16 +124,16 @@ def test_first_bad_cutoff_decides_the_error(condition):
 def test_plus_minus_conditions_reach_c_plus_minus_1():
     # p = 37 divides c+1 = 37 even though 37 > c = 36
     point = avg(U1, AvgCondition.P_DIVIDES_C_PLUS_1, [36]).points[0]
-    assert point.denominator == 1
+    assert point.population == 1
     # c = 36 with p | c - 1: 5 and 7 divide 35
     point = avg(U1, AvgCondition.P_DIVIDES_C_MINUS_1, [36]).points[0]
-    assert point.denominator == 2
+    assert point.population == 2
     assert point.ratio == Fraction(1)  # count is 1 at c = +1 residues
 
 
 def test_empty_condition_is_flagged_not_divided():
     point = avg(P1, AvgCondition.P_DIVIDES_C, [4]).points[0]
-    assert point.is_empty and point.ratio is None
+    assert point.population == 0 and point.ratio is None
 
 
 def test_cutoff_below_family_minimum_rejected():
@@ -168,7 +168,7 @@ def test_factor_budget_caps_divisibility_conditions():
         with pytest.raises(ResourceError):
             partial_average(AverageQuery(P1, condition, ROOTS, (c,)))
     at_limit = partial_average(AverageQuery(P1, AvgCondition.P_DIVIDES_C, ROOTS, (10**12,)))
-    assert at_limit.points[0].denominator == 1  # 10^12 = 2^12 * 5^12: only p = 5
+    assert at_limit.points[0].population == 1  # 10^12 = 2^12 * 5^12: only p = 5
 
 
 def test_divergence_series_values():
@@ -199,10 +199,10 @@ def test_strictly_increasing_verdict():
 
 def test_density_examples():
     result = density(DensityQuery(P1, DensityPredicate(PredicateKind.DIVIDES), 10, 3))
-    assert result.ratio == Fraction(1, 3)
-    assert result.points[-1].hits == 6 and result.points[-1].population == 18
+    assert result.points[-1].ratio == Fraction(1, 3)
+    assert result.points[-1].numerator == 6 and result.points[-1].population == 18
     result = density(DensityQuery(U1, DensityPredicate(PredicateKind.DIVIDES), 10, 5))
-    assert result.ratio == Fraction(3, 10)
+    assert result.points[-1].ratio == Fraction(3, 10)
 
 
 def test_density_population_by_enumeration():
@@ -223,7 +223,7 @@ def test_density_trend_and_complementarity():
     not_divides = density(
         DensityQuery(P1, DensityPredicate(PredicateKind.DIVIDES, negate=True), 1000)
     )
-    assert divides.ratio + not_divides.ratio == 1
+    assert divides.points[-1].ratio + not_divides.points[-1].ratio == 1
     by_cutoff = {pt.cutoff: pt.ratio for pt in divides.points}
     assert by_cutoff[1000] < by_cutoff[500] < by_cutoff[250]
 
@@ -234,7 +234,7 @@ def test_density_count_predicate_matches_divides_for_base_p():
         DensityQuery(P1, DensityPredicate(PredicateKind.COUNT_EQUALS, 0, ROOTS), 200)
     )
     divides = density(DensityQuery(P1, DensityPredicate(PredicateKind.DIVIDES), 200))
-    assert zero_count.ratio + divides.ratio == 1
+    assert zero_count.points[-1].ratio + divides.points[-1].ratio == 1
 
 
 def test_density_validation():
@@ -248,7 +248,7 @@ def test_density_smallest_population():
     # C = 3: the population is the single pair (3, 3)
     result = density(DensityQuery(P1, DensityPredicate(PredicateKind.DIVIDES), 3))
     assert result.points[-1].population == 1
-    assert result.ratio == Fraction(1)
+    assert result.points[-1].ratio == Fraction(1)
 
 
 @lru_cache(maxsize=None)
@@ -325,7 +325,7 @@ def test_density_matches_pair_enumeration(family, p_min):
                     with pytest.raises(expected):
                         density(query)
                     continue
-                got = [(pt.cutoff, pt.hits, pt.population, pt.ratio) for pt in density(query).points]
+                got = [(pt.cutoff, pt.numerator, pt.population, pt.ratio) for pt in density(query).points]
                 assert got == expected, (predicate, C)
 
 
