@@ -9,9 +9,13 @@ Two readings of "number of 2-periodic points" circulate for these maps: the
 set of roots of the second iterate minus the identity (period dividing 2),
 and that set with fixed points excluded (exact period 2).  Both are
 first-class Interpretation values here, alongside the plain fixed-point
-count.  counting_function (one interpretation) and count_report (all three)
-scan the map's successor table once per interpretation; nothing in this
-package silently prefers one reading.
+count; nothing in this package silently prefers one reading.
+counting_function scans each distinct map once, filling its fixed and
+period-dividing-2 counts together, and answers every later request for that
+map, in any interpretation, from a per-map count table (exact2 is their
+difference).  count_report scans the map's successor table once per
+interpretation, exact2 included, so it stays an independent check of that
+difference.
 
 Over Z/p the reduced exponent is 1 (base p) or p-1 (base p-1), so a map is
 the translation z + c or sends every z into {c, c+1}.  residue_count_table
@@ -22,6 +26,7 @@ each found by evaluating the map on at most two points.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -143,19 +148,23 @@ def iterate(map_spec: PowerMapSpec, z: RingElem, n: int) -> RingElem:
     return z
 
 
-def _successor_table(map_spec: PowerMapSpec) -> list[int]:
-    """Index table of z -> phi(z) over the whole ring (exhaustive)."""
+def _power_table(map_spec: PowerMapSpec) -> tuple[int, ...]:
+    """Index table of z -> z^d over the whole ring, after the budget check."""
     ring = map_spec.ring
-    q = ring.cardinality_q
-    check_budget(q, f"scanning {ring.describe()}")
-    u = pow_index_table(ring, map_spec.exponent)
-    addc = ring.translation_table(map_spec.c.rep)
-    return [addc[x] for x in u]
+    check_budget(ring.cardinality_q, f"scanning {ring.describe()}")
+    return pow_index_table(ring, map_spec.exponent)
+
+
+def _successor_table(map_spec: PowerMapSpec, u: tuple[int, ...]) -> list[int]:
+    """Index table of z -> phi(z) over the whole ring (exhaustive), u being
+    the map's _power_table."""
+    addc = map_spec.ring.translation_table(map_spec.c.rep)
+    return list(map(addc.__getitem__, u))
 
 
 def orbit_decomposition(map_spec: PowerMapSpec) -> OrbitDecomposition:
     """Classify every ring element as a cycle node or a tail node."""
-    succ = _successor_table(map_spec)
+    succ = _successor_table(map_spec, _power_table(map_spec))
     q = len(succ)
     status = bytearray(q)  # 0 unvisited, 1 on current path, 2 settled
     cycles: list[tuple[int, int]] = []
@@ -188,7 +197,7 @@ def _scan_count(map_spec: PowerMapSpec, interpretation: Interpretation) -> int:
     """The interpretation's count by exhaustive scan of the successor table:
     #{z : phi(z) = z}, #{z : phi^2(z) = z}, or those of the second set that
     are not fixed (always even).  One pass per interpretation."""
-    succ = _successor_table(map_spec)
+    succ = _successor_table(map_spec, _power_table(map_spec))
     if interpretation is Interpretation.FIXED:
         return sum(1 for i, s in enumerate(succ) if s == i)
     if interpretation is Interpretation.ROOTS_LE2:
@@ -201,14 +210,43 @@ def count_report(map_spec: PowerMapSpec) -> CountReport:
     return CountReport(*(_scan_count(map_spec, i) for i in Interpretation))
 
 
+@lru_cache(maxsize=None)
+def _count_table(ring: RingSpec, u: tuple[int, ...]) -> tuple[array, array]:
+    """Count slots of the maps z -> z^e + c on ring, u the index table of
+    z -> z^e: #{z : phi(z) = z} and #{z : phi^2(z) = z} for each coefficient
+    index c, -1 until that map is scanned."""
+    unscanned = array("i", [-1]) * len(u)
+    return unscanned, array("i", unscanned)
+
+
 def counting_function(
     family: DegreeSpec,
     interpretation: Interpretation,
     ring: RingSpec,
     c: RingElem,
 ) -> int:
-    """Single entry point for the claim and statistics modules."""
-    return _scan_count(PowerMapSpec(ring, family, c), interpretation)
+    """The interpretation's count for z -> z^d + c on ring, d from family.
+
+    The first request for a map builds its successor table and fills both
+    of the map's slots in _count_table: one pass finds the points of period
+    dividing 2, and the fixed points are counted among those.  Every later
+    request for the map, in any interpretation, is a lookup.  The budget is
+    checked first, so a lowered budget refuses a cached count too.
+    """
+    map_spec = PowerMapSpec(ring, family, c)
+    u = _power_table(map_spec)
+    fixed, roots = _count_table(ring, u)
+    k = c.rep
+    if fixed[k] < 0:
+        succ = _successor_table(map_spec, u)
+        period2 = [z for z, w in enumerate(succ) if succ[w] == z]
+        roots[k] = len(period2)
+        fixed[k] = sum(1 for z in period2 if succ[z] == z)
+    if interpretation is Interpretation.FIXED:
+        return fixed[k]
+    if interpretation is Interpretation.ROOTS_LE2:
+        return roots[k]
+    return roots[k] - fixed[k]
 
 
 @dataclass(frozen=True)

@@ -133,12 +133,18 @@ def _divisor_sums(query: AverageQuery, offset: int, p_min: int) -> list[tuple[in
 
 def partial_average(query: AverageQuery) -> Series:
     """For each cutoff c: sum of the count over the selected primes, divided
-    by how many primes were selected."""
+    by how many primes were selected.
+
+    A cutoff below the family's smallest prime selects no prime and raises
+    DomainError; under p | c + 1, which selects p = c + 1, the floor is one
+    lower."""
     p_min = query.family.min_prime
     offset = _DIVISOR_OFFSETS.get(query.condition.value)
+    c_min = p_min - 1 if offset == 1 else p_min
     for c in query.cs:  # the first cutoff out of range decides the error
-        if c < p_min:
-            raise DomainError(f"cutoff {c} is below the family's smallest prime {p_min}")
+        if c < c_min:
+            below = f"the family's smallest prime {p_min}" + (" minus 1" if offset == 1 else "")
+            raise DomainError(f"cutoff {c} is below {below}")
         if offset is None and c > SWEEP_BUDGET:
             raise ResourceError(f"sweeping all primes up to {c} exceeds {SWEEP_BUDGET}")
         if offset is not None and c + offset > FACTOR_BUDGET:

@@ -171,6 +171,14 @@ def test_run_avg_divides_plus1_population_reaches_c_plus_1(capsys):
     ]
 
 
+def test_avg_divides_plus1_admits_c_plus_1_at_the_smallest_prime(capsys):
+    # p = 5, the p-1 family's smallest prime, divides c + 1 = 5
+    assert main(["avg", "--family", "p-1", "--condition", "divides-plus1", "--c", "4"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "4,2,1,2,1"
+    assert main(["avg", "--family", "p-1", "--condition", "divides-plus1", "--c", "3"]) == 1
+    assert capsys.readouterr().err.startswith("error: cutoff 3 is below")
+
+
 def test_run_avg_primorial_summary(capsys):
     cmd = parse_args(["avg", "--family", "p", "--primorial-k", "4"])
     assert run(cmd) == 0

@@ -2,12 +2,14 @@
 checked against naive repeated-multiplication oracles and closed forms."""
 
 from dataclasses import asdict, astuple
+from itertools import permutations
 from math import gcd
 
 import pytest
 from polyoracle import elements, naive_add, naive_mul
 from residueoracle import degree, residue_counts
 
+from perimod.claims import verify_all
 from perimod.dynamics import (
     CountReport,
     DegreeBase,
@@ -20,6 +22,8 @@ from perimod.dynamics import (
     iterate,
     orbit_decomposition,
     residue_count_table,
+    _count_table,
+    _scan_count,
 )
 from perimod.errors import DomainError, ResourceError, UsageError
 from perimod.rings import FpPoly, RingSpec, enumerate_monic_irreducibles, primes_in_range
@@ -218,6 +222,55 @@ def test_count_report_agrees_with_counting_function_by_name():
                         assert asdict(count_report(PowerMapSpec(ring, family, c))) == expected
 
 
+def test_count_table_agrees_with_scan_in_every_call_order():
+    # the first request for a map fills both of its slots, whatever it asks
+    # for; each map takes one of the six request orders, so a slot that only
+    # one first interpretation fills correctly fails here.  Every quotient
+    # field of degree <= 3, except that F_5 and F_7 each get two of their
+    # 40 and 112 cubic fields: all of them take about 90 s on a 2-vCPU host.
+    orders = list(permutations(Interpretation))
+    _count_table.cache_clear()
+    for p in (3, 5, 7):
+        quotients = [
+            RingSpec.quotient_field(p, pi)
+            for m in (1, 2, 3)
+            for pi in enumerate_monic_irreducibles(p, m)[: 2 if p**m > 100 else None]
+        ]
+        for ring in [zp(p), *quotients]:
+            for base in (P, PM1):
+                if p < base.min_prime:
+                    continue
+                for ell in (1, 2, 3):
+                    family = DegreeSpec(base, ell)
+                    for c in elements(ring):
+                        spec = PowerMapSpec(ring, family, c)
+                        for interp in orders[(c.rep + ell) % len(orders)]:
+                            expected = _scan_count(spec, interp)
+                            assert counting_function(family, interp, ring, c) == expected, (
+                                ring.describe(), family, c.rep, interp
+                            )
+
+
+def test_verify_scans_each_map_once(monkeypatch):
+    # 14352 cells per default pass cover 8756 distinct maps; the cold pass
+    # scans each of them once and the warm passes scan none
+    scans = []
+    translation_table = RingSpec.translation_table
+
+    def counted(ring, c):
+        scans.append((ring, c))
+        return translation_table(ring, c)
+
+    monkeypatch.setattr(RingSpec, "translation_table", counted)
+    _count_table.cache_clear()
+    cells = []
+    for interp in (ROOTS, EXACT2, FIXED):
+        scans.clear()
+        cells.append(len(verify_all(13, 2, 2, interp).cells))
+        assert len(scans) == (8756 if interp is ROOTS else 0)
+    assert cells == [14352] * 3
+
+
 def test_counts_match_naive_oracle_everywhere():
     cases = [
         (zp(5), DegreeSpec(PM1, 1)),
@@ -290,6 +343,16 @@ def test_budget_guard(monkeypatch):
     monkeypatch.setenv("PERIMOD_BUDGET", "10")
     with pytest.raises(ResourceError):
         count_report(m)
+
+
+def test_budget_guard_refuses_a_cached_count(monkeypatch):
+    ring = zp(11)
+    family = DegreeSpec(P, 1)
+    assert counting_function(family, ROOTS, ring, ring.zero()) == 11
+    monkeypatch.setenv("PERIMOD_BUDGET", "10")
+    for interp in Interpretation:
+        with pytest.raises(ResourceError):
+            counting_function(family, interp, ring, ring.zero())
 
 
 # ---------------------------------------------------------------------------

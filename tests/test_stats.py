@@ -116,9 +116,9 @@ def test_average_matches_per_prime_oracle_sums(family, condition):
 def test_first_bad_cutoff_decides_the_error(condition):
     too_big = 10**6 + 1 if condition.value in ("not-divides", "other") else 10**12 + 2
     with pytest.raises(DomainError):
-        avg(U1, condition, [10, 4, too_big])
+        avg(U1, condition, [10, 3, too_big])
     with pytest.raises(ResourceError):
-        avg(U1, condition, [10, too_big, 4])
+        avg(U1, condition, [10, too_big, 3])
 
 
 def test_plus_minus_conditions_reach_c_plus_minus_1():
@@ -139,6 +139,21 @@ def test_empty_condition_is_flagged_not_divided():
 def test_cutoff_below_family_minimum_rejected():
     with pytest.raises(DomainError):
         avg(U1, AvgCondition.P_DIVIDES_C, [4])
+
+
+def test_divides_plus1_cutoff_reaches_one_below_the_smallest_prime():
+    # p = c + 1 is the family's smallest prime, so the population is {c + 1}
+    for family, c in [(U1, 4), (P1, 2)]:
+        point = avg(family, AvgCondition.P_DIVIDES_C_PLUS_1, [c]).points[0]
+        assert point.population == 1
+        ring = RingSpec.prime_field(c + 1)
+        assert point.numerator == counting_function(family, ROOTS, ring, ring.element(c))
+        with pytest.raises(DomainError):
+            avg(family, AvgCondition.P_DIVIDES_C_PLUS_1, [c - 1])
+        for condition in AvgCondition:
+            if condition is not AvgCondition.P_DIVIDES_C_PLUS_1:
+                with pytest.raises(DomainError):
+                    avg(family, condition, [c])
 
 
 def test_exactness_of_ratios():
