@@ -240,8 +240,12 @@ def _claim_cells(
     ells: Sequence[int],
     ms: Sequence[int],
     interpretation: Interpretation,
+    reps: dict,
 ) -> list[VerificationCell]:
-    family_cache: dict[int, DegreeSpec] = {}
+    """The claim's cells.  reps maps (class, ring) to that class's
+    representatives and their text, built once and shared by the claims of
+    one sweep; the claimed text and bounds are resolved once per (p, ell)."""
+    coeff_class, c_class, interp = claim.coeff_class, claim.coeff_class.value, interpretation.value
     cells: list[VerificationCell] = []
     for p in primes:
         if p < claim.family.min_prime:
@@ -250,25 +254,23 @@ def _claim_cells(
             rings = [(0, RingSpec.prime_field(p))]
         else:
             rings = [(m, ring) for m in ms for ring in _quotient_rings(p, m)]
+        for m, ring in rings:
+            if (coeff_class, ring) not in reps:
+                reps[coeff_class, ring] = [(c, c.render()) for c in _class_reps(coeff_class, ring)]
+        ring_reps = [(m, ring, reps[coeff_class, ring]) for m, ring in rings]
         for ell in ells:
             if not claim.ell_domain.admits(ell, p):
                 continue
-            family = family_cache.setdefault(ell, DegreeSpec(claim.family, ell))
-            for m, ring in rings:
-                for c in _class_reps(claim.coeff_class, ring):
+            family = DegreeSpec(claim.family, ell)
+            lo, hi = claim.prediction.bounds(p, ell)
+            claimed = claim.prediction.render(p, ell)
+            for m, ring, ring_cs in ring_reps:
+                for c, c_rep in ring_cs:
                     computed = counting_function(family, interpretation, ring, c)
                     cells.append(
                         VerificationCell(
-                            claim_id=claim.id,
-                            p=p,
-                            ell=ell,
-                            m=m,
-                            c_class=claim.coeff_class.value,
-                            c_rep=c.render(),
-                            interpretation=interpretation.value,
-                            claimed=claim.prediction.render(p, ell),
-                            computed=computed,
-                            match=claim.prediction.matches(computed, p, ell),
+                            claim.id, p, ell, m, c_class, c_rep, interp, claimed,
+                            computed, lo <= computed <= hi,
                         )
                     )
     return cells
@@ -297,7 +299,7 @@ def verify_claim(
     Raises DomainError when the claim's hypotheses exclude the entire range.
     """
     primes = sorted(p for p in p_range if p >= 3)
-    cells = _claim_cells(claim, primes, sorted(ell_range), sorted(m_range), interpretation)
+    cells = _claim_cells(claim, primes, sorted(ell_range), sorted(m_range), interpretation, {})
     if not cells:
         raise DomainError(f"claim {claim.id}: {_skip_reason(claim, primes, sorted(ell_range))}")
     return VerificationReport(cells=tuple(cells))
@@ -321,8 +323,9 @@ def verify_all(
     ms = list(range(1, m_max + 1))
     cells: list[VerificationCell] = []
     skips: list[SkipNote] = []
+    reps: dict = {}
     for claim in claim_catalog():
-        claim_cells = _claim_cells(claim, primes, ells, ms, interpretation)
+        claim_cells = _claim_cells(claim, primes, ells, ms, interpretation, reps)
         if claim_cells:
             cells.extend(claim_cells)
         else:

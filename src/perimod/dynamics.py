@@ -12,10 +12,11 @@ first-class Interpretation values here, alongside the plain fixed-point
 count; nothing in this package silently prefers one reading.
 counting_function scans each distinct map once, filling its fixed and
 period-dividing-2 counts together, and answers every later request for that
-map, in any interpretation, from a per-map count table (exact2 is their
-difference).  count_report scans the map's successor table once per
-interpretation, exact2 included, so it stays an independent check of that
-difference.
+map, in any interpretation, from a per-map count table keyed by the ring and
+the reduced exponent (exact2 is their difference): a warm request is the
+budget test plus two cache lookups, the power table and the count table.
+count_report scans the map's successor table once per interpretation, exact2
+included, so it stays an independent check of that difference.
 
 Over Z/p the reduced exponent is 1 (base p) or p-1 (base p-1), so a map is
 the translation z + c or sends every z into {c, c+1}.  residue_count_table
@@ -27,7 +28,7 @@ each found by evaluating the map on at most two points.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 
@@ -94,6 +95,7 @@ class PowerMapSpec:
     ring: RingSpec
     degree: DegreeSpec
     c: RingElem
+    exponent: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.c.ring != self.ring:
@@ -103,10 +105,8 @@ class PowerMapSpec:
                 f"degree family {self.degree.describe()} needs p >= {self.degree.min_prime}, "
                 f"got p = {self.ring.p.value}"
             )
-
-    @property
-    def exponent(self) -> int:
-        return self.degree.reduced_exponent_for(self.ring.p.value, self.ring.cardinality_q)
+        e = self.degree.reduced_exponent_for(self.ring.p.value, self.ring.cardinality_q)
+        object.__setattr__(self, "exponent", e)
 
 
 @dataclass(frozen=True)
@@ -151,7 +151,7 @@ def iterate(map_spec: PowerMapSpec, z: RingElem, n: int) -> RingElem:
 def _power_table(map_spec: PowerMapSpec) -> tuple[int, ...]:
     """Index table of z -> z^d over the whole ring, after the budget check."""
     ring = map_spec.ring
-    check_budget(ring.cardinality_q, f"scanning {ring.describe()}")
+    check_budget(ring.cardinality_q, lambda: f"scanning {ring.describe()}")
     return pow_index_table(ring, map_spec.exponent)
 
 
@@ -211,11 +211,11 @@ def count_report(map_spec: PowerMapSpec) -> CountReport:
 
 
 @lru_cache(maxsize=None)
-def _count_table(ring: RingSpec, u: tuple[int, ...]) -> tuple[array, array]:
-    """Count slots of the maps z -> z^e + c on ring, u the index table of
-    z -> z^e: #{z : phi(z) = z} and #{z : phi^2(z) = z} for each coefficient
-    index c, -1 until that map is scanned."""
-    unscanned = array("i", [-1]) * len(u)
+def _count_table(ring: RingSpec, e: int) -> tuple[array, array]:
+    """Count slots of the maps z -> z^e + c on ring (each e in [1, q-1] is a
+    distinct power map): #{z : phi(z) = z} and #{z : phi^2(z) = z} for each
+    coefficient index c, -1 until that map is scanned."""
+    unscanned = array("i", [-1]) * ring.cardinality_q
     return unscanned, array("i", unscanned)
 
 
@@ -227,15 +227,15 @@ def counting_function(
 ) -> int:
     """The interpretation's count for z -> z^d + c on ring, d from family.
 
-    The first request for a map builds its successor table and fills both
-    of the map's slots in _count_table: one pass finds the points of period
-    dividing 2, and the fixed points are counted among those.  Every later
-    request for the map, in any interpretation, is a lookup.  The budget is
-    checked first, so a lowered budget refuses a cached count too.
+    A warm request is the budget test and two cache lookups, the power table
+    and the map's slots in _count_table.  The first request for a map builds
+    its successor table and fills both slots: one pass finds the points of
+    period dividing 2, and the fixed points are counted among those.  The
+    budget is tested first, so a lowered budget refuses a cached count too.
     """
     map_spec = PowerMapSpec(ring, family, c)
     u = _power_table(map_spec)
-    fixed, roots = _count_table(ring, u)
+    fixed, roots = _count_table(ring, map_spec.exponent)
     k = c.rep
     if fixed[k] < 0:
         succ = _successor_table(map_spec, u)

@@ -25,10 +25,10 @@ against a schoolbook oracle, tests/polyoracle.py, that shares no code with it.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 from .errors import DomainError, ResourceError, UsageError
 
@@ -56,10 +56,12 @@ def brute_force_budget() -> int:
     return value
 
 
-def check_budget(size: int, what: str) -> None:
+def check_budget(size: int, what: "str | Callable[[], str]") -> None:
+    """Refuse size elements past the budget; what, or what() on refusal, names the work."""
     budget = brute_force_budget()
     if size > budget:
-        raise ResourceError(f"{what} needs {size} elements, budget is {budget}")
+        name = what if isinstance(what, str) else what()
+        raise ResourceError(f"{name} needs {size} elements, budget is {budget}")
 
 
 # ---------------------------------------------------------------------------
@@ -347,14 +349,22 @@ class RingKind(Enum):
 @dataclass(frozen=True)
 class RingSpec:
     """Which finite ring is in play: Z/pZ, or F_p[t]/(pi).  An int p is
-    checked and stored as a Prime."""
+    checked and stored as a Prime.  degree_m (the modulus degree: the number
+    of base-p digits of an index), cardinality_q = p^m and the hash are set
+    once, when the ring is built; equality reads p and modulus only."""
 
     p: Prime
     modulus: "FpPoly | None" = None
+    degree_m: int = field(init=False, repr=False, compare=False)
+    cardinality_q: int = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.p, Prime):
             object.__setattr__(self, "p", Prime(self.p))
+        object.__setattr__(self, "degree_m", len(self.modulus_coeffs) - 1)
+        object.__setattr__(self, "cardinality_q", self.p.value**self.degree_m)
+        object.__setattr__(self, "_hash", hash((self.p, self.modulus)))
         pi = self.modulus
         if pi is None:
             return
@@ -367,6 +377,9 @@ class RingSpec:
         if not is_irreducible(pi):
             raise UsageError(f"modulus {format_poly(pi)} is reducible over F_{pi.p}")
 
+    def __hash__(self) -> int:
+        return self._hash
+
     @property
     def kind(self) -> RingKind:
         return RingKind.PRIME_FIELD if self.modulus is None else RingKind.QUOTIENT_FIELD
@@ -375,15 +388,6 @@ class RingSpec:
     def modulus_coeffs(self) -> tuple[int, ...]:
         """Ascending coefficients of the modulus; Z/p reads as F_p[t]/(t)."""
         return (0, 1) if self.modulus is None else self.modulus.coeffs
-
-    @property
-    def degree_m(self) -> int:
-        """Degree of the modulus: the number of base-p digits of an index."""
-        return len(self.modulus_coeffs) - 1
-
-    @property
-    def cardinality_q(self) -> int:
-        return self.p.value**self.degree_m
 
     @classmethod
     def prime_field(cls, p: Union[Prime, int]) -> "RingSpec":

@@ -20,7 +20,7 @@ from perimod.claims import (
 )
 from perimod.dynamics import DegreeBase, Interpretation
 from perimod.errors import DomainError, UsageError
-from perimod.rings import RingKind
+from perimod.rings import RingElem, RingKind, RingSpec
 
 ROOTS = Interpretation.ROOTS_LE2
 EXACT2 = Interpretation.EXACT2
@@ -179,6 +179,37 @@ def test_verify_all_p3_skips_unit_family():
 def test_verify_all_rejects_bad_ranges():
     with pytest.raises(UsageError):
         verify_all(2, 1, 1, ROOTS)
+
+
+def test_warm_sweep_builds_each_representative_once(monkeypatch):
+    # a warm default pass formats no ring description (the budget message is
+    # only built on refusal) and builds and renders each coefficient
+    # representative at most once, not once per cell: the 5 primes' Z/p,
+    # linear and quadratic rings hold 2404 distinct (class, ring)
+    # representatives among the pass's 14352 cells
+    verify_all(13, 2, 2, ROOTS)
+    describes, built, rendered = [], [], []
+    describe, element, render = RingSpec.describe, RingSpec.element, RingElem.render
+
+    def counted_describe(ring):
+        describes.append(ring)
+        return describe(ring)
+
+    def counted_element(ring, value):
+        built.append((ring, value))
+        return element(ring, value)
+
+    def counted_render(elem):
+        rendered.append((elem.ring, elem.rep))
+        return render(elem)
+
+    monkeypatch.setattr(RingSpec, "describe", counted_describe)
+    monkeypatch.setattr(RingSpec, "element", counted_element)
+    monkeypatch.setattr(RingElem, "render", counted_render)
+    assert len(verify_all(13, 2, 2, EXACT2).cells) == 14352
+    assert describes == []
+    for calls in (built, rendered):
+        assert len(calls) == len(set(calls)) <= 2404
 
 
 def test_monotone_sweep():

@@ -10,6 +10,7 @@ from polyoracle import elements, naive_add, naive_mul
 from residueoracle import degree, residue_counts
 
 from perimod.claims import verify_all
+from perimod.cli import main
 from perimod.dynamics import (
     CountReport,
     DegreeBase,
@@ -353,6 +354,30 @@ def test_budget_guard_refuses_a_cached_count(monkeypatch):
     for interp in Interpretation:
         with pytest.raises(ResourceError):
             counting_function(family, interp, ring, ring.zero())
+
+
+def test_refused_scan_keeps_its_message(monkeypatch, capsys, tmp_path):
+    # the message is formatted only on refusal, with the same text as ever;
+    # a malformed budget is still a usage error once the counts are cached
+    ring = RingSpec.quotient_field(13, FpPoly.make(13, [2, 0, 1]))
+    family = DegreeSpec(P, 1)
+    message = "scanning F_13[t]/(2,0,1) needs 169 elements, budget is 10"
+    verify = ["verify", "--p-max", "13", "--m-max", "2", "--ell-max", "1", "--interpretation", "roots",
+              "--output", str(tmp_path / "verify.csv")]
+    count = ["count", "--ring", "fpt", "--p", "13", "--pi", "2,0,1", "--family", "p", "--c", "0"]
+    assert main(verify) == 0
+    assert counting_function(family, ROOTS, ring, ring.zero()) == 169  # z^13 is the Frobenius of F_169
+    monkeypatch.setenv("PERIMOD_BUDGET", "10")
+    with pytest.raises(ResourceError) as err:
+        counting_function(family, ROOTS, ring, ring.zero())
+    assert str(err.value) == message
+    capsys.readouterr()
+    assert main(count) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    monkeypatch.setenv("PERIMOD_BUDGET", "ten")
+    for argv in (verify, count):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: PERIMOD_BUDGET must be an integer, got 'ten'\n"
 
 
 # ---------------------------------------------------------------------------

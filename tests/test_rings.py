@@ -1,6 +1,8 @@
 """Ring-layer tests: every operation against an independent oracle."""
 
 import ast
+import copy
+import dataclasses
 from pathlib import Path
 
 import pytest
@@ -409,3 +411,27 @@ def test_budget_override(monkeypatch):
     monkeypatch.setenv("PERIMOD_BUDGET", "not-a-number")
     with pytest.raises(UsageError):
         check_budget(7, "enumerating Z/7")
+
+
+def test_cached_ring_attributes_keep_equality_and_hash():
+    # degree_m, cardinality_q and the hash are set when a ring is built;
+    # rings built separately from one modulus are still equal, hash alike
+    # and share their cache entries
+    pi = FpPoly.make(17, [3, 0, 1])
+    a, b = RingSpec.quotient_field(17, pi), RingSpec.quotient_field(17, FpPoly.make(17, [3, 0, 1]))
+    assert a is not b and a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    before = pow_index_table.cache_info()
+    assert pow_index_table(a, 7) is pow_index_table(b, 7)
+    after = pow_index_table.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+    f9 = RingSpec.quotient_field(3, FpPoly.make(3, [1, 0, 1]))
+    f27 = RingSpec.quotient_field(3, FpPoly.make(3, [1, 2, 0, 1]))
+    assert f9 != RingSpec.quotient_field(3, FpPoly.make(3, [2, 1, 1]))
+    assert "cardinality_q" not in repr(f9)
+    for ring, m, q in ((RingSpec.prime_field(7), 1, 7), (f9, 2, 9), (f27, 3, 27)):
+        for other in (ring, copy.copy(ring), dataclasses.replace(ring)):
+            assert (other.degree_m, other.cardinality_q) == (m, q)
+            assert other == ring and hash(other) == hash(ring)
+    moved = dataclasses.replace(f9, modulus=f27.modulus)
+    assert (moved.degree_m, moved.cardinality_q) == (3, 27)
+    assert moved == f27 and hash(moved) == hash(f27)
