@@ -25,11 +25,13 @@ from operator import attrgetter
 from typing import Sequence, Union
 
 from .dynamics import DegreeBase, DegreeSpec, Interpretation, counting_function
-from .errors import DomainError, UsageError
+from .errors import DomainError, ResourceError, UsageError
 from .rings import (
     FpPoly,
     RingKind,
     RingSpec,
+    brute_force_budget,
+    check_enumeration_budget,
     enumerate_monic_irreducibles,
     primes_in_range,
 )
@@ -314,11 +316,19 @@ def verify_all(
     """Run the whole catalog over primes 3..p_max, ell 1..ell_max, m 1..m_max.
 
     Claims whose hypotheses exclude the entire range become skip notes
-    instead of errors, so one sweep always yields one report.
+    instead of errors, so one sweep always yields one report.  Every sweep
+    enumerates and scans the F_P[t]/(pi) of degree m_max for the largest
+    prime P <= p_max (fpt-ppow-l1-divisible at c = 0), so P^m_max past the
+    scan budget is refused before any work; from p_max >= 2 * budget on,
+    before the sieve, since P > p_max / 2 (Bertrand).
     """
     if p_max < 3 or ell_max < 1 or m_max < 1:
         raise UsageError("need p_max >= 3, ell_max >= 1, m_max >= 1")
+    budget = brute_force_budget()
+    if p_max >= 2 * budget:
+        raise ResourceError(f"the largest prime up to {p_max} exceeds {budget}")
     primes = primes_in_range(3, p_max)
+    check_enumeration_budget(primes[-1], m_max)
     ells = list(range(1, ell_max + 1))
     ms = list(range(1, m_max + 1))
     cells: list[VerificationCell] = []

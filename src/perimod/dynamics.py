@@ -10,13 +10,12 @@ set of roots of the second iterate minus the identity (period dividing 2),
 and that set with fixed points excluded (exact period 2).  Both are
 first-class Interpretation values here, alongside the plain fixed-point
 count; nothing in this package silently prefers one reading.
-counting_function scans each distinct map once, filling its fixed and
-period-dividing-2 counts together, and answers every later request for that
-map, in any interpretation, from a per-map count table keyed by the ring and
-the reduced exponent (exact2 is their difference): a warm request is the
+counting_function (one interpretation) and count_report (all three) read
+one per-map count table, keyed by the ring and the reduced exponent: each
+distinct map is scanned once, its fixed and period-dividing-2 counts filled
+together, and every later request for that map, in any interpretation, is
+answered from them (exact2 is their difference).  A warm request is the
 budget test plus two cache lookups, the power table and the count table.
-count_report scans the map's successor table once per interpretation, exact2
-included, so it stays an independent check of that difference.
 
 Over Z/p the reduced exponent is 1 (base p) or p-1 (base p-1), so a map is
 the translation z + c or sends every z into {c, c+1}.  residue_count_table
@@ -193,23 +192,6 @@ def orbit_decomposition(map_spec: PowerMapSpec) -> OrbitDecomposition:
     )
 
 
-def _scan_count(map_spec: PowerMapSpec, interpretation: Interpretation) -> int:
-    """The interpretation's count by exhaustive scan of the successor table:
-    #{z : phi(z) = z}, #{z : phi^2(z) = z}, or those of the second set that
-    are not fixed (always even).  One pass per interpretation."""
-    succ = _successor_table(map_spec, _power_table(map_spec))
-    if interpretation is Interpretation.FIXED:
-        return sum(1 for i, s in enumerate(succ) if s == i)
-    if interpretation is Interpretation.ROOTS_LE2:
-        return sum(1 for i, s in enumerate(succ) if succ[s] == i)
-    return sum(1 for i, s in enumerate(succ) if s != i and succ[s] == i)
-
-
-def count_report(map_spec: PowerMapSpec) -> CountReport:
-    """All three counts of one map, in Interpretation order."""
-    return CountReport(*(_scan_count(map_spec, i) for i in Interpretation))
-
-
 @lru_cache(maxsize=None)
 def _count_table(ring: RingSpec, e: int) -> tuple[array, array]:
     """Count slots of the maps z -> z^e + c on ring (each e in [1, q-1] is a
@@ -219,24 +201,19 @@ def _count_table(ring: RingSpec, e: int) -> tuple[array, array]:
     return unscanned, array("i", unscanned)
 
 
-def counting_function(
-    family: DegreeSpec,
-    interpretation: Interpretation,
-    ring: RingSpec,
-    c: RingElem,
-) -> int:
-    """The interpretation's count for z -> z^d + c on ring, d from family.
+def _count(map_spec: PowerMapSpec, interpretation: Interpretation) -> int:
+    """The interpretation's count for one map, read from its slots in
+    _count_table.
 
     A warm request is the budget test and two cache lookups, the power table
-    and the map's slots in _count_table.  The first request for a map builds
-    its successor table and fills both slots: one pass finds the points of
-    period dividing 2, and the fixed points are counted among those.  The
-    budget is tested first, so a lowered budget refuses a cached count too.
+    and the map's slots.  The first request for a map builds its successor
+    table and fills both slots: one pass finds the points of period dividing
+    2, and the fixed points are counted among those.  The budget is tested
+    first, so a lowered budget refuses a cached count too.
     """
-    map_spec = PowerMapSpec(ring, family, c)
     u = _power_table(map_spec)
-    fixed, roots = _count_table(ring, map_spec.exponent)
-    k = c.rep
+    fixed, roots = _count_table(map_spec.ring, map_spec.exponent)
+    k = map_spec.c.rep
     if fixed[k] < 0:
         succ = _successor_table(map_spec, u)
         period2 = [z for z, w in enumerate(succ) if succ[w] == z]
@@ -247,6 +224,21 @@ def counting_function(
     if interpretation is Interpretation.ROOTS_LE2:
         return roots[k]
     return roots[k] - fixed[k]
+
+
+def count_report(map_spec: PowerMapSpec) -> CountReport:
+    """All three counts of one map, in Interpretation order."""
+    return CountReport(*(_count(map_spec, i) for i in Interpretation))
+
+
+def counting_function(
+    family: DegreeSpec,
+    interpretation: Interpretation,
+    ring: RingSpec,
+    c: RingElem,
+) -> int:
+    """The interpretation's count for z -> z^d + c on ring, d from family."""
+    return _count(PowerMapSpec(ring, family, c), interpretation)
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,6 @@ from typing import Callable, Sequence, Union
 from .errors import DomainError, ResourceError, UsageError
 
 DEFAULT_BRUTE_BUDGET = 100_000
-ENUMERATION_BUDGET = 10**6
 
 BUDGET_ENV_VAR = "PERIMOD_BUDGET"
 
@@ -331,10 +330,11 @@ def enumerate_monic_irreducibles(p: Union[Prime, int], m: int) -> list[FpPoly]:
 
 
 def check_enumeration_budget(p: int, m: int) -> None:
-    """Refuse to enumerate the p^m monics of degree m past ENUMERATION_BUDGET.
+    """Refuse to enumerate the p^m monics of degree m past the scan budget.
     m is capped first (p >= 2), so a huge m builds no huge power."""
-    if p ** min(m, ENUMERATION_BUDGET.bit_length()) > ENUMERATION_BUDGET:
-        raise ResourceError(f"enumerating degree-{m} monics over F_{p} exceeds {ENUMERATION_BUDGET}")
+    budget = brute_force_budget()
+    if p ** min(m, budget.bit_length()) > budget:
+        raise ResourceError(f"enumerating degree-{m} monics over F_{p} exceeds {budget}")
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Optional
 
-from .dynamics import DegreeSpec, Interpretation, ResidueProfile, residue_count_table
+from .dynamics import DegreeSpec, Interpretation, residue_count_table
 from .errors import DomainError, ResourceError
 from .rings import _prime_factors, is_prime_int, primes_in_range
 
@@ -120,14 +120,11 @@ def _sweep_sums(query: AverageQuery, p_min: int) -> list[tuple[int, int]]:
 
 def _divisor_sums(query: AverageQuery, offset: int, p_min: int) -> list[tuple[int, int]]:
     """(numerator, denominator) at each cutoff c of the condition p | c + offset."""
-    profiles: dict[int, ResidueProfile] = {}
     sums = []
     for c in query.cs:
         primes = [p for p in _prime_factors(c + offset) if p >= p_min]
-        for p in primes:
-            if p not in profiles:
-                profiles[p] = residue_count_table(p, query.family, query.interpretation)
-        sums.append((sum(profiles[p][c % p] for p in primes), len(primes)))
+        counts = [residue_count_table(p, query.family, query.interpretation)[c % p] for p in primes]
+        sums.append((sum(counts), len(counts)))
     return sums
 
 

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from perimod import claims
 from perimod.cli import CommandSpec, main, parse_args, run
 from perimod.errors import UsageError
 
@@ -221,23 +222,29 @@ def test_main_success(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv,status",
+    "argv,status,budget",
     [
-        (["density", "--family", "p", "--predicate", "divides", "--C", "100001"], 2),
-        (["avg", "--family", "p", "--condition", "not-divides", "--c", "1000001"], 2),
-        (["avg", "--family", "p", "--condition", "divides", "--c", "1000000000001"], 2),
-        (["avg", "--family", "p", "--primorial-k", "11"], 2),
-        (["irreducibles", "--p", "1009", "--m", "2"], 2),
-        (["avg", "--family", "p", "--primorial-k", "10"], 0),
-        (["density", "--family", "p", "--predicate", "divides", "--C", "100000"], 0),
+        (["density", "--family", "p", "--predicate", "divides", "--C", "100001"], 2, None),
+        (["avg", "--family", "p", "--condition", "not-divides", "--c", "1000001"], 2, None),
+        (["avg", "--family", "p", "--condition", "divides", "--c", "1000000000001"], 2, None),
+        (["avg", "--family", "p", "--primorial-k", "11"], 2, None),
+        (["irreducibles", "--p", "1009", "--m", "2"], 2, None),
+        (["avg", "--family", "p", "--primorial-k", "10"], 0, None),
+        (["density", "--family", "p", "--predicate", "divides", "--C", "100000"], 0, None),
         # a ring over F_p has at least p elements: refused before trial division
-        (["count", "--p", "1000000000000000003", "--family", "p", "--c", "1"], 2),
-        (["irreducibles", "--p", "1000000000000000003", "--m", "1"], 2),
-        (["density", "--family", "p-1", "--predicate", "count-eq", "--C", "100000"], 0),
-        (["density", "--family", "p-1", "--predicate", "count-eq", "--C", "100001"], 2),
+        (["count", "--p", "1000000000000000003", "--family", "p", "--c", "1"], 2, None),
+        (["irreducibles", "--p", "1000000000000000003", "--m", "1"], 2, None),
+        (["density", "--family", "p-1", "--predicate", "count-eq", "--C", "100000"], 0, None),
+        (["density", "--family", "p-1", "--predicate", "count-eq", "--C", "100001"], 2, None),
+        # the scan budget bounds the monics enumerated, p^m, too
+        (["irreducibles", "--p", "317", "--m", "2"], 2, None),
+        (["irreducibles", "--p", "3", "--m", "2"], 2, "8"),
+        (["irreducibles", "--p", "3", "--m", "2"], 0, "9"),
     ],
 )
-def test_limits_exit_2_just_past_and_0_at(argv, status, tmp_path, capsys):
+def test_limits_exit_2_just_past_and_0_at(argv, status, budget, tmp_path, capsys, monkeypatch):
+    if budget is not None:
+        monkeypatch.setenv("PERIMOD_BUDGET", budget)
     target = tmp_path / "out.csv"
     assert main(argv + ["--output", str(target)]) == status
     err = capsys.readouterr().err
@@ -247,6 +254,24 @@ def test_limits_exit_2_just_past_and_0_at(argv, status, tmp_path, capsys):
         assert not target.exists()
     else:
         assert err == "" and target.exists()
+
+
+def test_verify_refuses_a_ring_past_the_budget_before_any_count(tmp_path, capsys, monkeypatch):
+    # 397^2 > 10^5: F_397[t]/(pi) of degree 2 is refused before any cell is counted
+    def refuse(*args):
+        raise AssertionError("verify did work before its budget check")
+
+    monkeypatch.setattr(claims, "counting_function", refuse)
+    target = tmp_path / "out.csv"
+    assert main(["verify", "--p-max", "400", "--m-max", "2", "--interpretation", "roots", "--output", str(target)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not target.exists()
+    # from p_max = 2 * budget on, the largest prime is past the budget
+    # (Bertrand), so not even the sieve runs
+    monkeypatch.setattr(claims, "primes_in_range", refuse)
+    assert main(["verify", "--p-max", "200000", "--m-max", "1", "--interpretation", "roots", "--output", str(target)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not target.exists()
 
 
 EMPTY = hashlib.sha256(b"").hexdigest()

@@ -8,6 +8,7 @@ from math import gcd
 import pytest
 from polyoracle import elements, naive_add, naive_mul
 from residueoracle import degree, residue_counts
+from scanoracle import COUNTS
 
 from perimod.claims import verify_all
 from perimod.cli import main
@@ -24,7 +25,8 @@ from perimod.dynamics import (
     orbit_decomposition,
     residue_count_table,
     _count_table,
-    _scan_count,
+    _power_table,
+    _successor_table,
 )
 from perimod.errors import DomainError, ResourceError, UsageError
 from perimod.rings import FpPoly, RingSpec, enumerate_monic_irreducibles, primes_in_range
@@ -225,11 +227,12 @@ def test_count_report_agrees_with_counting_function_by_name():
 
 def test_count_table_agrees_with_scan_in_every_call_order():
     # the first request for a map fills both of its slots, whatever it asks
-    # for; each map takes one of the six request orders, so a slot that only
-    # one first interpretation fills correctly fails here.  Every quotient
-    # field of degree <= 3, except that F_5 and F_7 each get two of their
-    # 40 and 112 cubic fields: all of them take about 90 s on a 2-vCPU host.
-    orders = list(permutations(Interpretation))
+    # for; each map takes one of the 24 orders of the three interpretations
+    # and count_report (None), so a slot that only one first request fills
+    # correctly fails here.  Every quotient field of degree <= 3, except
+    # that F_5 and F_7 each get two of their 40 and 112 cubic fields: all of
+    # them take about 90 s on a 2-vCPU host.
+    orders = list(permutations([*Interpretation, None]))
     _count_table.cache_clear()
     for p in (3, 5, 7):
         quotients = [
@@ -245,11 +248,39 @@ def test_count_table_agrees_with_scan_in_every_call_order():
                     family = DegreeSpec(base, ell)
                     for c in elements(ring):
                         spec = PowerMapSpec(ring, family, c)
+                        succ = _successor_table(spec, _power_table(spec))
+                        expected = {i: COUNTS[i.value](succ) for i in Interpretation}
                         for interp in orders[(c.rep + ell) % len(orders)]:
-                            expected = _scan_count(spec, interp)
-                            assert counting_function(family, interp, ring, c) == expected, (
-                                ring.describe(), family, c.rep, interp
-                            )
+                            if interp is None:
+                                computed = astuple(count_report(spec))
+                                assert computed == tuple(expected.values()), (ring.describe(), family, c.rep)
+                            else:
+                                assert counting_function(family, interp, ring, c) == expected[interp], (
+                                    ring.describe(), family, c.rep, interp
+                                )
+
+
+def test_count_report_builds_one_successor_table(monkeypatch):
+    # count_report fills the map's count slots from one successor table;
+    # a second report, or any counting_function, on the same map reads them
+    scans = []
+    translation_table = RingSpec.translation_table
+
+    def counted(ring, c):
+        scans.append((ring, c))
+        return translation_table(ring, c)
+
+    monkeypatch.setattr(RingSpec, "translation_table", counted)
+    _count_table.cache_clear()
+    ring = fq(3, [1, 0, 1])
+    family = DegreeSpec(P, 2)
+    c = ring.element(FpPoly.t(3))
+    report = count_report(PowerMapSpec(ring, family, c))
+    assert len(scans) == 1
+    scans.clear()
+    assert count_report(PowerMapSpec(ring, family, c)) == report
+    assert [counting_function(family, i, ring, c) for i in Interpretation] == list(astuple(report))
+    assert scans == []
 
 
 def test_verify_scans_each_map_once(monkeypatch):
