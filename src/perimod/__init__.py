@@ -12,6 +12,7 @@ Library layout:
 - stats:    exact-rational partial averages, divergence series, and
             finite-cutoff densities, each returned as one Series of points
 - tables:   the one CSV/JSON text writer every report goes through
+- budget:   every limit on a run, its PERIMOD_BUDGET override and its refusal
 - cli:      the perimod command-line tool
 """
 

@@ -1,0 +1,48 @@
+"""Every limit on a run: the four caps, their one override, their one refusal.
+
+SCAN_BUDGET caps the elements a scan visits and the p^m monics an enumeration
+lists, and only it can be overridden, by a positive integer in PERIMOD_BUDGET.
+SWEEP_BUDGET caps the cutoff of an average over every prime up to c,
+FACTOR_BUDGET the numbers factored by trial division, DENSITY_BUDGET the
+density cutoff.  refuse_past raises every ResourceError in the package as
+"<work> needs <amount>, budget is <limit>", formatted only on refusal.
+"""
+
+import os
+from typing import Callable
+
+from .errors import ResourceError, UsageError
+
+SCAN_BUDGET = 10**5
+SWEEP_BUDGET = 10**6
+FACTOR_BUDGET = 10**12
+DENSITY_BUDGET = 10**5
+BUDGET_ENV_VAR = "PERIMOD_BUDGET"
+
+
+def scan_budget() -> int:
+    """SCAN_BUDGET, or its override (UsageError unless a positive integer)."""
+    raw = os.environ.get(BUDGET_ENV_VAR)
+    if raw is None:
+        return SCAN_BUDGET
+    try:
+        value = int(raw)
+    except ValueError as exc:
+        raise UsageError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from exc
+    if value < 1:
+        raise UsageError(f"{BUDGET_ENV_VAR} must be positive, got {value}")
+    return value
+
+
+def refuse_past(limit: int, size: int, work: Callable[[], str]) -> None:
+    """Raise ResourceError if size is past limit; work() reads "<work> needs <amount>"."""
+    if size > limit:
+        raise ResourceError(f"{work()}, budget is {limit}")
+
+
+def refuse_monics(p: int, m: int) -> None:
+    """Refuse to enumerate the p^m degree-m monics over F_p past the scan
+    budget; m is capped first (p >= 2), so a huge m builds no huge power."""
+    limit = scan_budget()
+    size = p ** min(m, limit.bit_length())
+    refuse_past(limit, size, lambda: f"enumerating degree-{m} monics over F_{p} needs {p}^{m}")

@@ -24,17 +24,10 @@ from functools import lru_cache
 from operator import attrgetter
 from typing import Sequence, Union
 
+from .budget import refuse_monics, refuse_past, scan_budget
 from .dynamics import DegreeBase, DegreeSpec, Interpretation, counting_function
-from .errors import DomainError, ResourceError, UsageError
-from .rings import (
-    FpPoly,
-    RingKind,
-    RingSpec,
-    brute_force_budget,
-    check_enumeration_budget,
-    enumerate_monic_irreducibles,
-    primes_in_range,
-)
+from .errors import DomainError, UsageError
+from .rings import FpPoly, RingKind, RingSpec, enumerate_monic_irreducibles, primes_in_range
 from .tables import csv_text, json_text
 
 
@@ -324,11 +317,10 @@ def verify_all(
     """
     if p_max < 3 or ell_max < 1 or m_max < 1:
         raise UsageError("need p_max >= 3, ell_max >= 1, m_max >= 1")
-    budget = brute_force_budget()
-    if p_max >= 2 * budget:
-        raise ResourceError(f"the largest prime up to {p_max} exceeds {budget}")
+    half = p_max // 2
+    refuse_past(scan_budget(), half + 1, lambda: f"sweeping p <= {p_max} needs over {half} elements")
     primes = primes_in_range(3, p_max)
-    check_enumeration_budget(primes[-1], m_max)
+    refuse_monics(primes[-1], m_max)
     ells = list(range(1, ell_max + 1))
     ms = list(range(1, m_max + 1))
     cells: list[VerificationCell] = []

@@ -26,9 +26,11 @@ import argparse
 import sys
 from collections import Counter
 from dataclasses import asdict, dataclass
+from math import isqrt
 from typing import Callable, Optional, Sequence
 
 from . import claims, stats
+from .budget import refuse_monics, refuse_past, scan_budget
 from .dynamics import (
     DegreeBase,
     DegreeSpec,
@@ -42,8 +44,6 @@ from .rings import (
     Prime,
     RingKind,
     RingSpec,
-    brute_force_budget,
-    check_enumeration_budget,
     enumerate_monic_irreducibles,
     format_poly,
     parse_poly,
@@ -180,14 +180,11 @@ class _Parser(argparse.ArgumentParser):
 def _build_map(ns: argparse.Namespace) -> PowerMapSpec:
     """The map z -> z^d + c that --ring, --p, --pi, --family, --ell and --c
     name, with --pi and --c validated against the ring."""
-    budget = brute_force_budget()
-    if ns.p > budget * budget:
-        # Every ring over F_p has at least p elements.  Up to budget^2 the
-        # trial division of p costs less than the scan budget, so a composite
-        # p still exits 1 and the scan reports the ring size; past it, stop.
-        raise ResourceError(f"a ring over F_{ns.p} has at least {ns.p} elements, budget is {budget}")
-    if ns.p < ns.degree.min_prime:
-        raise UsageError(f"family {ns.family} needs p >= {ns.degree.min_prime}")
+    # The scan refuses a ring over F_p, of at least p elements, past the
+    # budget after the trial division of p (a composite p exits 1).  That
+    # tries divisors up to sqrt(p), so a p past budget^2 is refused first.
+    root = isqrt(ns.p - 1) + 1  # the ceiling of sqrt(p): root > budget iff p > budget^2
+    refuse_past(scan_budget(), root, lambda: f"testing {ns.p} needs trial divisors up to {root}")
     if RingKind(ns.ring) is RingKind.QUOTIENT_FIELD:
         if ns.pi is None:
             raise UsageError("--pi is required for --ring fpt")
@@ -216,6 +213,7 @@ def _parse(argv: Sequence[str]) -> argparse.Namespace:
     ns = parser.parse_args(list(argv))
     if ns.subcommand is None:
         raise UsageError(f"expected a subcommand: {', '.join(SUBCOMMANDS)}")
+    scan_budget()  # a malformed PERIMOD_BUDGET exits 1 for every subcommand
     if "family" in _FLAGS[ns.subcommand]:
         ns.degree = DegreeSpec(DegreeBase(ns.family), ns.ell)
     if ns.subcommand in ("count", "orbits"):
@@ -237,7 +235,7 @@ def _parse(argv: Sequence[str]) -> argparse.Namespace:
         elif ns.count_value is None:
             ns.count_value = 0
     elif ns.subcommand == "irreducibles":
-        check_enumeration_budget(ns.p, ns.m)  # before the trial division
+        refuse_monics(ns.p, ns.m)  # before the trial division
         Prime(ns.p)
     return ns
 

@@ -31,8 +31,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 
+from .budget import refuse_past, scan_budget
 from .errors import DomainError, UsageError
-from .rings import RingElem, RingSpec, check_budget, mod_pow, pow_index_table
+from .rings import RingElem, RingSpec, mod_pow, pow_index_table
 
 
 class DegreeBase(Enum):
@@ -69,6 +70,12 @@ class DegreeSpec:
     def min_prime(self) -> int:
         return self.base.min_prime
 
+    def require_prime(self, p: int) -> None:
+        """Refuse a prime p below the family's smallest (DomainError)."""
+        low = self.base.min_prime
+        if p < low:
+            raise DomainError(f"family {self.describe()} needs p >= {low}, got p = {p}")
+
     def base_value(self, p: int) -> int:
         return p if self.base is DegreeBase.P else p - 1
 
@@ -99,11 +106,7 @@ class PowerMapSpec:
     def __post_init__(self) -> None:
         if self.c.ring != self.ring:
             raise UsageError("coefficient does not belong to the map's ring")
-        if self.ring.p.value < self.degree.min_prime:
-            raise DomainError(
-                f"degree family {self.degree.describe()} needs p >= {self.degree.min_prime}, "
-                f"got p = {self.ring.p.value}"
-            )
+        self.degree.require_prime(self.ring.p.value)
         e = self.degree.reduced_exponent_for(self.ring.p.value, self.ring.cardinality_q)
         object.__setattr__(self, "exponent", e)
 
@@ -150,7 +153,8 @@ def iterate(map_spec: PowerMapSpec, z: RingElem, n: int) -> RingElem:
 def _power_table(map_spec: PowerMapSpec) -> tuple[int, ...]:
     """Index table of z -> z^d over the whole ring, after the budget check."""
     ring = map_spec.ring
-    check_budget(ring.cardinality_q, lambda: f"scanning {ring.describe()}")
+    q = ring.cardinality_q
+    refuse_past(scan_budget(), q, lambda: f"scanning {ring.describe()} needs {q} elements")
     return pow_index_table(ring, map_spec.exponent)
 
 
@@ -297,8 +301,7 @@ def residue_count_table(
     """
     if p < 3 or p % 2 == 0:
         raise UsageError(f"modulus must be an odd prime >= 3, got {p!r}")
-    if p < family.min_prime:
-        raise DomainError(f"family {family.describe()} needs p >= {family.min_prime}")
+    family.require_prime(p)
     e = family.reduced_exponent_for(p, p)
 
     def count(c: int) -> int:

@@ -18,4 +18,4 @@ class DomainError(PerimodError):
 
 
 class ResourceError(PerimodError):
-    """A requested computation exceeds the configured brute-force budget."""
+    """A requested computation exceeds one of the limits in perimod.budget."""

@@ -24,43 +24,13 @@ against a schoolbook oracle, tests/polyoracle.py, that shares no code with it.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
-from .errors import DomainError, ResourceError, UsageError
-
-DEFAULT_BRUTE_BUDGET = 100_000
-
-BUDGET_ENV_VAR = "PERIMOD_BUDGET"
-
-
-def brute_force_budget() -> int:
-    """Maximum ring cardinality an exhaustive scan may visit.
-
-    Defaults to 10^5 elements; the PERIMOD_BUDGET environment variable
-    overrides it.
-    """
-    raw = os.environ.get(BUDGET_ENV_VAR)
-    if raw is None:
-        return DEFAULT_BRUTE_BUDGET
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise UsageError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise UsageError(f"{BUDGET_ENV_VAR} must be positive, got {value}")
-    return value
-
-
-def check_budget(size: int, what: "str | Callable[[], str]") -> None:
-    """Refuse size elements past the budget; what, or what() on refusal, names the work."""
-    budget = brute_force_budget()
-    if size > budget:
-        name = what if isinstance(what, str) else what()
-        raise ResourceError(f"{name} needs {size} elements, budget is {budget}")
+from .budget import refuse_monics
+from .errors import DomainError, UsageError
 
 
 # ---------------------------------------------------------------------------
@@ -325,16 +295,8 @@ def enumerate_monic_irreducibles(p: Union[Prime, int], m: int) -> list[FpPoly]:
     pv = int(p)
     if m < 1:
         raise DomainError(f"degree must be >= 1, got {m}")
-    check_enumeration_budget(pv, m)
+    refuse_monics(pv, m)
     return list(_monic_irreducibles(pv, m))
-
-
-def check_enumeration_budget(p: int, m: int) -> None:
-    """Refuse to enumerate the p^m monics of degree m past the scan budget.
-    m is capped first (p >= 2), so a huge m builds no huge power."""
-    budget = brute_force_budget()
-    if p ** min(m, budget.bit_length()) > budget:
-        raise ResourceError(f"enumerating degree-{m} monics over F_{p} exceeds {budget}")
 
 
 # ---------------------------------------------------------------------------

@@ -25,13 +25,10 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Optional
 
+from .budget import DENSITY_BUDGET, FACTOR_BUDGET, SWEEP_BUDGET, refuse_past
 from .dynamics import DegreeSpec, Interpretation, residue_count_table
-from .errors import DomainError, ResourceError
+from .errors import DomainError
 from .rings import _prime_factors, is_prime_int, primes_in_range
-
-FACTOR_BUDGET = 10**12  # trial division cap for divisibility conditions
-SWEEP_BUDGET = 10**6  # largest cutoff a full prime sweep may use
-DENSITY_BUDGET = 10**5  # largest density cutoff
 
 
 class AvgCondition(Enum):
@@ -138,14 +135,14 @@ def partial_average(query: AverageQuery) -> Series:
     p_min = query.family.min_prime
     offset = _DIVISOR_OFFSETS.get(query.condition.value)
     c_min = p_min - 1 if offset == 1 else p_min
-    for c in query.cs:  # the first cutoff out of range decides the error
-        if c < c_min:
-            below = f"the family's smallest prime {p_min}" + (" minus 1" if offset == 1 else "")
-            raise DomainError(f"cutoff {c} is below {below}")
-        if offset is None and c > SWEEP_BUDGET:
-            raise ResourceError(f"sweeping all primes up to {c} exceeds {SWEEP_BUDGET}")
-        if offset is not None and c + offset > FACTOR_BUDGET:
-            raise ResourceError(f"factoring {c + offset} exceeds the {FACTOR_BUDGET} budget")
+    shift, limit = (0, SWEEP_BUDGET) if offset is None else (offset, FACTOR_BUDGET)
+    # the first cutoff out of range decides the error (c_min when none is)
+    first = next((c for c in query.cs if c < c_min or c + shift > limit), c_min)
+    if first < c_min:
+        below = f"the family's smallest prime {p_min}" + (" minus 1" if offset == 1 else "")
+        raise DomainError(f"cutoff {first} is below {below}")
+    work = "sweeping all primes up to c needs c" if offset is None else "factoring needs n"
+    refuse_past(limit, first + shift, lambda: f"{work} = {first + shift}")
     if offset is None:
         sums = _sweep_sums(query, p_min)
     else:
@@ -168,8 +165,7 @@ def odd_primorials(k_max: int) -> list[int]:
         while not is_prime_int(p):
             p += 2
         c *= p
-        if c > FACTOR_BUDGET:
-            raise ResourceError(f"primorial for k = {k} exceeds the {FACTOR_BUDGET} budget")
+        refuse_past(FACTOR_BUDGET, c, lambda: f"factoring the primorial for k = {k} needs n = {c}")
         if k >= 2:
             out.append(c)
     return out
@@ -249,8 +245,7 @@ def density(query: DensityQuery) -> Series:
     p_min = query.effective_p_min
     if C < p_min:
         raise DomainError(f"population is empty: cutoff {C} < p_min {p_min}")
-    if C > DENSITY_BUDGET:
-        raise ResourceError(f"density cutoff {C} exceeds the {DENSITY_BUDGET} budget")
+    refuse_past(DENSITY_BUDGET, C, lambda: f"counting pairs up to the density cutoff needs C = {C}")
     pred = query.predicate
     offset = _DIVISOR_OFFSETS.get(pred.kind.value)
     snapshots = sorted({C // 4, C // 2, C})

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -36,7 +37,6 @@ def test_parse_orbits_quotient_example():
         (["count", "--ring", "fpt", "--p", "5", "--pi", "1,0,1", "--family", "p", "--c", "0"], "reducible"),
         (["count", "--ring", "fpt", "--p", "5", "--pi", "1,7", "--family", "p", "--c", "0"], "out of range"),
         (["count", "--ring", "zp", "--p", "5", "--pi", "0,1", "--family", "p", "--c", "0"], "--pi"),
-        (["count", "--p", "3", "--family", "p-1", "--c", "0"], "p >= 5"),
         (["avg", "--family", "p", "--condition", "divides"], "--c or --primorial-k"),
         (["frobnicate"], "invalid choice"),
         ([], "subcommand"),
@@ -214,6 +214,9 @@ def test_unwritable_output_exits_1_without_file(tmp_path, capsys):
 def test_main_maps_usage_errors_to_exit_1(capsys):
     assert main(["count", "--p", "9", "--family", "p", "--c", "1"]) == 1
     assert "not prime" in capsys.readouterr().err
+    # the map refuses a prime below the family's smallest (a DomainError)
+    assert main(["count", "--p", "3", "--family", "p-1", "--c", "0"]) == 1
+    assert capsys.readouterr() == ("", "error: family (p-1)^1 needs p >= 5, got p = 3\n")
 
 
 def test_main_success(capsys):
@@ -240,6 +243,13 @@ def test_main_success(capsys):
         (["irreducibles", "--p", "317", "--m", "2"], 2, None),
         (["irreducibles", "--p", "3", "--m", "2"], 2, "8"),
         (["irreducibles", "--p", "3", "--m", "2"], 0, "9"),
+        # the scan budget bounds the ring scanned: F_9 has 9 elements
+        (["count", "--ring", "fpt", "--p", "3", "--pi", "1,0,1", "--family", "p", "--c", "0"], 2, "8"),
+        (["count", "--ring", "fpt", "--p", "3", "--pi", "1,0,1", "--family", "p", "--c", "0"], 0, "9"),
+        (["orbits", "--ring", "fpt", "--p", "3", "--pi", "1,0,1", "--family", "p", "--c", "0"], 2, "8"),
+        (["orbits", "--ring", "fpt", "--p", "3", "--pi", "1,0,1", "--family", "p", "--c", "0"], 0, "9"),
+        # the largest prime up to 2 * budget is past the budget (Bertrand)
+        (["verify", "--p-max", "200000", "--m-max", "1", "--interpretation", "roots"], 2, None),
     ],
 )
 def test_limits_exit_2_just_past_and_0_at(argv, status, budget, tmp_path, capsys, monkeypatch):
@@ -250,10 +260,32 @@ def test_limits_exit_2_just_past_and_0_at(argv, status, budget, tmp_path, capsys
     err = capsys.readouterr().err
     assert "Traceback" not in err
     if status == 2:
-        assert err.startswith("error: ")
+        # the one refusal shape perimod.budget writes, naming the cap passed
+        limit = budget or "(100000|1000000|1000000000000)"
+        assert re.fullmatch(rf"error: \S.* needs \S.*, budget is {limit}\n", err), err
         assert not target.exists()
     else:
         assert err == "" and target.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--p", "5", "--family", "p", "--c", "1"],
+        ["orbits", "--p", "5", "--family", "p", "--c", "1"],
+        ["verify", "--p-max", "5", "--interpretation", "roots"],
+        ["avg", "--family", "p", "--condition", "divides", "--c", "30"],
+        ["density", "--family", "p", "--predicate", "divides", "--C", "50"],
+        ["irreducibles", "--p", "3", "--m", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_malformed_budget_exits_1_for_every_subcommand(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("PERIMOD_BUDGET", "ten")
+    target = tmp_path / "out.csv"
+    assert main(argv + ["--output", str(target)]) == 1
+    assert capsys.readouterr() == ("", "error: PERIMOD_BUDGET must be an integer, got 'ten'\n")
+    assert not target.exists()
 
 
 def test_verify_refuses_a_ring_past_the_budget_before_any_count(tmp_path, capsys, monkeypatch):

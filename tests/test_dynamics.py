@@ -78,8 +78,11 @@ def test_degree_spec_validation():
     with pytest.raises(DomainError):
         DegreeSpec(P, 0)
     ring = zp(3)
-    with pytest.raises(DomainError):
-        PowerMapSpec(ring, DegreeSpec(PM1, 1), ring.element(0))  # needs p >= 5
+    message = r"^family \(p-1\)\^1 needs p >= 5, got p = 3$"
+    with pytest.raises(DomainError, match=message):
+        PowerMapSpec(ring, DegreeSpec(PM1, 1), ring.element(0))
+    with pytest.raises(DomainError, match=message):
+        residue_count_table(3, DegreeSpec(PM1, 1), ROOTS)
 
 
 def test_map_rejects_foreign_coefficient():

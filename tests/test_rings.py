@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from polyoracle import elements, naive_mul, naive_pow, poly_mul, poly_rem
 
+from perimod.budget import refuse_past, scan_budget
 from perimod.dynamics import DegreeBase, DegreeSpec
 from perimod.errors import DomainError, ResourceError, UsageError
 from perimod.rings import (
@@ -15,7 +16,6 @@ from perimod.rings import (
     Prime,
     RingElem,
     RingSpec,
-    check_budget,
     enumerate_monic_irreducibles,
     format_poly,
     is_irreducible,
@@ -403,14 +403,22 @@ def test_index_round_trip_and_addition():
 
 
 def test_budget_override(monkeypatch):
+    def work():
+        return "scanning Z/7 needs 7 elements"
+
+    def unformatted():
+        raise AssertionError("a passing check formatted its message")
+
+    assert scan_budget() == 10**5
     monkeypatch.setenv("PERIMOD_BUDGET", "5")
-    with pytest.raises(ResourceError):
-        check_budget(7, "enumerating Z/7")
+    with pytest.raises(ResourceError, match=r"^scanning Z/7 needs 7 elements, budget is 5$"):
+        refuse_past(scan_budget(), 7, work)
     monkeypatch.setenv("PERIMOD_BUDGET", "7")
-    check_budget(7, "enumerating Z/7")
-    monkeypatch.setenv("PERIMOD_BUDGET", "not-a-number")
-    with pytest.raises(UsageError):
-        check_budget(7, "enumerating Z/7")
+    refuse_past(scan_budget(), 7, unformatted)
+    for bad, message in (("not-a-number", "must be an integer, got 'not-a-number'"), ("0", "must be positive, got 0")):
+        monkeypatch.setenv("PERIMOD_BUDGET", bad)
+        with pytest.raises(UsageError, match=f"^PERIMOD_BUDGET {message}$"):
+            scan_budget()
 
 
 def test_cached_ring_attributes_keep_equality_and_hash():
