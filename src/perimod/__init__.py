@@ -32,7 +32,6 @@ from .dynamics import (
 from .errors import DomainError, PerimodError, ResourceError, UsageError
 from .rings import (
     FpPoly,
-    Prime,
     RingElem,
     RingSpec,
     enumerate_monic_irreducibles,
@@ -53,7 +52,6 @@ __all__ = [
     "OrbitDecomposition",
     "PerimodError",
     "PowerMapSpec",
-    "Prime",
     "ResourceError",
     "RingElem",
     "RingSpec",

@@ -216,9 +216,9 @@ def _class_reps(coeff_class: CoeffClass, ring: RingSpec) -> list:
     are read modulo pi exactly as written, so their representatives stay
     constant.
     """
-    reps = [ring.element(r) for r in _class_residues(coeff_class, ring.p.value)]
+    reps = [ring.element(r) for r in _class_residues(coeff_class, ring.p)]
     if coeff_class is CoeffClass.OTHER and ring.degree_m >= 2:
-        reps.append(ring.element(FpPoly.t(ring.p.value)))
+        reps.append(ring.element(FpPoly.t(ring.p)))
     return reps
 
 

@@ -41,12 +41,12 @@ from .dynamics import (
 )
 from .errors import DomainError, ResourceError, UsageError
 from .rings import (
-    Prime,
     RingKind,
     RingSpec,
     enumerate_monic_irreducibles,
     format_poly,
     parse_poly,
+    require_odd_prime,
 )
 from .tables import csv_text, json_text
 
@@ -121,7 +121,7 @@ _FLAGS = {
         "C": {"type": _at_least(1), "required": True},
         "count-value": {"type": _integer, "help": "count-eq only; 0 when absent"},
         "negate": {"action": "store_true"},
-        "p-min": {"type": _integer},
+        "p-min": {"type": _at_least(2)},
     },
     "irreducibles": {"p": _P, "m": {"type": _at_least(1), "required": True}},
 }
@@ -236,7 +236,7 @@ def _parse(argv: Sequence[str]) -> argparse.Namespace:
             ns.count_value = 0
     elif ns.subcommand == "irreducibles":
         refuse_monics(ns.p, ns.m)  # before the trial division
-        Prime(ns.p)
+        require_odd_prime(ns.p)
     return ns
 
 
@@ -305,9 +305,7 @@ def _run_avg(ns: argparse.Namespace) -> _Table:
         trend = f" strictly-increasing={'true' if series.strictly_increasing() else 'false'}"
     else:
         condition = stats.AvgCondition(ns.condition)
-        series = stats.partial_average(
-            stats.AverageQuery(ns.degree, condition, interpretation, tuple(ns.c))
-        )
+        series = stats.partial_average(ns.degree, condition, interpretation, tuple(ns.c))
         p_max = "c + 1" if condition is stats.AvgCondition.P_DIVIDES_C_PLUS_1 else "c"
         population = f"primes p with {p_min} <= p <= {p_max}, condition {ns.condition}"
         trend = ""
@@ -315,17 +313,11 @@ def _run_avg(ns: argparse.Namespace) -> _Table:
 
 
 def _run_density(ns: argparse.Namespace) -> _Table:
-    predicate = stats.DensityPredicate(
-        kind=stats.PredicateKind(ns.predicate),
-        value=ns.count_value,
-        interpretation=Interpretation(ns.interpretation),
-        negate=ns.negate,
-    )
-    query = stats.DensityQuery(ns.degree, predicate, cutoff=ns.C, p_min=ns.p_min)
-    population = (
-        f"pairs (p, c) with p prime, {query.effective_p_min} <= p <= c <= {query.cutoff}"
-    )
-    return _series_table(stats.density(query), population)
+    p_min = ns.degree.min_prime if ns.p_min is None else ns.p_min
+    kind, interpretation = stats.PredicateKind(ns.predicate), Interpretation(ns.interpretation)
+    value = ns.count_value or 0  # None for the divisibility predicates
+    series = stats.density(ns.degree, kind, interpretation, ns.C, p_min, value, ns.negate)
+    return _series_table(series, f"pairs (p, c) with p prime, {p_min} <= p <= c <= {ns.C}")
 
 
 def _run_irreducibles(ns: argparse.Namespace) -> _Table:

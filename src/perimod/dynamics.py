@@ -106,8 +106,8 @@ class PowerMapSpec:
     def __post_init__(self) -> None:
         if self.c.ring != self.ring:
             raise UsageError("coefficient does not belong to the map's ring")
-        self.degree.require_prime(self.ring.p.value)
-        e = self.degree.reduced_exponent_for(self.ring.p.value, self.ring.cardinality_q)
+        self.degree.require_prime(self.ring.p)
+        e = self.degree.reduced_exponent_for(self.ring.p, self.ring.cardinality_q)
         object.__setattr__(self, "exponent", e)
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import Sequence, Union
+from typing import Sequence
 
 from .budget import refuse_monics
 from .errors import DomainError, UsageError
@@ -37,8 +37,10 @@ from .errors import DomainError, UsageError
 # primes
 
 
+@lru_cache(maxsize=None)
 def is_prime_int(n: int) -> bool:
-    """Trial-division primality test; adequate at desk scale."""
+    """Trial-division primality test; adequate at desk scale.  Cached, as
+    every FpPoly checks its modulus when it is built."""
     if n < 2:
         return False
     if n % 2 == 0:
@@ -65,23 +67,14 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
     return [i for i in range(max(lo, 2), hi + 1) if sieve[i]]
 
 
-@dataclass(frozen=True)
-class Prime:
-    """An odd prime p >= 3 (the only moduli the counting results treat)."""
-
-    value: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.value, int) or self.value < 3 or self.value % 2 == 0:
-            raise UsageError(f"modulus must be an odd prime >= 3, got {self.value!r}")
-        if not is_prime_int(self.value):
-            raise UsageError(f"{self.value} is not prime")
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __repr__(self) -> str:
-        return f"Prime({self.value})"
+def require_odd_prime(p: int) -> int:
+    """p itself if it is an odd prime p >= 3, the only moduli the counting
+    results treat; UsageError otherwise."""
+    if not isinstance(p, int) or p < 3 or p % 2 == 0:
+        raise UsageError(f"modulus must be an odd prime >= 3, got {p!r}")
+    if not is_prime_int(p):
+        raise UsageError(f"{p} is not prime")
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -93,16 +86,16 @@ class FpPoly:
     """A polynomial over F_p in canonical form.
 
     coeffs[i] is the coefficient of t^i; the last entry is nonzero unless the
-    tuple is empty (the zero polynomial).  The strict constructor rejects
-    non-canonical input; use FpPoly.make to reduce arbitrary coefficients.
+    tuple is empty (the zero polynomial).  The strict constructor rejects a
+    p that is not an odd prime and non-canonical input; use FpPoly.make to
+    reduce arbitrary coefficients.
     """
 
     p: int
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.p < 2:
-            raise UsageError(f"coefficient modulus must be >= 2, got {self.p}")
+        require_odd_prime(self.p)
         if self.coeffs and self.coeffs[-1] == 0:
             raise UsageError("non-canonical polynomial: trailing zero coefficient")
         if any(not (0 <= a < self.p) for a in self.coeffs):
@@ -286,17 +279,16 @@ def _monic_irreducibles(p: int, m: int) -> tuple[FpPoly, ...]:
     return tuple(out)
 
 
-def enumerate_monic_irreducibles(p: Union[Prime, int], m: int) -> list[FpPoly]:
+def enumerate_monic_irreducibles(p: int, m: int) -> list[FpPoly]:
     """All monic irreducible polynomials of degree exactly m over F_p.
 
     Ordered by the base-p value of the coefficient vector (so for m = 1 this
     is t, t+1, ..., t+(p-1)).
     """
-    pv = int(p)
     if m < 1:
         raise DomainError(f"degree must be >= 1, got {m}")
-    refuse_monics(pv, m)
-    return list(_monic_irreducibles(pv, m))
+    refuse_monics(p, m)
+    return list(_monic_irreducibles(require_odd_prime(p), m))
 
 
 # ---------------------------------------------------------------------------
@@ -310,28 +302,27 @@ class RingKind(Enum):
 
 @dataclass(frozen=True)
 class RingSpec:
-    """Which finite ring is in play: Z/pZ, or F_p[t]/(pi).  An int p is
-    checked and stored as a Prime.  degree_m (the modulus degree: the number
+    """Which finite ring is in play: Z/pZ, or F_p[t]/(pi), p an odd prime
+    checked when the ring is built.  degree_m (the modulus degree: the number
     of base-p digits of an index), cardinality_q = p^m and the hash are set
     once, when the ring is built; equality reads p and modulus only."""
 
-    p: Prime
+    p: int
     modulus: "FpPoly | None" = None
     degree_m: int = field(init=False, repr=False, compare=False)
     cardinality_q: int = field(init=False, repr=False, compare=False)
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.p, Prime):
-            object.__setattr__(self, "p", Prime(self.p))
+        require_odd_prime(self.p)
         object.__setattr__(self, "degree_m", len(self.modulus_coeffs) - 1)
-        object.__setattr__(self, "cardinality_q", self.p.value**self.degree_m)
+        object.__setattr__(self, "cardinality_q", self.p**self.degree_m)
         object.__setattr__(self, "_hash", hash((self.p, self.modulus)))
         pi = self.modulus
         if pi is None:
             return
-        if pi.p != self.p.value:
-            raise UsageError(f"modulus over F_{pi.p} does not match prime {self.p.value}")
+        if pi.p != self.p:
+            raise UsageError(f"modulus over F_{pi.p} does not match prime {self.p}")
         if not pi.is_monic:
             raise UsageError(f"modulus must be monic: {format_poly(pi)}")
         if pi.degree < 1:
@@ -343,25 +334,21 @@ class RingSpec:
         return self._hash
 
     @property
-    def kind(self) -> RingKind:
-        return RingKind.PRIME_FIELD if self.modulus is None else RingKind.QUOTIENT_FIELD
-
-    @property
     def modulus_coeffs(self) -> tuple[int, ...]:
         """Ascending coefficients of the modulus; Z/p reads as F_p[t]/(t)."""
         return (0, 1) if self.modulus is None else self.modulus.coeffs
 
     @classmethod
-    def prime_field(cls, p: Union[Prime, int]) -> "RingSpec":
+    def prime_field(cls, p: int) -> "RingSpec":
         return cls(p)
 
     @classmethod
-    def quotient_field(cls, p: Union[Prime, int], pi: FpPoly) -> "RingSpec":
+    def quotient_field(cls, p: int, pi: FpPoly) -> "RingSpec":
         return cls(p, pi)
 
     def element(self, value: "int | FpPoly | Sequence[int]") -> "RingElem":
         """Smart constructor: reduce an integer or polynomial into this ring."""
-        p = self.p.value
+        p = self.p
         if isinstance(value, int):
             return RingElem(self, value % p)
         if not isinstance(value, (FpPoly, tuple, list)):
@@ -383,11 +370,6 @@ class RingSpec:
 
     # -- dense index machinery (base-p digits of the coefficient vector) --
 
-    def index_of(self, e: "RingElem") -> int:
-        if e.ring != self:
-            raise UsageError("element belongs to a different ring")
-        return e.rep
-
     def element_at(self, idx: int) -> "RingElem":
         return RingElem(self, idx)
 
@@ -397,7 +379,7 @@ class RingSpec:
         Built digit by digit: the table over the low k + 1 digits repeats the
         one over the low k digits once per value of digit k, shifted by c's.
         """
-        p = self.p.value
+        p = self.p
         table = [0]
         weight = 1
         for _ in range(self.degree_m):
@@ -409,8 +391,8 @@ class RingSpec:
 
     def describe(self) -> str:
         if self.modulus is None:
-            return f"Z/{self.p.value}"
-        return f"F_{self.p.value}[t]/({format_poly(self.modulus)})"
+            return f"Z/{self.p}"
+        return f"F_{self.p}[t]/({format_poly(self.modulus)})"
 
 
 def _digits(idx: int, p: int) -> list[int]:
@@ -455,14 +437,14 @@ class RingElem:
     @property
     def poly(self) -> FpPoly:
         """The reduced polynomial of degree < m whose coefficients are rep's digits."""
-        p = self.ring.p.value
+        p = self.ring.p
         return FpPoly(p, tuple(_digits(self.rep, p)))
 
     def _operands(self, other: "RingElem") -> tuple[list[int], list[int], int]:
         """Both coefficient lists (m digits each) and p, for one ring."""
         if self.ring != other.ring:
             raise UsageError("elements belong to different rings")
-        p, m = self.ring.p.value, self.ring.degree_m
+        p, m = self.ring.p, self.ring.degree_m
         return _coeffs(self.rep, p, m), _coeffs(other.rep, p, m), p
 
     def __add__(self, other: "RingElem") -> "RingElem":
@@ -484,7 +466,7 @@ class RingElem:
     def render(self) -> str:
         """Text form: comma-separated ascending coefficients, "0" for zero (for
         Z/p, the decimal residue)."""
-        return ",".join(map(str, _digits(self.rep, self.ring.p.value))) or "0"
+        return ",".join(map(str, _digits(self.rep, self.ring.p))) or "0"
 
     def __repr__(self) -> str:
         return f"RingElem({self.ring.describe()}, {self.render()})"
@@ -496,7 +478,7 @@ def mod_pow(base: RingElem, exponent: int, ring: RingSpec) -> RingElem:
         raise UsageError("base does not belong to the stated ring")
     if exponent < 0:
         raise UsageError(f"exponent must be nonnegative, got {exponent}")
-    p = ring.p.value
+    p = ring.p
     power = _pow_mod(_coeffs(base.rep, p, ring.degree_m), exponent, p, ring.modulus_coeffs[:-1])
     return RingElem(ring, _index(power, p))
 
@@ -509,7 +491,7 @@ def log_tables(ring: RingSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:
     log[0] is -1, as zero has no logarithm.  The generator g is the first
     index, in index order, whose powers first return to 1 at step q - 1.
     """
-    p = ring.p.value
+    p = ring.p
     m = ring.degree_m
     low = ring.modulus_coeffs[:-1]
     q = p**m

@@ -3,7 +3,7 @@
 The limit statements being reproduced ("as c grows") are realized at finite
 cutoffs: an average at cutoff c sums the count over the primes p <= c (or
 p <= c + 1, under the condition p | c + 1) meeting a condition on c, and a
-density query counts pairs (p, c) with p_min <= p <= c <= C satisfying a
+density counts pairs (p, c) with p_min <= p <= c <= C satisfying a
 predicate.  Averages, divergence series and densities all come back as one
 Series of SeriesPoint(cutoff, numerator, population, ratio), the ratio an
 exact rational; nothing here ever touches floating point.
@@ -42,14 +42,6 @@ class AvgCondition(Enum):
 
 
 @dataclass(frozen=True)
-class AverageQuery:
-    family: DegreeSpec
-    condition: AvgCondition
-    interpretation: Interpretation
-    cs: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class SeriesPoint:
     """One cutoff of an average or a density: the numerator (a sum of counts,
     or the pairs that hold), the population it is taken over (selected
@@ -85,7 +77,9 @@ def _sweep_keeps(condition: AvgCondition, r: int, p: int) -> bool:
     return r not in (0, 1, p - 1)
 
 
-def _sweep_sums(query: AverageQuery, p_min: int) -> list[tuple[int, int]]:
+def _sweep_sums(
+    family: DegreeSpec, condition: AvgCondition, interpretation: Interpretation, cs: tuple[int, ...]
+) -> list[tuple[int, int]]:
     """(numerator, denominator) at each cutoff of a sweep condition.
 
     The generic values of the primes up to c are summed once, as prefix
@@ -93,15 +87,15 @@ def _sweep_sums(query: AverageQuery, p_min: int) -> list[tuple[int, int]]:
     there can a prime's value differ from its generic one, or the condition
     drop it.  Those are the primes dividing c, c-1 or c+1, so each prime
     lays its corrections out over the cutoffs in its residue classes."""
-    top = max(query.cs, default=0)
-    swept = primes_in_range(p_min, top)
-    profiles = [residue_count_table(p, query.family, query.interpretation) for p in swept]
+    top = max(cs, default=0)
+    swept = primes_in_range(family.min_prime, top)
+    profiles = [residue_count_table(p, family, interpretation) for p in swept]
     generic_sums = list(accumulate((profile.generic for profile in profiles), initial=0))
     numerator_fix = [0] * (top + 1)
     denominator_fix = [0] * (top + 1)
     for p, profile in zip(swept, profiles):
         for r in (0, 1, p - 1):
-            kept = _sweep_keeps(query.condition, r, p)
+            kept = _sweep_keeps(condition, r, p)
             d_num = (profile[r] if kept else 0) - profile.generic
             d_den = 0 if kept else -1
             if d_num or d_den:
@@ -109,48 +103,56 @@ def _sweep_sums(query: AverageQuery, p_min: int) -> list[tuple[int, int]]:
                     numerator_fix[c] += d_num
                     denominator_fix[c] += d_den
     sums = []
-    for c in query.cs:
+    for c in cs:
         k = bisect_right(swept, c)
         sums.append((generic_sums[k] + numerator_fix[c], k + denominator_fix[c]))
     return sums
 
 
-def _divisor_sums(query: AverageQuery, offset: int, p_min: int) -> list[tuple[int, int]]:
+def _divisor_sums(
+    family: DegreeSpec, offset: int, interpretation: Interpretation, cs: tuple[int, ...]
+) -> list[tuple[int, int]]:
     """(numerator, denominator) at each cutoff c of the condition p | c + offset."""
+    p_min = family.min_prime
     sums = []
-    for c in query.cs:
+    for c in cs:
         primes = [p for p in _prime_factors(c + offset) if p >= p_min]
-        counts = [residue_count_table(p, query.family, query.interpretation)[c % p] for p in primes]
+        counts = [residue_count_table(p, family, interpretation)[c % p] for p in primes]
         sums.append((sum(counts), len(counts)))
     return sums
 
 
-def partial_average(query: AverageQuery) -> Series:
+def partial_average(
+    family: DegreeSpec,
+    condition: AvgCondition,
+    interpretation: Interpretation,
+    cs: tuple[int, ...],
+) -> Series:
     """For each cutoff c: sum of the count over the selected primes, divided
     by how many primes were selected.
 
     A cutoff below the family's smallest prime selects no prime and raises
     DomainError; under p | c + 1, which selects p = c + 1, the floor is one
     lower."""
-    p_min = query.family.min_prime
-    offset = _DIVISOR_OFFSETS.get(query.condition.value)
+    p_min = family.min_prime
+    offset = _DIVISOR_OFFSETS.get(condition.value)
     c_min = p_min - 1 if offset == 1 else p_min
     shift, limit = (0, SWEEP_BUDGET) if offset is None else (offset, FACTOR_BUDGET)
     # the first cutoff out of range decides the error (c_min when none is)
-    first = next((c for c in query.cs if c < c_min or c + shift > limit), c_min)
+    first = next((c for c in cs if c < c_min or c + shift > limit), c_min)
     if first < c_min:
         below = f"the family's smallest prime {p_min}" + (" minus 1" if offset == 1 else "")
         raise DomainError(f"cutoff {first} is below {below}")
     work = "sweeping all primes up to c needs c" if offset is None else "factoring needs n"
     refuse_past(limit, first + shift, lambda: f"{work} = {first + shift}")
     if offset is None:
-        sums = _sweep_sums(query, p_min)
+        sums = _sweep_sums(family, condition, interpretation, cs)
     else:
-        sums = _divisor_sums(query, offset, p_min)
+        sums = _divisor_sums(family, offset, interpretation, cs)
     return Series(
         tuple(
             SeriesPoint(c, num, den, Fraction(num, den) if den else None)
-            for c, (num, den) in zip(query.cs, sums)
+            for c, (num, den) in zip(cs, sums)
         )
     )
 
@@ -185,8 +187,7 @@ def divergence_series(
     if k_max < 2:
         raise DomainError(f"need k_max >= 2, got {k_max}")
     cs = tuple(odd_primorials(k_max))
-    query = AverageQuery(family, AvgCondition.P_DIVIDES_C, interpretation, cs)
-    return partial_average(query)
+    return partial_average(family, AvgCondition.P_DIVIDES_C, interpretation, cs)
 
 
 # ---------------------------------------------------------------------------
@@ -200,37 +201,22 @@ class PredicateKind(Enum):
     COUNT_EQUALS = "count-eq"
 
 
-@dataclass(frozen=True)
-class DensityPredicate:
-    """Pair predicate on (p, c): a divisibility condition, or a condition on
-    the computed count at residue c mod p.  negate flips the result."""
-
-    kind: PredicateKind
-    value: int = 0
-    interpretation: Interpretation = Interpretation.ROOTS_LE2
-    negate: bool = False
-
-    def negated(self) -> "DensityPredicate":
-        return DensityPredicate(self.kind, self.value, self.interpretation, not self.negate)
-
-
-@dataclass(frozen=True)
-class DensityQuery:
-    """Population {(p, c) : 1 <= c <= cutoff, p prime, p_min <= p <= c}."""
-
-    family: DegreeSpec
-    predicate: DensityPredicate
-    cutoff: int
-    p_min: Optional[int] = None
-
-    @property
-    def effective_p_min(self) -> int:
-        return self.p_min if self.p_min is not None else self.family.min_prime
-
-
-def density(query: DensityQuery) -> Series:
+def density(
+    family: DegreeSpec,
+    kind: PredicateKind,
+    interpretation: Interpretation,
+    cutoff: int,
+    p_min: int,
+    value: int = 0,
+    negate: bool = False,
+) -> Series:
     """Hits (each point's numerator) and population at the quarter, half and
     full cutoffs, counted in one pass over the primes.
+
+    The population is {(p, c) : 1 <= c <= cutoff, p prime, p_min <= p <= c};
+    a pair is a hit when the predicate kind holds, flipped by negate: p
+    divides c, c + 1 or c - 1, or, for count-eq, the interpretation's count
+    of the map z^d + c over Z/p equals value.
 
     For a prime p and a cutoff s, the n = s - p + 1 values c = p..s have
     residues 0, 1, ..., p-1, 0, 1, ... in order, so with periods, rest =
@@ -241,21 +227,19 @@ def density(query: DensityQuery) -> Series:
     dynamics.ResidueProfile).  When the generic residues satisfy the
     predicate, the hits are the n - found pairs outside R.
     """
-    C = query.cutoff
-    p_min = query.effective_p_min
+    C = cutoff
     if C < p_min:
         raise DomainError(f"population is empty: cutoff {C} < p_min {p_min}")
     refuse_past(DENSITY_BUDGET, C, lambda: f"counting pairs up to the density cutoff needs C = {C}")
-    pred = query.predicate
-    offset = _DIVISOR_OFFSETS.get(pred.kind.value)
+    offset = _DIVISOR_OFFSETS.get(kind.value)
     snapshots = sorted({C // 4, C // 2, C})
     hits = dict.fromkeys(snapshots, 0)
     population = dict.fromkeys(snapshots, 0)
     for p in primes_in_range(p_min, C):
         if offset is None:
-            profile = residue_count_table(p, query.family, pred.interpretation)
-            generic_holds = profile.generic == pred.value
-            special = [r for r in (0, p - 1) if (profile[r] == pred.value) != generic_holds]
+            profile = residue_count_table(p, family, interpretation)
+            generic_holds = profile.generic == value
+            special = [r for r in (0, p - 1) if (profile[r] == value) != generic_holds]
         else:
             generic_holds = False
             special = [-offset % p]
@@ -264,7 +248,7 @@ def density(query: DensityQuery) -> Series:
             if n > 0:
                 periods, rest = divmod(n, p)
                 found = periods * len(special) + bisect_left(special, rest)
-                hits[s] += n - found if generic_holds != pred.negate else found
+                hits[s] += n - found if generic_holds != negate else found
                 population[s] += n
     points = tuple(
         SeriesPoint(s, hits[s], population[s], Fraction(hits[s], population[s]))

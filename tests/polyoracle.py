@@ -34,7 +34,7 @@ def _digits(x):
     ring, idx = x.ring, x.rep
     out = []
     for _ in range(len(ring.modulus_coeffs) - 1):
-        idx, d = divmod(idx, ring.p.value)
+        idx, d = divmod(idx, ring.p)
         out.append(d)
     return out
 
@@ -42,18 +42,18 @@ def _digits(x):
 def _element(ring, coeffs):
     idx = 0
     for a in reversed(coeffs):
-        idx = idx * ring.p.value + a
+        idx = idx * ring.p + a
     return ring.element_at(idx)
 
 
 def naive_add(x, y, sign=1):
     """x + y (x - y with sign=-1), coefficient by coefficient."""
-    p = x.ring.p.value
+    p = x.ring.p
     return _element(x.ring, [(a + sign * b) % p for a, b in zip(_digits(x), _digits(y))])
 
 
 def _mul(ring, a, b):
-    p = ring.p.value
+    p = ring.p
     return poly_rem(poly_mul(a, b, p), ring.modulus_coeffs, p)
 
 
@@ -76,4 +76,4 @@ def naive_pow(x, e):
 
 def elements(ring):
     """Every element of the ring, in index order."""
-    return [ring.element_at(i) for i in range(ring.p.value ** (len(ring.modulus_coeffs) - 1))]
+    return [ring.element_at(i) for i in range(ring.p ** (len(ring.modulus_coeffs) - 1))]

@@ -7,9 +7,11 @@ time.monotonic around the criterion's computation.
 
 import functools
 import hashlib
+import re
 import time
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 from perimod.claims import (
     ReportFormat,
@@ -29,10 +31,7 @@ from perimod.dynamics import (
 )
 from perimod.rings import RingSpec, enumerate_monic_irreducibles, is_irreducible, FpPoly
 from perimod.stats import (
-    AverageQuery,
     AvgCondition,
-    DensityPredicate,
-    DensityQuery,
     PredicateKind,
     density,
     divergence_series,
@@ -168,18 +167,14 @@ def test_criterion_5():
 @criterion(6, "averages: not-divides ratio 0 for all c <= 10^4; unit divides avg 2; divergence 4, 5, 13/2 increasing")
 def test_criterion_6():
     family = DegreeSpec(FAMILY_P, 1)
-    sweep = partial_average(
-        AverageQuery(family, AvgCondition.P_NOT_DIVIDES_C, ROOTS, tuple(range(3, 10_001)))
-    )
+    sweep = partial_average(family, AvgCondition.P_NOT_DIVIDES_C, ROOTS, tuple(range(3, 10_001)))
     for point in sweep.points:
         if point.population == 0:
             assert point.cutoff == 3  # single cutoff whose prime set is empty
         else:
             assert point.ratio == Fraction(0), f"nonzero average at c={point.cutoff}"
 
-    unit = partial_average(
-        AverageQuery(DegreeSpec(FAMILY_U, 1), AvgCondition.P_DIVIDES_C, ROOTS, (35, 105, 385))
-    )
+    unit = partial_average(DegreeSpec(FAMILY_U, 1), AvgCondition.P_DIVIDES_C, ROOTS, (35, 105, 385))
     assert [pt.ratio for pt in unit.points] == [Fraction(2)] * 3
 
     series = divergence_series(family, 8)
@@ -194,21 +189,16 @@ def test_criterion_6():
 def test_criterion_7():
     p_family = DegreeSpec(FAMILY_P, 1)
     u_family = DegreeSpec(FAMILY_U, 1)
-    assert density(
-        DensityQuery(p_family, DensityPredicate(PredicateKind.DIVIDES), 10, 3)
-    ).points[-1].ratio == Fraction(1, 3)
-    assert density(
-        DensityQuery(u_family, DensityPredicate(PredicateKind.DIVIDES), 10, 5)
-    ).points[-1].ratio == Fraction(3, 10)
+    DIVIDES = PredicateKind.DIVIDES
+    assert density(p_family, DIVIDES, ROOTS, 10, 3).points[-1].ratio == Fraction(1, 3)
+    assert density(u_family, DIVIDES, ROOTS, 10, 5).points[-1].ratio == Fraction(3, 10)
 
-    divides = density(DensityQuery(p_family, DensityPredicate(PredicateKind.DIVIDES), 1000))
+    divides = density(p_family, DIVIDES, ROOTS, 1000, 3)
     by_cutoff = {pt.cutoff: pt.ratio for pt in divides.points}
     assert by_cutoff[1000] < Fraction(5, 100)
     assert by_cutoff[1000] < by_cutoff[500]
 
-    zero_count = density(
-        DensityQuery(p_family, DensityPredicate(PredicateKind.COUNT_EQUALS, 0, ROOTS), 1000)
-    )
+    zero_count = density(p_family, PredicateKind.COUNT_EQUALS, ROOTS, 1000, 3, 0)
     assert zero_count.points[-1].ratio > Fraction(95, 100)
 
 
@@ -308,3 +298,10 @@ def test_default_sweep_exact2_and_fixed(tmp_path, capsys):
         assert capsys.readouterr().out.strip() == summary
         digest = hashlib.sha256(target.read_bytes()).hexdigest()
         assert digest == DEFAULT_SWEEP_SHA256[interpretation]
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Library example\n\n```python\n(.*?)```", readme, re.S)
+    assert block is not None, "README has no Library example code block"
+    exec(compile(block.group(1), "README.md", "exec"), {})

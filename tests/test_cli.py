@@ -44,6 +44,8 @@ def test_parse_orbits_quotient_example():
         (["verify", "--p-max", "2", "--interpretation", "roots"], "argument --p-max: must be >= 3"),
         (["avg", "--family", "p", "--primorial-k", "4", "--condition", "divides"], "--condition"),
         (["density", "--family", "p", "--predicate", "divides", "--count-value", "5", "--C", "10"], "--count-value"),
+        (["density", "--family", "p", "--predicate", "divides", "--C", "10", "--p-min", "-3"], "must be >= 2"),
+        (["density", "--family", "p", "--predicate", "divides", "--C", "10", "--p-min", "1"], "must be >= 2"),
     ],
 )
 def test_parse_rejects_bad_invocations(argv, fragment):

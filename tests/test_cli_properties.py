@@ -71,7 +71,7 @@ def density_flags(draw):
         ["--predicate", predicate],
         ["--C", str(draw(st.integers(1, 10**5)))],
         draw(flag("count-value", small)) if predicate == "count-eq" else [],
-        draw(flag("p-min", small)),
+        draw(flag("p-min", st.integers(2, 50))),
         ["--negate"] if draw(st.booleans()) else [],
     ]
     return flags

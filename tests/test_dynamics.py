@@ -48,7 +48,7 @@ def fq(p, coeffs):
 
 def naive_apply(map_spec, z):
     """z^d + c by literal repeated multiplication with d = base^ell expanded."""
-    d = map_spec.degree.base_value(map_spec.ring.p.value) ** map_spec.degree.ell
+    d = map_spec.degree.base_value(map_spec.ring.p) ** map_spec.degree.ell
     acc = map_spec.ring.one()
     for _ in range(d):
         acc = naive_mul(acc, z)

@@ -13,7 +13,6 @@ from perimod.dynamics import DegreeBase, DegreeSpec
 from perimod.errors import DomainError, ResourceError, UsageError
 from perimod.rings import (
     FpPoly,
-    Prime,
     RingElem,
     RingSpec,
     enumerate_monic_irreducibles,
@@ -25,6 +24,7 @@ from perimod.rings import (
     poly_gcd,
     pow_index_table,
     primes_in_range,
+    require_odd_prime,
 )
 
 # ---------------------------------------------------------------------------
@@ -99,7 +99,7 @@ def default_sweep_rings():
 
 def sweep_exponents(ring):
     """Reduced exponents of both degree families at ell = 1, 2 on the ring."""
-    p, q = ring.p.value, ring.cardinality_q
+    p, q = ring.p, ring.cardinality_q
     return {
         DegreeSpec(base, ell).reduced_exponent_for(p, q)
         for base in DegreeBase
@@ -114,13 +114,32 @@ def sweep_exponents(ring):
 
 def test_prime_accepts_odd_primes():
     for p in (3, 5, 7, 11, 997):
-        assert Prime(p).value == p
+        assert require_odd_prime(p) == p
 
 
 @pytest.mark.parametrize("bad", [1, 2, 4, 9, 15, 21, -7])
 def test_prime_rejects_non_odd_primes(bad):
-    with pytest.raises(UsageError):
-        Prime(bad)
+    with pytest.raises(UsageError) as err:
+        require_odd_prime(bad)
+    odd = bad > 2 and bad % 2
+    assert str(err.value) == (f"{bad} is not prime" if odd else f"modulus must be an odd prime >= 3, got {bad}")
+
+
+@pytest.mark.parametrize("p", [1, 2, 4, 9, 15])
+def test_polynomials_refuse_a_modulus_that_is_not_an_odd_prime(p):
+    # unchecked, p = 4 sends poly_gcd and enumerate_monic_irreducibles(4, 2) into
+    # an endless loop, and enumerate_monic_irreducibles(9, 1) lists 9 polynomials
+    for call in (
+        lambda: FpPoly(p, (0, 1)),
+        lambda: FpPoly.make(p, [1, 2, 2]),
+        lambda: parse_poly("0", p),
+        lambda: poly_gcd(FpPoly.make(p, [1, 2, 2]), FpPoly.make(p, [1, 2])),
+        lambda: is_irreducible(FpPoly.make(p, [1, 0, 1])),
+        lambda: enumerate_monic_irreducibles(p, 1),
+        lambda: enumerate_monic_irreducibles(p, 2),
+    ):
+        with pytest.raises(UsageError, match="odd prime >= 3|is not prime"):
+            call()
 
 
 def test_poly_canonical_form():
@@ -153,11 +172,11 @@ def test_poly_modulus_requires_monic_irreducible():
     with pytest.raises(UsageError, match="does not match prime 5"):
         RingSpec.quotient_field(5, FpPoly.make(3, [1, 0, 1]))
     with pytest.raises(UsageError, match="reducible"):
-        RingSpec(Prime(5), FpPoly.make(5, [1, 0, 1]))  # a direct RingSpec is checked too
+        RingSpec(5, FpPoly.make(5, [1, 0, 1]))  # a direct RingSpec is checked too
     good = quotient_ring(3, [1, 0, 1])
     assert good.degree_m == 2 and good.modulus == FpPoly.make(3, [1, 0, 1])
-    # an int prime is checked and stored as a Prime
-    assert RingSpec(5) == RingSpec.prime_field(5)
+    # p is checked and stored as the int it is
+    assert RingSpec(5) == RingSpec.prime_field(5) and type(RingSpec(5).p) is int
     assert RingSpec(3, FpPoly.make(3, [1, 0, 1])) == good
     with pytest.raises(UsageError, match="not prime"):
         RingSpec(9)
@@ -235,7 +254,7 @@ def test_log_tables_are_inverse_bijections_from_first_generator():
         g = ring.element_at(antilog[1])
         acc = ring.one()
         for k in range(q - 1):
-            assert ring.index_of(acc) == antilog[k]
+            assert acc.rep == antilog[k]
             acc = naive_mul(acc, g)
         assert naive_order(g) == q - 1
         assert all(naive_order(ring.element_at(i)) < q - 1 for i in range(1, antilog[1]))
@@ -388,7 +407,7 @@ def test_index_round_trip_and_addition():
         q = ring.cardinality_q
         elems = [ring.element_at(i) for i in range(q)]
         for i, elem in enumerate(elems):
-            assert ring.index_of(elem) == i
+            assert elem.rep == i
             assert elem.poly.degree < ring.degree_m
             assert ring.element(elem.poly) == elem
             assert elem.render() == format_poly(elem.poly)

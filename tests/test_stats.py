@@ -10,10 +10,7 @@ from perimod.dynamics import DegreeBase, DegreeSpec, Interpretation, counting_fu
 from perimod.errors import DomainError, ResourceError, UsageError
 from perimod.rings import RingSpec, enumerate_monic_irreducibles, primes_in_range
 from perimod.stats import (
-    AverageQuery,
     AvgCondition,
-    DensityPredicate,
-    DensityQuery,
     PredicateKind,
     density,
     divergence_series,
@@ -29,7 +26,7 @@ ROOTS = Interpretation.ROOTS_LE2
 
 
 def avg(family, condition, cs, interpretation=ROOTS):
-    return partial_average(AverageQuery(family, condition, interpretation, tuple(cs)))
+    return partial_average(family, condition, interpretation, tuple(cs))
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +178,8 @@ def test_factor_budget_caps_divisibility_conditions():
         (AvgCondition.P_DIVIDES_C_MINUS_1, 10**12 + 2),
     ):
         with pytest.raises(ResourceError):
-            partial_average(AverageQuery(P1, condition, ROOTS, (c,)))
-    at_limit = partial_average(AverageQuery(P1, AvgCondition.P_DIVIDES_C, ROOTS, (10**12,)))
+            partial_average(P1, condition, ROOTS, (c,))
+    at_limit = partial_average(P1, AvgCondition.P_DIVIDES_C, ROOTS, (10**12,))
     assert at_limit.points[0].population == 1  # 10^12 = 2^12 * 5^12: only p = 5
 
 
@@ -213,10 +210,10 @@ def test_strictly_increasing_verdict():
 
 
 def test_density_examples():
-    result = density(DensityQuery(P1, DensityPredicate(PredicateKind.DIVIDES), 10, 3))
+    result = density(P1, PredicateKind.DIVIDES, ROOTS, 10, 3)
     assert result.points[-1].ratio == Fraction(1, 3)
     assert result.points[-1].numerator == 6 and result.points[-1].population == 18
-    result = density(DensityQuery(U1, DensityPredicate(PredicateKind.DIVIDES), 10, 5))
+    result = density(U1, PredicateKind.DIVIDES, ROOTS, 10, 5)
     assert result.points[-1].ratio == Fraction(3, 10)
 
 
@@ -234,10 +231,8 @@ def test_density_population_by_enumeration():
 
 
 def test_density_trend_and_complementarity():
-    divides = density(DensityQuery(P1, DensityPredicate(PredicateKind.DIVIDES), 1000))
-    not_divides = density(
-        DensityQuery(P1, DensityPredicate(PredicateKind.DIVIDES, negate=True), 1000)
-    )
+    divides = density(P1, PredicateKind.DIVIDES, ROOTS, 1000, 3)
+    not_divides = density(P1, PredicateKind.DIVIDES, ROOTS, 1000, 3, negate=True)
     assert divides.points[-1].ratio + not_divides.points[-1].ratio == 1
     by_cutoff = {pt.cutoff: pt.ratio for pt in divides.points}
     assert by_cutoff[1000] < by_cutoff[500] < by_cutoff[250]
@@ -245,23 +240,21 @@ def test_density_trend_and_complementarity():
 
 def test_density_count_predicate_matches_divides_for_base_p():
     # count = 0 exactly when p does not divide c, so the densities complement
-    zero_count = density(
-        DensityQuery(P1, DensityPredicate(PredicateKind.COUNT_EQUALS, 0, ROOTS), 200)
-    )
-    divides = density(DensityQuery(P1, DensityPredicate(PredicateKind.DIVIDES), 200))
+    zero_count = density(P1, PredicateKind.COUNT_EQUALS, ROOTS, 200, 3, 0)
+    divides = density(P1, PredicateKind.DIVIDES, ROOTS, 200, 3)
     assert zero_count.points[-1].ratio + divides.points[-1].ratio == 1
 
 
 def test_density_validation():
     with pytest.raises(DomainError):
-        density(DensityQuery(P1, DensityPredicate(PredicateKind.DIVIDES), 2))
+        density(P1, PredicateKind.DIVIDES, ROOTS, 2, 3)
     with pytest.raises(ResourceError):
-        density(DensityQuery(P1, DensityPredicate(PredicateKind.DIVIDES), 10**6))
+        density(P1, PredicateKind.DIVIDES, ROOTS, 10**6, 3)
 
 
 def test_density_smallest_population():
     # C = 3: the population is the single pair (3, 3)
-    result = density(DensityQuery(P1, DensityPredicate(PredicateKind.DIVIDES), 3))
+    result = density(P1, PredicateKind.DIVIDES, ROOTS, 3, 3)
     assert result.points[-1].population == 1
     assert result.points[-1].ratio == Fraction(1)
 
@@ -282,25 +275,24 @@ def _scanned_counts(family, p):
     return out
 
 
-def _enumerated_density(family, pred, C, p_min):
+def _enumerated_density(family, kind, interpretation, C, p_min, value, negate):
     """The density points, or the error type, from every pair (p, c) in turn."""
-    lo = family.min_prime if p_min is None else p_min
-    if C < lo:
+    if C < p_min:
         return DomainError
-    primes = [p for p in range(max(lo, 2), C + 1) if all(p % f for f in range(2, p))]
-    if pred.kind is PredicateKind.COUNT_EQUALS:
+    primes = [p for p in range(p_min, C + 1) if all(p % f for f in range(2, p))]
+    if kind is PredicateKind.COUNT_EQUALS:
         for p in primes:  # the per-map counter rejects the same primes
             try:
                 ring = RingSpec.prime_field(p)
-                zero = counting_function(family, pred.interpretation, ring, ring.element(0))
+                zero = counting_function(family, interpretation, ring, ring.element(0))
             except (UsageError, DomainError) as exc:
                 return type(exc)
-            assert zero == _scanned_counts(family, p)[0][pred.interpretation]
+            assert zero == _scanned_counts(family, p)[0][interpretation]
     offset = {
         PredicateKind.DIVIDES: 0,
         PredicateKind.DIVIDES_PLUS_1: 1,
         PredicateKind.DIVIDES_MINUS_1: -1,
-    }.get(pred.kind)
+    }.get(kind)
     points = []
     hits = population = 0
     for c in range(1, C + 1):
@@ -310,9 +302,9 @@ def _enumerated_density(family, pred, C, p_min):
             if offset is not None:
                 holds = (c + offset) % p == 0
             else:
-                holds = _scanned_counts(family, p)[c % p][pred.interpretation] == pred.value
+                holds = _scanned_counts(family, p)[c % p][interpretation] == value
             population += 1
-            hits += holds != pred.negate
+            hits += holds != negate
         if c in (C // 4, C // 2, C) and population:
             points.append((c, hits, population, Fraction(hits, population)))
     if not points or points[-1][0] != C:
@@ -323,25 +315,27 @@ def _enumerated_density(family, pred, C, p_min):
 @pytest.mark.parametrize("family", [P1, U1])
 @pytest.mark.parametrize("p_min", [None, 2, 7])
 def test_density_matches_pair_enumeration(family, p_min):
+    p_min = family.min_prime if p_min is None else p_min
     predicates = [
-        DensityPredicate(kind) for kind in PredicateKind if kind is not PredicateKind.COUNT_EQUALS
+        (kind, ROOTS, 0) for kind in PredicateKind if kind is not PredicateKind.COUNT_EQUALS
     ]
     predicates += [
-        DensityPredicate(PredicateKind.COUNT_EQUALS, value, interpretation)
+        (PredicateKind.COUNT_EQUALS, interpretation, value)
         for value in range(3)
         for interpretation in Interpretation
     ]
-    for pred in predicates:
-        for predicate in (pred, pred.negated()):
+    for kind, interpretation, value in predicates:
+        for negate in (False, True):
+            args = (family, kind, interpretation)
             for C in [*range(1, 31), 100, 257]:
-                query = DensityQuery(family, predicate, C, p_min)
-                expected = _enumerated_density(family, predicate, C, p_min)
+                expected = _enumerated_density(*args, C, p_min, value, negate)
                 if isinstance(expected, type):
                     with pytest.raises(expected):
-                        density(query)
+                        density(*args, C, p_min, value, negate)
                     continue
-                got = [(pt.cutoff, pt.numerator, pt.population, pt.ratio) for pt in density(query).points]
-                assert got == expected, (predicate, C)
+                points = density(*args, C, p_min, value, negate).points
+                got = [(pt.cutoff, pt.numerator, pt.population, pt.ratio) for pt in points]
+                assert got == expected, (kind, interpretation, value, negate, C)
 
 
 def test_series_rows_schema():
@@ -349,7 +343,7 @@ def test_series_rows_schema():
     rows = series_rows(series)
     assert rows[0] == (4, 0, 0, None, None)  # empty point: no division
     assert rows[1] == (15, 8, 2, 4, 1)
-    result = density(DensityQuery(P1, DensityPredicate(PredicateKind.DIVIDES), 10, 3))
+    result = density(P1, PredicateKind.DIVIDES, ROOTS, 10, 3)
     rows = series_rows(result)
     assert rows[-1] == (10, 6, 18, 1, 3)
 
