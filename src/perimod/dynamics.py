@@ -14,8 +14,12 @@ counting_function (one interpretation) and count_report (all three) read
 one per-map count table, keyed by the ring and the reduced exponent: each
 distinct map is scanned once, its fixed and period-dividing-2 counts filled
 together, and every later request for that map, in any interpretation, is
-answered from them (exact2 is their difference).  A warm request is the
-budget test plus two cache lookups, the power table and the count table.
+answered from them (exact2 is their difference).  Maps are distinct up to
+an isomorphism that fixes F_p, and any two fields of order q = p^m have
+one, so the maps with a constant c in F_p share one table per (p, m) and
+reduced exponent, whichever field of that order fills it first.  A warm
+request is the budget test plus two cache lookups, the power table and the
+count table.
 
 Over Z/p the reduced exponent is 1 (base p) or p-1 (base p-1), so a map is
 the translation z + c or sends every z into {c, c+1}.  residue_count_table
@@ -197,17 +201,24 @@ def orbit_decomposition(map_spec: PowerMapSpec) -> OrbitDecomposition:
 
 
 @lru_cache(maxsize=None)
-def _count_table(ring: RingSpec, e: int) -> tuple[array, array]:
-    """Count slots of the maps z -> z^e + c on ring (each e in [1, q-1] is a
-    distinct power map): #{z : phi(z) = z} and #{z : phi^2(z) = z} for each
-    coefficient index c, -1 until that map is scanned."""
-    unscanned = array("i", [-1]) * ring.cardinality_q
+def _count_table(key: "RingSpec | tuple[int, int]", e: int, size: int) -> tuple[array, array]:
+    """Count slots of the maps z -> z^e + c (each e in [1, q-1] is a distinct
+    power map): #{z : phi(z) = z} and #{z : phi^2(z) = z} for each
+    coefficient index c < size, -1 until that map is scanned.
+
+    key is a ring, whose q slots hold its own maps, or (p, m), whose p slots
+    hold the maps with a constant c in F_p on every field of order q = p^m:
+    an isomorphism sigma between two such fields fixes F_p, so it carries
+    z^e + c to sigma(z)^e + c and the two maps have the same counts.
+    """
+    unscanned = array("i", [-1]) * size
     return unscanned, array("i", unscanned)
 
 
 def _count(map_spec: PowerMapSpec, interpretation: Interpretation) -> int:
     """The interpretation's count for one map, read from its slots in
-    _count_table.
+    _count_table: the slots shared by the fields of its order when c is a
+    constant (its index is one base-p digit), its ring's own otherwise.
 
     A warm request is the budget test and two cache lookups, the power table
     and the map's slots.  The first request for a map builds its successor
@@ -216,8 +227,11 @@ def _count(map_spec: PowerMapSpec, interpretation: Interpretation) -> int:
     first, so a lowered budget refuses a cached count too.
     """
     u = _power_table(map_spec)
-    fixed, roots = _count_table(map_spec.ring, map_spec.exponent)
-    k = map_spec.c.rep
+    ring, k = map_spec.ring, map_spec.c.rep
+    if k < ring.p:
+        fixed, roots = _count_table((ring.p, ring.degree_m), map_spec.exponent, ring.p)
+    else:
+        fixed, roots = _count_table(ring, map_spec.exponent, ring.cardinality_q)
     if fixed[k] < 0:
         succ = _successor_table(map_spec, u)
         period2 = [z for z, w in enumerate(succ) if succ[w] == z]

@@ -216,7 +216,9 @@ def density(
     The population is {(p, c) : 1 <= c <= cutoff, p prime, p_min <= p <= c};
     a pair is a hit when the predicate kind holds, flipped by negate: p
     divides c, c + 1 or c - 1, or, for count-eq, the interpretation's count
-    of the map z^d + c over Z/p equals value.
+    of the map z^d + c over Z/p equals value.  A divisibility predicate
+    counts every prime >= p_min; count-eq needs a map at each one, so a
+    p_min below the family's smallest prime raises its DomainError.
 
     For a prime p and a cutoff s, the n = s - p + 1 values c = p..s have
     residues 0, 1, ..., p-1, 0, 1, ... in order, so with periods, rest =
@@ -227,11 +229,13 @@ def density(
     dynamics.ResidueProfile).  When the generic residues satisfy the
     predicate, the hits are the n - found pairs outside R.
     """
+    offset = _DIVISOR_OFFSETS.get(kind.value)
+    if offset is None:
+        family.require_prime(p_min)
     C = cutoff
     if C < p_min:
         raise DomainError(f"population is empty: cutoff {C} < p_min {p_min}")
     refuse_past(DENSITY_BUDGET, C, lambda: f"counting pairs up to the density cutoff needs C = {C}")
-    offset = _DIVISOR_OFFSETS.get(kind.value)
     snapshots = sorted({C // 4, C // 2, C})
     hits = dict.fromkeys(snapshots, 0)
     population = dict.fromkeys(snapshots, 0)

@@ -144,6 +144,20 @@ def test_run_density_summary(capsys):
     assert captured.out.splitlines()[-1] == "10,6,18,1,3"
 
 
+def test_density_p_min_below_the_family(capsys):
+    # a divisibility predicate counts every prime >= p_min, whatever the
+    # family; count-eq needs the family's map at each prime, so a lower
+    # p_min fails with the family's text, from Z/2 or from a prime it excludes
+    divides = ["density", "--family", "p-1", "--predicate", "divides", "--C", "10", "--p-min", "2"]
+    assert main(divides) == 0
+    assert capsys.readouterr().err.strip() == "11/27"
+    for family, p_min, low in (("p", 2, 3), ("p-1", 3, 5)):
+        argv = ["density", "--family", family, "--predicate", "count-eq", "--C", "10", "--p-min", str(p_min)]
+        assert main(argv) == 1
+        describe = "p^1" if family == "p" else "(p-1)^1"
+        assert capsys.readouterr().err == f"error: family {describe} needs p >= {low}, got p = {p_min}\n"
+
+
 def test_run_density_json_carries_population_note(capsys):
     cmd = parse_args(
         ["density", "--family", "p", "--predicate", "divides", "--C", "10", "--p-min", "3",
@@ -359,6 +373,8 @@ EMPTY = hashlib.sha256(b"").hexdigest()
         ("avg --family p --condition divides --c 15,x", 1, EMPTY),
         ("density --family p --predicate divides --C 0", 1, EMPTY),
         ("density --family p --predicate divides --C 10 --p-min x", 1, EMPTY),
+        ("density --family p --predicate count-eq --C 10 --p-min 2", 1, EMPTY),
+        ("density --family p-1 --predicate count-eq --C 10 --p-min 3", 1, EMPTY),
         ("irreducibles --p 3 --m 0", 1, EMPTY),
         ("irreducibles --p 1009 --m 2", 2, EMPTY),
         ("count --p 100003 --family p --c 1", 2, EMPTY),

@@ -265,18 +265,30 @@ def test_count_table_agrees_with_scan_in_every_call_order():
                                 )
 
 
-def test_count_report_builds_one_successor_table(monkeypatch):
-    # count_report fills the map's count slots from one successor table;
-    # a second report, or any counting_function, on the same map reads them
-    scans = []
-    translation_table = RingSpec.translation_table
+# unwrapped, so a test can build its oracle's successor table unseen by the
+# scans fixture
+translation_table = RingSpec.translation_table
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """The (ring, c) of every successor table built from here on, with the
+    count tables cleared: RingSpec.translation_table is called once per
+    scan, by _successor_table."""
+    seen = []
 
     def counted(ring, c):
-        scans.append((ring, c))
+        seen.append((ring, c))
         return translation_table(ring, c)
 
     monkeypatch.setattr(RingSpec, "translation_table", counted)
     _count_table.cache_clear()
+    return seen
+
+
+def test_count_report_builds_one_successor_table(scans):
+    # count_report fills the map's count slots from one successor table;
+    # a second report, or any counting_function, on the same map reads them
     ring = fq(3, [1, 0, 1])
     family = DegreeSpec(P, 2)
     c = ring.element(FpPoly.t(3))
@@ -288,24 +300,54 @@ def test_count_report_builds_one_successor_table(monkeypatch):
     assert scans == []
 
 
-def test_verify_scans_each_map_once(monkeypatch):
-    # 14352 cells per default pass cover 8756 distinct maps; the cold pass
-    # scans each of them once and the warm passes scan none
-    scans = []
-    translation_table = RingSpec.translation_table
-
-    def counted(ring, c):
-        scans.append((ring, c))
-        return translation_table(ring, c)
-
-    monkeypatch.setattr(RingSpec, "translation_table", counted)
-    _count_table.cache_clear()
+def test_verify_scans_each_map_once(scans):
+    # 14352 cells per default pass cover 8756 maps, but only 887 up to an
+    # isomorphism between fields of one order that fixes F_p (the constant-c
+    # maps of every field of order p^m share their counts); the cold pass
+    # scans each of those once and the warm passes scan none
     cells = []
     for interp in (ROOTS, EXACT2, FIXED):
         scans.clear()
         cells.append(len(verify_all(13, 2, 2, interp).cells))
-        assert len(scans) == (8756 if interp is ROOTS else 0)
+        assert len(scans) == (887 if interp is ROOTS else 0)
     assert cells == [14352] * 3
+
+
+def test_constant_coefficients_are_scanned_once_per_field_order(scans):
+    # F_p[t]/(pi) is F_{p^m} for every pi of degree m, by an isomorphism that
+    # fixes F_p, and Z/p is F_p[t]/(t): so a constant c is scanned once per
+    # (p, m, e, c), whichever field of order p^m asks first, while c = t is
+    # scanned in every field.  The fields of each order are visited in
+    # reverse enumeration order; F_5 and F_7 keep two of their cubic fields,
+    # as in the call-order test.
+    requested, scanned, t_fields = set(), [], set()
+    for p in (3, 5, 7):
+        for m in (1, 2, 3):
+            pis = enumerate_monic_irreducibles(p, m)[-2 if p**m > 100 else 0 :]
+            fields = [RingSpec.quotient_field(p, pi) for pi in pis]
+            for ring in reversed([zp(p), *fields] if m == 1 else fields):
+                cs = [ring.element(c) for c in range(p)]
+                if m >= 2:
+                    cs.append(ring.element(FpPoly.t(p)))
+                    t_fields.add(ring)
+                for base in (P, PM1):
+                    if p < base.min_prime:
+                        continue
+                    for ell in (1, 2, 3):
+                        for c in cs:
+                            spec = PowerMapSpec(ring, DegreeSpec(base, ell), c)
+                            addc = translation_table(ring, c.rep)
+                            succ = [addc[w] for w in _power_table(spec)]
+                            key = ((p, m) if c.rep < p else ring, spec.exponent, c.rep)
+                            before = len(scans)
+                            report = astuple(count_report(spec))
+                            assert report == tuple(COUNTS[i.value](succ) for i in Interpretation), (
+                                ring.describe(), spec.degree, c.rep
+                            )
+                            requested.add(key)
+                            scanned += [key] * (len(scans) - before)
+    assert len(scanned) == len(set(scanned)) and set(scanned) == requested
+    assert {owner for owner, _, _ in scanned if isinstance(owner, RingSpec)} == t_fields
 
 
 def test_counts_match_naive_oracle_everywhere():

@@ -7,7 +7,7 @@ import pytest
 from residueoracle import degree, residue_counts
 
 from perimod.dynamics import DegreeBase, DegreeSpec, Interpretation, counting_function
-from perimod.errors import DomainError, ResourceError, UsageError
+from perimod.errors import DomainError, ResourceError
 from perimod.rings import RingSpec, enumerate_monic_irreducibles, primes_in_range
 from perimod.stats import (
     AvgCondition,
@@ -277,16 +277,15 @@ def _scanned_counts(family, p):
 
 def _enumerated_density(family, kind, interpretation, C, p_min, value, negate):
     """The density points, or the error type, from every pair (p, c) in turn."""
+    if kind is PredicateKind.COUNT_EQUALS and p_min < family.min_prime:
+        return DomainError  # count-eq needs the family's map at every prime >= p_min
     if C < p_min:
         return DomainError
     primes = [p for p in range(p_min, C + 1) if all(p % f for f in range(2, p))]
     if kind is PredicateKind.COUNT_EQUALS:
-        for p in primes:  # the per-map counter rejects the same primes
-            try:
-                ring = RingSpec.prime_field(p)
-                zero = counting_function(family, interpretation, ring, ring.element(0))
-            except (UsageError, DomainError) as exc:
-                return type(exc)
+        for p in primes:
+            ring = RingSpec.prime_field(p)
+            zero = counting_function(family, interpretation, ring, ring.element(0))
             assert zero == _scanned_counts(family, p)[0][interpretation]
     offset = {
         PredicateKind.DIVIDES: 0,
