@@ -2,11 +2,13 @@
 
 Library layout:
 
-- rings:    exact arithmetic in Z/pZ and F_p[t]/(pi), irreducibility testing,
-            enumeration of irreducible monic moduli
-- dynamics: map application, orbit decomposition, and the three counting
-            interpretations (fixed / roots of the second iterate / exact
-            period 2), read through counting_function or count_report
+- rings:    Z/pZ and F_p[t]/(pi) as dense element indices, their one
+            arithmetic kernel of whole-ring power and translation tables,
+            irreducibility testing, enumeration of irreducible monic moduli
+- dynamics: orbit decomposition and the three counting interpretations
+            (fixed / roots of the second iterate / exact period 2) of a
+            map's successor table, read through counting_function or
+            count_report
 - claims:   catalog of the claimed counting branches plus the brute-force
             verifier and its CSV/JSON report
 - stats:    exact-rational partial averages, divergence series, and
@@ -23,10 +25,8 @@ from .dynamics import (
     Interpretation,
     OrbitDecomposition,
     PowerMapSpec,
-    apply,
     count_report,
     counting_function,
-    iterate,
     orbit_decomposition,
 )
 from .errors import DomainError, PerimodError, ResourceError, UsageError
@@ -37,7 +37,6 @@ from .rings import (
     enumerate_monic_irreducibles,
     format_poly,
     is_irreducible,
-    mod_pow,
     parse_poly,
     poly_gcd,
 )
@@ -56,14 +55,11 @@ __all__ = [
     "RingElem",
     "RingSpec",
     "UsageError",
-    "apply",
     "count_report",
     "counting_function",
     "enumerate_monic_irreducibles",
     "format_poly",
     "is_irreducible",
-    "iterate",
-    "mod_pow",
     "orbit_decomposition",
     "parse_poly",
     "poly_gcd",

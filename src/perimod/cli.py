@@ -6,8 +6,11 @@ name and its argparse keywords (a type converter that also checks the range,
 choices, default).  That table alone builds the parser, range-checks each
 value (a bad one exits 1 with ``error: argument --flag: ...``) and orders the
 canonical CommandSpec.params.  What no single flag can check (the ring and
-coefficient of count/orbits, the cutoff flags of avg, the size of
-irreducibles) is checked right after parsing, still before any computation.
+coefficient of count/orbits, the cutoff flags of avg, --count-value of
+density) is checked right after parsing, still before any computation.
+irreducibles leaves its p and the size of its enumeration to
+rings.enumerate_monic_irreducibles, which checks both before it lists a
+single polynomial.
 
 parse_args turns argv into a CommandSpec of canonical strings.  run renders
 the spec back with to_argv() and parses that argv again through the same
@@ -30,7 +33,7 @@ from math import isqrt
 from typing import Callable, Optional, Sequence
 
 from . import claims, stats
-from .budget import refuse_monics, refuse_past, scan_budget
+from .budget import refuse_past, scan_budget
 from .dynamics import (
     DegreeBase,
     DegreeSpec,
@@ -46,7 +49,6 @@ from .rings import (
     enumerate_monic_irreducibles,
     format_poly,
     parse_poly,
-    require_odd_prime,
 )
 from .tables import csv_text, json_text
 
@@ -234,9 +236,6 @@ def _parse(argv: Sequence[str]) -> argparse.Namespace:
                 raise UsageError("--count-value only applies to --predicate count-eq")
         elif ns.count_value is None:
             ns.count_value = 0
-    elif ns.subcommand == "irreducibles":
-        refuse_monics(ns.p, ns.m)  # before the trial division
-        require_odd_prime(ns.p)
     return ns
 
 
@@ -250,7 +249,8 @@ def _text(value: object) -> str:
 
 def parse_args(argv: Sequence[str]) -> CommandSpec:
     """Validate argv into a CommandSpec, raising UsageError on any bad flag
-    and ResourceError when --p or --p/--m alone put a run past a limit."""
+    and ResourceError when --p alone puts a count or orbits ring past the
+    scan budget."""
     ns = _parse(argv)
     params = []
     for flag in _FLAGS[ns.subcommand]:

@@ -1,7 +1,9 @@
 """Iteration of the power maps z -> z^d + c over a finite ring.
 
 Degrees come factored as base^ell with base in {p, p-1}; they are never
-expanded.  Exponentiation reduces the exponent modulo q-1 on the unit group
+expanded.  A map is only ever read as its successor table over the whole
+ring: the power table of the reduced exponent (rings.pow_index_table), then
+the translation by c.  The exponent is reduced modulo q-1 on the unit group
 (a reduced exponent of 0 becomes q-1), which agrees with naive repeated
 multiplication for every element including 0.
 
@@ -37,7 +39,7 @@ from functools import lru_cache
 
 from .budget import refuse_past, scan_budget
 from .errors import DomainError, UsageError
-from .rings import RingElem, RingSpec, mod_pow, pow_index_table
+from .rings import RingElem, RingSpec, pow_index_table
 
 
 class DegreeBase(Enum):
@@ -136,22 +138,6 @@ class CountReport:
     fixed: int
     period_le2_roots: int
     exact2: int
-
-
-def apply(map_spec: PowerMapSpec, z: RingElem) -> RingElem:
-    """phi(z) = z^d + c."""
-    if z.ring != map_spec.ring:
-        raise UsageError("point does not belong to the map's ring")
-    return mod_pow(z, map_spec.exponent, map_spec.ring) + map_spec.c
-
-
-def iterate(map_spec: PowerMapSpec, z: RingElem, n: int) -> RingElem:
-    """phi^n(z); n = 0 returns z."""
-    if n < 0:
-        raise UsageError(f"iteration count must be nonnegative, got {n}")
-    for _ in range(n):
-        z = apply(map_spec, z)
-    return z
 
 
 def _power_table(map_spec: PowerMapSpec) -> tuple[int, ...]:

@@ -12,14 +12,17 @@ quotient fields alike: the base-p digits of i are the coefficients of the
 reduced polynomial, so a Z/p element is its residue.  RingElem.poly gives the
 FpPoly view.  RingSpec checks its modulus (monic, irreducible) when built.
 
-One coefficient-list kernel, _mul_mod, does every product (Z/p is read as
-F_p[t]/(t), m = 1): RingElem *, mod_pow and Rabin's t^(p^k) by
-square-and-multiply (_pow_mod), and the per-ring discrete log/antilog tables
-over the index, built once by walking the powers of a generator of the unit
-group.  A power table is one lookup per element in them; + and - and the
-z -> z + c table work digit by digit.  The log/antilog pair is cached per
-ring and each power table per ring and exponent.  The tests check the kernel
-against a schoolbook oracle, tests/polyoracle.py, that shares no code with it.
+Arithmetic on elements is one kernel of whole-ring index tables, read by
+every count, orbit and verify cell: pow_index_table(ring, e) is z -> z^e,
+one lookup per element in the ring's discrete log/antilog tables, and
+RingSpec.translation_table(c) is z -> z + c, built digit by digit.  One
+coefficient-list product, _mul_mod (Z/p is read as F_p[t]/(t), m = 1),
+serves the two places that multiply: the log/antilog tables, built once per
+ring by walking the powers of a generator of the unit group, and Rabin's
+t^(p^k) by square-and-multiply (_pow_mod).  The log/antilog pair is cached
+per ring and each power table per ring and exponent.  The tests check the
+tables against a schoolbook oracle, tests/polyoracle.py, that shares no
+code with them.
 """
 
 from __future__ import annotations
@@ -440,25 +443,6 @@ class RingElem:
         p = self.ring.p
         return FpPoly(p, tuple(_digits(self.rep, p)))
 
-    def _operands(self, other: "RingElem") -> tuple[list[int], list[int], int]:
-        """Both coefficient lists (m digits each) and p, for one ring."""
-        if self.ring != other.ring:
-            raise UsageError("elements belong to different rings")
-        p, m = self.ring.p, self.ring.degree_m
-        return _coeffs(self.rep, p, m), _coeffs(other.rep, p, m), p
-
-    def __add__(self, other: "RingElem") -> "RingElem":
-        a, b, p = self._operands(other)
-        return RingElem(self.ring, _index([(x + y) % p for x, y in zip(a, b)], p))
-
-    def __sub__(self, other: "RingElem") -> "RingElem":
-        a, b, p = self._operands(other)
-        return RingElem(self.ring, _index([(x - y) % p for x, y in zip(a, b)], p))
-
-    def __mul__(self, other: "RingElem") -> "RingElem":
-        a, b, p = self._operands(other)
-        return RingElem(self.ring, _index(_mul_mod(a, b, p, self.ring.modulus_coeffs[:-1]), p))
-
     @property
     def is_zero(self) -> bool:
         return self.rep == 0
@@ -470,17 +454,6 @@ class RingElem:
 
     def __repr__(self) -> str:
         return f"RingElem({self.ring.describe()}, {self.render()})"
-
-
-def mod_pow(base: RingElem, exponent: int, ring: RingSpec) -> RingElem:
-    """base^exponent in the ring; exponent 0 gives 1 (also for base 0)."""
-    if base.ring != ring:
-        raise UsageError("base does not belong to the stated ring")
-    if exponent < 0:
-        raise UsageError(f"exponent must be nonnegative, got {exponent}")
-    p = ring.p
-    power = _pow_mod(_coeffs(base.rep, p, ring.degree_m), exponent, p, ring.modulus_coeffs[:-1])
-    return RingElem(ring, _index(power, p))
 
 
 @lru_cache(maxsize=None)
@@ -516,7 +489,7 @@ def pow_index_table(ring: RingSpec, exponent: int) -> tuple[int, ...]:
     """Index table of z -> z^exponent over the whole ring (cached).
 
     Read off the log/antilog kernel: z^e = g^(e log z mod (q-1)) for z != 0,
-    and 0^e is 0, or 1 when e = 0 (as in mod_pow).
+    and 0^e is 0, or 1 when e = 0.
     """
     if exponent < 0:
         raise UsageError(f"exponent must be nonnegative, got {exponent}")

@@ -86,26 +86,28 @@ def _sweep_sums(
     sums, then corrected at the primes with c mod p in {0, 1, p-1}: only
     there can a prime's value differ from its generic one, or the condition
     drop it.  Those are the primes dividing c, c-1 or c+1, so each prime
-    lays its corrections out over the cutoffs in its residue classes."""
-    top = max(cs, default=0)
+    lays its corrections out over the cutoffs in its residue classes, from
+    min(cs) to max(cs) only: fix[i] corrects the cutoff min(cs) + i."""
+    low, top = min(cs, default=0), max(cs, default=0)
     swept = primes_in_range(family.min_prime, top)
     profiles = [residue_count_table(p, family, interpretation) for p in swept]
     generic_sums = list(accumulate((profile.generic for profile in profiles), initial=0))
-    numerator_fix = [0] * (top + 1)
-    denominator_fix = [0] * (top + 1)
+    numerator_fix = [0] * (top - low + 1)
+    denominator_fix = [0] * (top - low + 1)
     for p, profile in zip(swept, profiles):
         for r in (0, 1, p - 1):
             kept = _sweep_keeps(condition, r, p)
             d_num = (profile[r] if kept else 0) - profile.generic
             d_den = 0 if kept else -1
             if d_num or d_den:
-                for c in range(p + r, top + 1, p):
-                    numerator_fix[c] += d_num
-                    denominator_fix[c] += d_den
+                first = max(p + r, low + (r - low) % p)  # the first c >= p, low with c = r mod p
+                for i in range(first - low, top - low + 1, p):
+                    numerator_fix[i] += d_num
+                    denominator_fix[i] += d_den
     sums = []
     for c in cs:
         k = bisect_right(swept, c)
-        sums.append((generic_sums[k] + numerator_fix[c], k + denominator_fix[c]))
+        sums.append((generic_sums[k] + numerator_fix[c - low], k + denominator_fix[c - low]))
     return sums
 
 

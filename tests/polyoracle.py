@@ -1,10 +1,11 @@
 """Schoolbook arithmetic in F_p[t]/(pi): the oracle the ring tests check against.
 
-perimod multiplies ring elements, raises them to powers and builds its
-log/antilog tables on one coefficient-list kernel, so a test that compared
-them with each other would compare the kernel with itself.  This file
-computes the same values the textbook way: digit lists from the dense
-index, a schoolbook product, long division by the monic modulus, and
+perimod computes on whole-ring index tables: its power tables are read off
+log/antilog tables built on one coefficient-list product, and its
+translation tables are built digit by digit, so a test that compared them
+with each other would compare the kernel with itself.  This file computes
+single sums, products and powers the textbook way: digit lists from the
+dense index, a schoolbook product, long division by the monic modulus, and
 square-and-multiply.  It reads a ring only through p, modulus_coeffs,
 element_at and the index rep, and imports nothing from perimod.
 """

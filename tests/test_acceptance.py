@@ -13,6 +13,7 @@ from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
+import perimod
 from perimod.claims import (
     ReportFormat,
     claim_catalog,
@@ -305,3 +306,33 @@ def test_readme_library_example_runs():
     block = re.search(r"## Library example\n\n```python\n(.*?)```", readme, re.S)
     assert block is not None, "README has no Library example code block"
     exec(compile(block.group(1), "README.md", "exec"), {})
+
+
+def test_public_api_is_pinned():
+    # a name enters or leaves the package's public API only by editing this list
+    assert sorted(perimod.__all__) == [
+        "CountReport",
+        "DegreeBase",
+        "DegreeSpec",
+        "DomainError",
+        "FpPoly",
+        "Interpretation",
+        "OrbitDecomposition",
+        "PerimodError",
+        "PowerMapSpec",
+        "ResourceError",
+        "RingElem",
+        "RingSpec",
+        "UsageError",
+        "count_report",
+        "counting_function",
+        "enumerate_monic_irreducibles",
+        "format_poly",
+        "is_irreducible",
+        "orbit_decomposition",
+        "parse_poly",
+        "poly_gcd",
+    ]
+    namespace = {}
+    exec("from perimod import *", namespace)
+    assert sorted(name for name in namespace if name != "__builtins__") == sorted(perimod.__all__)

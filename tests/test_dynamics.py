@@ -1,4 +1,4 @@
-"""Dynamics tests: map application, orbit structure, and the three counts,
+"""Dynamics tests: successor tables, orbit structure, and the three counts,
 checked against naive repeated-multiplication oracles and closed forms."""
 
 from dataclasses import asdict, astuple
@@ -18,10 +18,8 @@ from perimod.dynamics import (
     DegreeSpec,
     Interpretation,
     PowerMapSpec,
-    apply,
     count_report,
     counting_function,
-    iterate,
     orbit_decomposition,
     residue_count_table,
     _count_table,
@@ -53,6 +51,11 @@ def naive_apply(map_spec, z):
     for _ in range(d):
         acc = naive_mul(acc, z)
     return naive_add(acc, map_spec.c)
+
+
+def successor(map_spec):
+    """The map's successor table, as every count and orbit reads it."""
+    return _successor_table(map_spec, _power_table(map_spec))
 
 
 def brute_counts(map_spec):
@@ -91,33 +94,23 @@ def test_map_rejects_foreign_coefficient():
 
 
 # ---------------------------------------------------------------------------
-# apply / iterate
+# successor tables
 
 
-def test_apply_examples():
+def test_successor_table_examples():
     z5 = zp(5)
     m = PowerMapSpec(z5, DegreeSpec(PM1, 1), z5.element(4))
-    assert apply(m, z5.element(4)).rep == 0  # 256 + 4 = 0 mod 5
+    assert successor(m)[4] == 0  # 256 + 4 = 0 mod 5
     z3 = zp(3)
     m = PowerMapSpec(z3, DegreeSpec(P, 1), z3.element(0))
-    assert apply(m, z3.element(2)).rep == 2
+    assert successor(m)[2] == 2
     f9 = fq(3, [1, 0, 1])
     m = PowerMapSpec(f9, DegreeSpec(P, 1), f9.element(0))
-    assert apply(m, f9.element(FpPoly.t(3))).render() == "0,2"  # t^3 = -t = 2t
+    t = f9.element(FpPoly.t(3))
+    assert f9.element_at(successor(m)[t.rep]).render() == "0,2"  # t^3 = -t = 2t
 
 
-def test_iterate_examples():
-    z5 = zp(5)
-    m4 = PowerMapSpec(z5, DegreeSpec(PM1, 1), z5.element(4))
-    assert iterate(m4, z5.element(3), 0) == z5.element(3)
-    assert iterate(m4, z5.element(0), 2).rep == 0  # 0 -> 4 -> 0
-    m1 = PowerMapSpec(z5, DegreeSpec(PM1, 1), z5.element(1))
-    assert iterate(m1, z5.element(0), 2).rep == 2  # 0 -> 1 -> 2
-    with pytest.raises(UsageError):
-        iterate(m1, z5.element(0), -1)
-
-
-def test_apply_matches_naive_repeated_multiplication():
+def test_successor_table_matches_naive_repeated_multiplication():
     cases = []
     for p in (3, 5, 7):
         for ell in (1, 2, 3):
@@ -134,8 +127,7 @@ def test_apply_matches_naive_repeated_multiplication():
         elems = elements(ring)
         for c in elems[:: max(1, len(elems) // 6)]:
             m = PowerMapSpec(ring, degree, c)
-            for z in elems:
-                assert apply(m, z) == naive_apply(m, z)
+            assert successor(m) == [naive_apply(m, z).rep for z in elems]
 
 
 # ---------------------------------------------------------------------------
@@ -171,9 +163,10 @@ def test_orbit_cycle_representatives_lie_on_cycles():
         total = 0
         for length, rep in od.cycles:
             total += length
-            assert iterate(m, rep, length) == rep
-            for k in range(1, length):
-                assert iterate(m, rep, k) != rep
+            orbit = [rep]
+            for _ in range(length):
+                orbit.append(naive_apply(m, orbit[-1]))
+            assert orbit[-1] == rep and rep not in orbit[1:-1]
         assert total + od.tail_node_count == ring.cardinality_q
 
 

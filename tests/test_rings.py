@@ -6,7 +6,7 @@ import dataclasses
 from pathlib import Path
 
 import pytest
-from polyoracle import elements, naive_mul, naive_pow, poly_mul, poly_rem
+from polyoracle import elements, naive_add, naive_mul, naive_pow, poly_mul, poly_rem
 
 from perimod.budget import refuse_past, scan_budget
 from perimod.dynamics import DegreeBase, DegreeSpec
@@ -19,7 +19,6 @@ from perimod.rings import (
     format_poly,
     is_irreducible,
     log_tables,
-    mod_pow,
     parse_poly,
     poly_gcd,
     pow_index_table,
@@ -185,33 +184,23 @@ def test_poly_modulus_requires_monic_irreducible():
 
 
 # ---------------------------------------------------------------------------
-# mod_pow
+# power tables
 
 
-def test_mod_pow_examples():
+def test_pow_index_table_examples():
     z5 = RingSpec.prime_field(5)
-    assert mod_pow(z5.element(2), 4, z5).rep == 1
+    assert pow_index_table(z5, 4)[2] == 1
     z3 = RingSpec.prime_field(3)
-    assert mod_pow(z3.element(0), 5, z3).rep == 0
+    assert pow_index_table(z3, 5)[0] == 0
     z7 = RingSpec.prime_field(7)
-    assert mod_pow(z7.element(3), 9, z7).rep == 6  # 3^9 = 19683 = 6 mod 7
+    assert pow_index_table(z7, 9)[3] == 6  # 3^9 = 19683 = 6 mod 7
+    f9 = quotient_ring(3, [1, 0, 1])
+    t = f9.element(FpPoly.t(3))
+    assert f9.element_at(pow_index_table(f9, 2)[t.rep]).render() == "2"  # t^2 = -1 = 2
 
 
-def test_mod_pow_zero_exponent_is_one_even_for_zero_base():
-    for ring in (RingSpec.prime_field(5), quotient_ring(3, [1, 0, 1])):
-        assert mod_pow(ring.zero(), 0, ring) == ring.one()
-
-
-def test_mod_pow_rejects_foreign_ring_and_negative_exponent():
-    z5 = RingSpec.prime_field(5)
-    z7 = RingSpec.prime_field(7)
-    with pytest.raises(UsageError):
-        mod_pow(z5.element(2), 3, z7)
-    with pytest.raises(UsageError):
-        mod_pow(z5.element(2), -1, z5)
-
-
-def test_mod_pow_agrees_with_repeated_multiplication():
+def test_pow_index_table_agrees_with_repeated_multiplication():
+    # exponents far past q - 1, so the reduction mod q - 1 wraps many times
     rings = [
         RingSpec.prime_field(3),
         RingSpec.prime_field(7),
@@ -221,12 +210,12 @@ def test_mod_pow_agrees_with_repeated_multiplication():
         quotient_ring(7, [1, 0, 1]),  # F_49
     ]
     for ring in rings:
-        for z in elements(ring):
-            acc = ring.one()
-            for e in range(0, 2001):
-                if e <= 120 or e % 97 == 0 or e == 2000:
-                    assert mod_pow(z, e, ring) == acc
-                acc = naive_mul(acc, z)
+        elems = elements(ring)
+        acc = [ring.one()] * len(elems)
+        for e in range(0, 2001):
+            if e <= 120 or e % 97 == 0 or e == 2000:
+                assert pow_index_table(ring, e) == tuple(a.rep for a in acc), (ring, e)
+            acc = [naive_mul(a, z) for a, z in zip(acc, elems)]
 
 
 def test_pow_index_table_matches_oracle_power():
@@ -237,7 +226,7 @@ def test_pow_index_table_matches_oracle_power():
         for e in sorted(sweep_exponents(ring)):
             table = pow_index_table(ring, e)
             assert table == tuple(naive_pow(z, e).rep for z in elems), (ring, e)
-        assert pow_index_table(ring, 0) == (1,) * len(elems)  # 0^0 = 1, as in mod_pow
+        assert pow_index_table(ring, 0) == (1,) * len(elems)  # 0^0 = 1
     with pytest.raises(UsageError):
         pow_index_table(RingSpec.prime_field(5), -1)
 
@@ -275,27 +264,13 @@ def test_frobenius_fixed_field_fact():
     ]
     for ring in rings:
         q = ring.cardinality_q
+        assert pow_index_table(ring, q) == tuple(range(q))
         for z in elements(ring):
-            assert mod_pow(z, q, ring) == z
+            assert naive_pow(z, q) == z
 
 
 # ---------------------------------------------------------------------------
-# polynomial products, gcd, irreducibility
-
-
-def test_ring_products():
-    f9 = quotient_ring(3, [1, 0, 1])
-    t = f9.element(FpPoly.t(3))
-    assert (t * t).render() == "2"  # t^2 = -1 = 2
-    a = f9.element([2, 1])
-    assert a * f9.one() == a
-    f5 = quotient_ring(5, [0, 1])  # F_5[t]/(t)
-    assert (f5.element([1, 1]) * f5.element([2, 1])).render() == "2"
-    assert [x * y for x in elements(f9) for y in elements(f9)] == [
-        naive_mul(x, y) for x in elements(f9) for y in elements(f9)
-    ]
-    with pytest.raises(UsageError):
-        t * quotient_ring(5, [2, 0, 1]).element(FpPoly.t(5))  # mixed primes
+# gcd and irreducibility
 
 
 def test_polyoracle_imports_nothing_from_perimod():
@@ -382,14 +357,13 @@ def test_ring_elements_examples():
 def test_ring_element_reduction_and_arith():
     f9 = quotient_ring(3, [1, 0, 1])
     t = f9.element(FpPoly.t(3))
-    assert (t * t).render() == "2"  # t^2 = -1
+    assert f9.element_at(pow_index_table(f9, 2)[t.rep]).render() == "2"  # t^2 = -1
+    assert f9.element_at(f9.translation_table(t.rep)[t.rep]).render() == "0,2"  # t + t = 2t
     assert f9.element(FpPoly.make(3, [0, 0, 1])).render() == "2"  # reduce t^2 on entry
     assert f9.element(7).render() == "1"
     z5 = RingSpec.prime_field(5)
     assert z5.element(-3).rep == 2
     assert z5.element(FpPoly.make(5, [3])) == z5.element(3)
-    with pytest.raises(UsageError):
-        t + z5.element(1)
     with pytest.raises(UsageError):
         z5.element(FpPoly.t(5))  # Z/p takes constant polynomials only
     with pytest.raises(UsageError):
@@ -418,7 +392,7 @@ def test_index_round_trip_and_addition():
             table = ring.translation_table(c)
             assert len(table) == q
             for i in range(q):
-                assert elems[table[i]] == elems[i] + elems[c]
+                assert elems[table[i]] == naive_add(elems[i], elems[c])
 
 
 def test_budget_override(monkeypatch):

@@ -1,5 +1,6 @@
 """Statistics tests: exact averages, divergence series, and densities."""
 
+import random
 from fractions import Fraction
 from functools import lru_cache
 
@@ -107,6 +108,20 @@ def test_average_matches_per_prime_oracle_sums(family, condition):
     series = avg(family, condition, shuffled)
     got = [(pt.cutoff, pt.numerator, pt.population) for pt in series.points]
     assert got == [(c, *_oracle_average(family, condition, ROOTS, c)) for c in shuffled]
+
+
+@pytest.mark.parametrize("family", [P1, U1])
+@pytest.mark.parametrize("condition", [AvgCondition.P_NOT_DIVIDES_C, AvgCondition.OTHER_RESIDUES])
+def test_sparse_sweep_cutoffs_match_the_dense_series(family, condition):
+    # a sweep lays its corrections out from min(cs) to max(cs) only, so a
+    # sparse, unsorted tuple must give the dense series' points at its cutoffs
+    rng = random.Random(f"{family.describe()} {condition.value}")
+    cutoffs = range(family.min_prime, 2001)
+    for interpretation in Interpretation:
+        dense = {pt.cutoff: pt for pt in avg(family, condition, cutoffs, interpretation).points}
+        for size in (1, 1, 2, 3, 5, 8):
+            cs = [rng.choice(cutoffs) for _ in range(size)]
+            assert avg(family, condition, cs, interpretation).points == tuple(dense[c] for c in cs), cs
 
 
 @pytest.mark.parametrize("condition", list(AvgCondition))
