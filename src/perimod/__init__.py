@@ -2,7 +2,7 @@
 
 Library layout:
 
-- rings:    Z/pZ and F_p[t]/(pi) as dense element indices, their one
+- rings:    Z/pZ and F_p[t]/(pi), each element a plain int index, their one
             arithmetic kernel of whole-ring power and translation tables,
             irreducibility testing, enumeration of irreducible monic moduli
 - dynamics: orbit decomposition and the three counting interpretations
@@ -32,7 +32,6 @@ from .dynamics import (
 from .errors import DomainError, PerimodError, ResourceError, UsageError
 from .rings import (
     FpPoly,
-    RingElem,
     RingSpec,
     enumerate_monic_irreducibles,
     format_poly,
@@ -52,7 +51,6 @@ __all__ = [
     "PerimodError",
     "PowerMapSpec",
     "ResourceError",
-    "RingElem",
     "RingSpec",
     "UsageError",
     "count_report",

@@ -27,7 +27,7 @@ from typing import Sequence, Union
 from .budget import refuse_monics, refuse_past, scan_budget
 from .dynamics import DegreeBase, DegreeSpec, Interpretation, counting_function
 from .errors import DomainError, UsageError
-from .rings import FpPoly, RingKind, RingSpec, enumerate_monic_irreducibles, primes_in_range
+from .rings import RingKind, RingSpec, enumerate_monic_irreducibles, primes_in_range
 from .tables import csv_text, json_text
 
 
@@ -196,30 +196,23 @@ def claim_catalog() -> tuple[ClaimRecord, ...]:
     )
 
 
-def _class_residues(coeff_class: CoeffClass, p: int) -> list[int]:
-    """Integer residue representatives of a coefficient class mod p."""
+def _class_reps(coeff_class: CoeffClass, ring: RingSpec) -> list[int]:
+    """Indices of the coefficient representatives of a class in the given ring.
+
+    In a prime field: one per residue.  In a quotient field: the residues of
+    F_p embedded as constants (a constant's index is its residue), and for
+    the OTHER class additionally one non-constant representative, t, whose
+    index is p, once deg(pi) >= 2; the classes 0, +1, -1 are read modulo pi
+    exactly as written, so their representatives stay constant.
+    """
+    p = ring.p
     if coeff_class is CoeffClass.DIVISIBLE:
         return [0]
     if coeff_class is CoeffClass.PLUS_ONE:
         return [1]
     if coeff_class is CoeffClass.MINUS_ONE:
         return [p - 1]
-    return [r for r in range(2, p - 1)]
-
-
-def _class_reps(coeff_class: CoeffClass, ring: RingSpec) -> list:
-    """Coefficient representatives of a class in the given ring.
-
-    In a prime field: one per residue.  In a quotient field: the residues of
-    F_p embedded as constants, and for the OTHER class additionally one
-    non-constant representative (t) once deg(pi) >= 2; the classes 0, +1, -1
-    are read modulo pi exactly as written, so their representatives stay
-    constant.
-    """
-    reps = [ring.element(r) for r in _class_residues(coeff_class, ring.p)]
-    if coeff_class is CoeffClass.OTHER and ring.degree_m >= 2:
-        reps.append(ring.element(FpPoly.t(ring.p)))
-    return reps
+    return list(range(2, p - 1)) + ([p] if ring.degree_m >= 2 else [])
 
 
 @lru_cache(maxsize=None)
@@ -251,7 +244,7 @@ def _claim_cells(
             rings = [(m, ring) for m in ms for ring in _quotient_rings(p, m)]
         for m, ring in rings:
             if (coeff_class, ring) not in reps:
-                reps[coeff_class, ring] = [(c, c.render()) for c in _class_reps(coeff_class, ring)]
+                reps[coeff_class, ring] = [(c, ring.render(c)) for c in _class_reps(coeff_class, ring)]
         ring_reps = [(m, ring, reps[coeff_class, ring]) for m, ring in rings]
         for ell in ells:
             if not claim.ell_domain.admits(ell, p):

@@ -220,7 +220,7 @@ def _parse(argv: Sequence[str]) -> argparse.Namespace:
         ns.degree = DegreeSpec(DegreeBase(ns.family), ns.ell)
     if ns.subcommand in ("count", "orbits"):
         ns.map = _build_map(ns)
-        ns.c = ns.map.c.render()
+        ns.c = ns.map.ring.render(ns.map.c)
         if ns.pi is not None:
             ns.pi = format_poly(ns.map.ring.modulus)
     elif ns.subcommand == "avg":

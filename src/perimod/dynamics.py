@@ -1,11 +1,12 @@
 """Iteration of the power maps z -> z^d + c over a finite ring.
 
 Degrees come factored as base^ell with base in {p, p-1}; they are never
-expanded.  A map is only ever read as its successor table over the whole
-ring: the power table of the reduced exponent (rings.pow_index_table), then
-the translation by c.  The exponent is reduced modulo q-1 on the unit group
-(a reduced exponent of 0 becomes q-1), which agrees with naive repeated
-multiplication for every element including 0.
+expanded.  A ring element, the coefficient c included, is its dense int
+index (rings), and a map is only ever read as its successor table over the
+whole ring: the power table of the reduced exponent (rings.pow_index_table),
+then the translation by c.  The exponent is reduced modulo q-1 on the unit
+group (a reduced exponent of 0 becomes q-1), which agrees with naive
+repeated multiplication for every element including 0.
 
 Two readings of "number of 2-periodic points" circulate for these maps: the
 set of roots of the second iterate minus the identity (period dividing 2),
@@ -39,7 +40,7 @@ from functools import lru_cache
 
 from .budget import refuse_past, scan_budget
 from .errors import DomainError, UsageError
-from .rings import RingElem, RingSpec, pow_index_table
+from .rings import RingSpec, pow_index_table
 
 
 class DegreeBase(Enum):
@@ -102,16 +103,17 @@ class DegreeSpec:
 
 @dataclass(frozen=True)
 class PowerMapSpec:
-    """The map z -> z^d + c on a specific ring, d = degree.base^degree.ell."""
+    """The map z -> z^d + c on a specific ring, d = degree.base^degree.ell,
+    c given by its index in the ring."""
 
     ring: RingSpec
     degree: DegreeSpec
-    c: RingElem
+    c: int
     exponent: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.c.ring != self.ring:
-            raise UsageError("coefficient does not belong to the map's ring")
+        if not isinstance(self.c, int) or not 0 <= self.c < self.ring.cardinality_q:
+            raise UsageError(f"index {self.c!r} out of range for {self.ring.describe()}")
         self.degree.require_prime(self.ring.p)
         e = self.degree.reduced_exponent_for(self.ring.p, self.ring.cardinality_q)
         object.__setattr__(self, "exponent", e)
@@ -122,11 +124,11 @@ class OrbitDecomposition:
     """Cycle structure of the map's functional graph.
 
     cycles holds (length, representative) pairs, representative being the
-    cycle's smallest element in enumeration order; tail nodes (strictly
-    preperiodic points) are counted, not enumerated.
+    index of the cycle's smallest element; tail nodes (strictly preperiodic
+    points) are counted, not enumerated.
     """
 
-    cycles: tuple[tuple[int, RingElem], ...]
+    cycles: tuple[tuple[int, int], ...]
     tail_node_count: int
 
 
@@ -151,7 +153,7 @@ def _power_table(map_spec: PowerMapSpec) -> tuple[int, ...]:
 def _successor_table(map_spec: PowerMapSpec, u: tuple[int, ...]) -> list[int]:
     """Index table of z -> phi(z) over the whole ring (exhaustive), u being
     the map's _power_table."""
-    addc = map_spec.ring.translation_table(map_spec.c.rep)
+    addc = map_spec.ring.translation_table(map_spec.c)
     return list(map(addc.__getitem__, u))
 
 
@@ -179,11 +181,7 @@ def orbit_decomposition(map_spec: PowerMapSpec) -> OrbitDecomposition:
             status[node] = 2
     cycles.sort(key=lambda lc: lc[1])
     total_on_cycles = sum(length for length, _ in cycles)
-    ring = map_spec.ring
-    return OrbitDecomposition(
-        cycles=tuple((length, ring.element_at(rep)) for length, rep in cycles),
-        tail_node_count=q - total_on_cycles,
-    )
+    return OrbitDecomposition(cycles=tuple(cycles), tail_node_count=q - total_on_cycles)
 
 
 @lru_cache(maxsize=None)
@@ -213,7 +211,7 @@ def _count(map_spec: PowerMapSpec, interpretation: Interpretation) -> int:
     first, so a lowered budget refuses a cached count too.
     """
     u = _power_table(map_spec)
-    ring, k = map_spec.ring, map_spec.c.rep
+    ring, k = map_spec.ring, map_spec.c
     if k < ring.p:
         fixed, roots = _count_table((ring.p, ring.degree_m), map_spec.exponent, ring.p)
     else:
@@ -239,9 +237,10 @@ def counting_function(
     family: DegreeSpec,
     interpretation: Interpretation,
     ring: RingSpec,
-    c: RingElem,
+    c: int,
 ) -> int:
-    """The interpretation's count for z -> z^d + c on ring, d from family."""
+    """The interpretation's count for z -> z^d + c on ring, d from family and
+    c given by its index."""
     return _count(PowerMapSpec(ring, family, c), interpretation)
 
 

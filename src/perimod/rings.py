@@ -1,16 +1,18 @@
 """Exact arithmetic in Z/pZ, in F_p[t], and in the quotient fields F_p[t]/(pi).
 
-Everything here is immutable and pure: ring elements are frozen dataclasses,
-operations return fully reduced canonical representatives, and re-reducing a
-result is always the identity.  Polynomials are stored as tuples of residues
-in ascending powers of t with trailing zeros trimmed (the zero polynomial is
-the empty tuple).  FpPoly keeps parsing, formatting and the long division
-that poly_gcd and the reduction of input polynomials need.
+Everything here is immutable and pure: operations return fully reduced
+canonical representatives, and re-reducing a result is always the identity.
+Polynomials are stored as tuples of residues in ascending powers of t with
+trailing zeros trimmed (the zero polynomial is the empty tuple).  FpPoly
+keeps parsing, formatting and the long division that poly_gcd and the
+reduction of input polynomials need.
 
-Every ring element is its dense integer index 0 <= i < q, for Z/p and for
-quotient fields alike: the base-p digits of i are the coefficients of the
-reduced polynomial, so a Z/p element is its residue.  RingElem.poly gives the
-FpPoly view.  RingSpec checks its modulus (monic, irreducible) when built.
+Every ring element is its dense integer index 0 <= i < q, a plain int, for
+Z/p and for quotient fields alike: the base-p digits of i are the
+coefficients of the reduced polynomial, so a Z/p element is its residue.
+RingSpec.element reduces an int, FpPoly or coefficient list to its index, and
+RingSpec.render(i) gives the index's text.  RingSpec checks its modulus
+(monic, irreducible) when built.
 
 Arithmetic on elements is one kernel of whole-ring index tables, read by
 every count, orbit and verify cell: pow_index_table(ring, e) is z -> z^e,
@@ -295,7 +297,7 @@ def enumerate_monic_irreducibles(p: int, m: int) -> list[FpPoly]:
 
 
 # ---------------------------------------------------------------------------
-# rings and their elements
+# rings
 
 
 class RingKind(Enum):
@@ -349,11 +351,11 @@ class RingSpec:
     def quotient_field(cls, p: int, pi: FpPoly) -> "RingSpec":
         return cls(p, pi)
 
-    def element(self, value: "int | FpPoly | Sequence[int]") -> "RingElem":
-        """Smart constructor: reduce an integer or polynomial into this ring."""
+    def element(self, value: "int | FpPoly | Sequence[int]") -> int:
+        """The index of an integer or polynomial reduced into this ring."""
         p = self.p
         if isinstance(value, int):
-            return RingElem(self, value % p)
+            return value % p
         if not isinstance(value, (FpPoly, tuple, list)):
             raise UsageError(f"cannot build an element of {self.describe()} from {value!r}")
         poly = value if isinstance(value, FpPoly) else FpPoly.make(p, value)
@@ -363,18 +365,14 @@ class RingSpec:
             raise UsageError("Z/p element cannot come from a non-constant polynomial")
         if poly.degree >= self.degree_m:
             poly = poly % self.modulus
-        return RingElem(self, _index(poly.coeffs, p))
-
-    def zero(self) -> "RingElem":
-        return self.element(0)
-
-    def one(self) -> "RingElem":
-        return self.element(1)
+        return _index(poly.coeffs, p)
 
     # -- dense index machinery (base-p digits of the coefficient vector) --
 
-    def element_at(self, idx: int) -> "RingElem":
-        return RingElem(self, idx)
+    def render(self, idx: int) -> str:
+        """Text form of an index: comma-separated ascending coefficients, "0"
+        for zero (for Z/p, the decimal residue)."""
+        return ",".join(map(str, _digits(idx, self.p))) or "0"
 
     def translation_table(self, c: int) -> list[int]:
         """Index table of z -> z + c over the whole ring, c given by its index.
@@ -418,42 +416,6 @@ def _index(coeffs: Sequence[int], p: int) -> int:
     for a in reversed(coeffs):
         idx = idx * p + a
     return idx
-
-
-@dataclass(frozen=True)
-class RingElem:
-    """An element of a RingSpec, stored as its dense index.
-
-    rep is the index 0 <= rep < q for every ring: its base-p digits are the
-    coefficients of the reduced polynomial, so for Z/p it is the residue
-    itself.  The poly property gives the FpPoly view.  The strict
-    constructor enforces the range; RingSpec.element reduces arbitrary input.
-    """
-
-    ring: RingSpec
-    rep: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.rep, int) or not (0 <= self.rep < self.ring.cardinality_q):
-            raise UsageError(f"index {self.rep!r} out of range for {self.ring.describe()}")
-
-    @property
-    def poly(self) -> FpPoly:
-        """The reduced polynomial of degree < m whose coefficients are rep's digits."""
-        p = self.ring.p
-        return FpPoly(p, tuple(_digits(self.rep, p)))
-
-    @property
-    def is_zero(self) -> bool:
-        return self.rep == 0
-
-    def render(self) -> str:
-        """Text form: comma-separated ascending coefficients, "0" for zero (for
-        Z/p, the decimal residue)."""
-        return ",".join(map(str, _digits(self.rep, self.ring.p))) or "0"
-
-    def __repr__(self) -> str:
-        return f"RingElem({self.ring.describe()}, {self.render()})"
 
 
 @lru_cache(maxsize=None)

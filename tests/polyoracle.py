@@ -6,8 +6,9 @@ translation tables are built digit by digit, so a test that compared them
 with each other would compare the kernel with itself.  This file computes
 single sums, products and powers the textbook way: digit lists from the
 dense index, a schoolbook product, long division by the monic modulus, and
-square-and-multiply.  It reads a ring only through p, modulus_coeffs,
-element_at and the index rep, and imports nothing from perimod.
+square-and-multiply.  An element is its index 0 <= i < q, a plain int, as
+in perimod; the oracle reads a ring only through p and modulus_coeffs, and
+imports nothing from perimod.
 """
 
 
@@ -31,8 +32,7 @@ def poly_rem(a, modulus, p):
     return rem[:m]
 
 
-def _digits(x):
-    ring, idx = x.ring, x.rep
+def _digits(ring, idx):
     out = []
     for _ in range(len(ring.modulus_coeffs) - 1):
         idx, d = divmod(idx, ring.p)
@@ -40,17 +40,17 @@ def _digits(x):
     return out
 
 
-def _element(ring, coeffs):
+def _index(ring, coeffs):
     idx = 0
     for a in reversed(coeffs):
         idx = idx * ring.p + a
-    return ring.element_at(idx)
+    return idx
 
 
-def naive_add(x, y, sign=1):
+def naive_add(ring, x, y, sign=1):
     """x + y (x - y with sign=-1), coefficient by coefficient."""
-    p = x.ring.p
-    return _element(x.ring, [(a + sign * b) % p for a, b in zip(_digits(x), _digits(y))])
+    p = ring.p
+    return _index(ring, [(a + sign * b) % p for a, b in zip(_digits(ring, x), _digits(ring, y))])
 
 
 def _mul(ring, a, b):
@@ -58,23 +58,23 @@ def _mul(ring, a, b):
     return poly_rem(poly_mul(a, b, p), ring.modulus_coeffs, p)
 
 
-def naive_mul(x, y):
+def naive_mul(ring, x, y):
     """x * y: schoolbook product, then long division by the modulus."""
-    return _element(x.ring, _mul(x.ring, _digits(x), _digits(y)))
+    return _index(ring, _mul(ring, _digits(ring, x), _digits(ring, y)))
 
 
-def naive_pow(x, e):
+def naive_pow(ring, x, e):
     """x^e by square-and-multiply on the schoolbook product; x^0 is 1, also
     for x = 0."""
-    ring, base, result = x.ring, _digits(x), [1]
+    base, result = _digits(ring, x), [1]
     while e:
         if e & 1:
             result = _mul(ring, result, base)
         base = _mul(ring, base, base)
         e >>= 1
-    return _element(ring, result)
+    return _index(ring, result)
 
 
 def elements(ring):
     """Every element of the ring, in index order."""
-    return [ring.element_at(i) for i in range(ring.p ** (len(ring.modulus_coeffs) - 1))]
+    return range(ring.p ** (len(ring.modulus_coeffs) - 1))

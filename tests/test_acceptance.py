@@ -115,8 +115,8 @@ def test_criterion_2():
 def test_criterion_3():
     ring = RingSpec.prime_field(3)
     family = DegreeSpec(FAMILY_P, 1)
-    assert counting_function(family, EXACT2, ring, ring.zero()) == 0
-    assert counting_function(family, ROOTS, ring, ring.zero()) == 3
+    assert counting_function(family, EXACT2, ring, 0) == 0
+    assert counting_function(family, ROOTS, ring, 0) == 3
     for p in (3, 5, 7, 11, 13):
         ring = RingSpec.prime_field(p)
         for c in range(p * p):
@@ -134,7 +134,7 @@ def test_criterion_4():
             for m in (1, 2, 3):
                 for pi in enumerate_monic_irreducibles(p, m):
                     ring = RingSpec.quotient_field(p, pi)
-                    spec = PowerMapSpec(ring, family, ring.zero())
+                    spec = PowerMapSpec(ring, family, 0)
                     report = count_report(spec)
                     fixed, le2, exact2 = report.fixed, report.period_le2_roots, report.exact2
                     assert fixed == p ** gcd(ell, m)
@@ -321,7 +321,6 @@ def test_public_api_is_pinned():
         "PerimodError",
         "PowerMapSpec",
         "ResourceError",
-        "RingElem",
         "RingSpec",
         "UsageError",
         "count_report",

@@ -47,10 +47,10 @@ def fq(p, coeffs):
 def naive_apply(map_spec, z):
     """z^d + c by literal repeated multiplication with d = base^ell expanded."""
     d = map_spec.degree.base_value(map_spec.ring.p) ** map_spec.degree.ell
-    acc = map_spec.ring.one()
+    ring, acc = map_spec.ring, 1
     for _ in range(d):
-        acc = naive_mul(acc, z)
-    return naive_add(acc, map_spec.c)
+        acc = naive_mul(ring, acc, z)
+    return naive_add(ring, acc, map_spec.c)
 
 
 def successor(map_spec):
@@ -88,9 +88,18 @@ def test_degree_spec_validation():
         residue_count_table(3, DegreeSpec(PM1, 1), ROOTS)
 
 
-def test_map_rejects_foreign_coefficient():
-    with pytest.raises(UsageError):
-        PowerMapSpec(zp(5), DegreeSpec(P, 1), zp(7).element(1))
+def test_map_rejects_a_coefficient_outside_the_ring():
+    # c is an index 0 <= c < q; anything else, a polynomial included, is refused
+    for ring, bad in (
+        (zp(5), (-1, 5, 6, 2.0, "1", FpPoly.make(5, [2]))),
+        (zp(7), (-1, 7, 8, "1")),
+        (fq(3, [1, 0, 1]), (-1, 9, 10, "1", FpPoly.t(3))),
+        (fq(3, [1, 2, 0, 1]), (-1, 27, 28, "1")),
+    ):
+        for c in bad:
+            with pytest.raises(UsageError, match="out of range for"):
+                PowerMapSpec(ring, DegreeSpec(P, 1), c)
+        assert PowerMapSpec(ring, DegreeSpec(P, 1), ring.cardinality_q - 1).c == ring.cardinality_q - 1
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +116,7 @@ def test_successor_table_examples():
     f9 = fq(3, [1, 0, 1])
     m = PowerMapSpec(f9, DegreeSpec(P, 1), f9.element(0))
     t = f9.element(FpPoly.t(3))
-    assert f9.element_at(successor(m)[t.rep]).render() == "0,2"  # t^3 = -t = 2t
+    assert f9.render(successor(m)[t]) == "0,2"  # t^3 = -t = 2t
 
 
 def test_successor_table_matches_naive_repeated_multiplication():
@@ -127,7 +136,7 @@ def test_successor_table_matches_naive_repeated_multiplication():
         elems = elements(ring)
         for c in elems[:: max(1, len(elems) // 6)]:
             m = PowerMapSpec(ring, degree, c)
-            assert successor(m) == [naive_apply(m, z).rep for z in elems]
+            assert successor(m) == [naive_apply(m, z) for z in elems]
 
 
 # ---------------------------------------------------------------------------
@@ -137,12 +146,12 @@ def test_successor_table_matches_naive_repeated_multiplication():
 def test_orbit_examples():
     z5 = zp(5)
     od = orbit_decomposition(PowerMapSpec(z5, DegreeSpec(PM1, 1), z5.element(4)))
-    assert [(length, rep.rep) for length, rep in od.cycles] == [(2, 0)]
+    assert od.cycles == ((2, 0),)
     assert od.tail_node_count == 3
 
     z3 = zp(3)
     od = orbit_decomposition(PowerMapSpec(z3, DegreeSpec(P, 1), z3.element(0)))
-    assert [(length, rep.rep) for length, rep in od.cycles] == [(1, 0), (1, 1), (1, 2)]
+    assert od.cycles == ((1, 0), (1, 1), (1, 2))
     assert od.tail_node_count == 0
 
     f9 = fq(3, [1, 0, 1])
@@ -248,13 +257,13 @@ def test_count_table_agrees_with_scan_in_every_call_order():
                         spec = PowerMapSpec(ring, family, c)
                         succ = _successor_table(spec, _power_table(spec))
                         expected = {i: COUNTS[i.value](succ) for i in Interpretation}
-                        for interp in orders[6 * ((c.rep + ell) % 4) + c.rep % 6]:
+                        for interp in orders[6 * ((c + ell) % 4) + c % 6]:
                             if interp is None:
                                 computed = astuple(count_report(spec))
-                                assert computed == tuple(expected.values()), (ring.describe(), family, c.rep)
+                                assert computed == tuple(expected.values()), (ring.describe(), family, c)
                             else:
                                 assert counting_function(family, interp, ring, c) == expected[interp], (
-                                    ring.describe(), family, c.rep, interp
+                                    ring.describe(), family, c, interp
                                 )
 
 
@@ -329,13 +338,13 @@ def test_constant_coefficients_are_scanned_once_per_field_order(scans):
                     for ell in (1, 2, 3):
                         for c in cs:
                             spec = PowerMapSpec(ring, DegreeSpec(base, ell), c)
-                            addc = translation_table(ring, c.rep)
+                            addc = translation_table(ring, c)
                             succ = [addc[w] for w in _power_table(spec)]
-                            key = ((p, m) if c.rep < p else ring, spec.exponent, c.rep)
+                            key = ((p, m) if c < p else ring, spec.exponent, c)
                             before = len(scans)
                             report = astuple(count_report(spec))
                             assert report == tuple(COUNTS[i.value](succ) for i in Interpretation), (
-                                ring.describe(), spec.degree, c.rep
+                                ring.describe(), spec.degree, c
                             )
                             requested.add(key)
                             scanned += [key] * (len(scans) - before)
@@ -383,7 +392,7 @@ def test_frobenius_closed_forms():
             for m in (1, 2, 3):
                 for pi in enumerate_monic_irreducibles(p, m):
                     ring = RingSpec.quotient_field(p, pi)
-                    spec = PowerMapSpec(ring, DegreeSpec(P, ell), ring.zero())
+                    spec = PowerMapSpec(ring, DegreeSpec(P, ell), 0)
                     fixed, le2 = p ** gcd(ell, m), p ** gcd(2 * ell, m)
                     assert count_report(spec) == CountReport(fixed, le2, le2 - fixed)
 
@@ -404,14 +413,14 @@ def test_identity_degeneration():
     for p in (3, 5, 7, 11, 13):
         ring = zp(p)
         for ell in (1, 2, 5):
-            od = orbit_decomposition(PowerMapSpec(ring, DegreeSpec(P, ell), ring.zero()))
+            od = orbit_decomposition(PowerMapSpec(ring, DegreeSpec(P, ell), 0))
             assert [length for length, _ in od.cycles] == [1] * p
             assert od.tail_node_count == 0
 
 
 def test_budget_guard(monkeypatch):
     ring = zp(11)
-    m = PowerMapSpec(ring, DegreeSpec(P, 1), ring.zero())
+    m = PowerMapSpec(ring, DegreeSpec(P, 1), 0)
     monkeypatch.setenv("PERIMOD_BUDGET", "10")
     with pytest.raises(ResourceError):
         count_report(m)
@@ -420,11 +429,11 @@ def test_budget_guard(monkeypatch):
 def test_budget_guard_refuses_a_cached_count(monkeypatch):
     ring = zp(11)
     family = DegreeSpec(P, 1)
-    assert counting_function(family, ROOTS, ring, ring.zero()) == 11
+    assert counting_function(family, ROOTS, ring, 0) == 11
     monkeypatch.setenv("PERIMOD_BUDGET", "10")
     for interp in Interpretation:
         with pytest.raises(ResourceError):
-            counting_function(family, interp, ring, ring.zero())
+            counting_function(family, interp, ring, 0)
 
 
 def test_refused_scan_keeps_its_message(monkeypatch, capsys, tmp_path):
@@ -437,10 +446,10 @@ def test_refused_scan_keeps_its_message(monkeypatch, capsys, tmp_path):
               "--output", str(tmp_path / "verify.csv")]
     count = ["count", "--ring", "fpt", "--p", "13", "--pi", "2,0,1", "--family", "p", "--c", "0"]
     assert main(verify) == 0
-    assert counting_function(family, ROOTS, ring, ring.zero()) == 169  # z^13 is the Frobenius of F_169
+    assert counting_function(family, ROOTS, ring, 0) == 169  # z^13 is the Frobenius of F_169
     monkeypatch.setenv("PERIMOD_BUDGET", "10")
     with pytest.raises(ResourceError) as err:
-        counting_function(family, ROOTS, ring, ring.zero())
+        counting_function(family, ROOTS, ring, 0)
     assert str(err.value) == message
     capsys.readouterr()
     assert main(count) == 2
