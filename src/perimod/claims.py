@@ -217,9 +217,7 @@ def _class_reps(coeff_class: CoeffClass, ring: RingSpec) -> list[int]:
 
 @lru_cache(maxsize=None)
 def _quotient_rings(p: int, m: int) -> tuple[RingSpec, ...]:
-    return tuple(
-        RingSpec.quotient_field(p, pi) for pi in enumerate_monic_irreducibles(p, m)
-    )
+    return tuple(RingSpec(p, pi) for pi in enumerate_monic_irreducibles(p, m))
 
 
 def _claim_cells(
@@ -239,7 +237,7 @@ def _claim_cells(
         if p < claim.family.min_prime:
             continue
         if claim.ring_kind is RingKind.PRIME_FIELD:
-            rings = [(0, RingSpec.prime_field(p))]
+            rings = [(0, RingSpec(p))]
         else:
             rings = [(m, ring) for m in ms for ring in _quotient_rings(p, m)]
         for m, ring in rings:

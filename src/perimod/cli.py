@@ -185,17 +185,28 @@ def _build_map(ns: argparse.Namespace) -> PowerMapSpec:
     # The scan refuses a ring over F_p, of at least p elements, past the
     # budget after the trial division of p (a composite p exits 1).  That
     # tries divisors up to sqrt(p), so a p past budget^2 is refused first.
+    limit = scan_budget()
     root = isqrt(ns.p - 1) + 1  # the ceiling of sqrt(p): root > budget iff p > budget^2
-    refuse_past(scan_budget(), root, lambda: f"testing {ns.p} needs trial divisors up to {root}")
+    refuse_past(limit, root, lambda: f"testing {ns.p} needs trial divisors up to {root}")
     if RingKind(ns.ring) is RingKind.QUOTIENT_FIELD:
         if ns.pi is None:
             raise UsageError("--pi is required for --ring fpt")
-        ring = RingSpec.quotient_field(ns.p, parse_poly(ns.pi, ns.p))
+        pi = parse_poly(ns.pi, ns.p)
+        # Likewise a ring of p^deg(pi) elements is refused before Rabin's
+        # test, whose cost grows as deg(pi)^3.  The degree is capped first
+        # (p >= 3), so a huge pi builds no huge power; past the cap q is
+        # written p^m, as a decimal it can be too long to format.
+        m = max(pi.degree, 0)
+        capped = min(m, limit.bit_length())
+        q = ns.p**capped
+        amount = q if capped == m else f"{ns.p}^{m}"
+        refuse_past(limit, q, lambda: f"scanning F_{ns.p}[t]/({format_poly(pi)}) needs {amount} elements")
+        ring = RingSpec(ns.p, pi)
         c = ring.element(parse_poly(ns.c, ns.p))
     else:
         if ns.pi is not None:
             raise UsageError("--pi only applies to --ring fpt")
-        ring = RingSpec.prime_field(ns.p)
+        ring = RingSpec(ns.p)
         try:
             value = int(ns.c)
         except ValueError:

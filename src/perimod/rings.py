@@ -3,14 +3,15 @@
 Everything here is immutable and pure: operations return fully reduced
 canonical representatives, and re-reducing a result is always the identity.
 Polynomials are stored as tuples of residues in ascending powers of t with
-trailing zeros trimmed (the zero polynomial is the empty tuple).  FpPoly
-keeps parsing, formatting and the long division that poly_gcd and the
-reduction of input polynomials need.
+trailing zeros trimmed (the zero polynomial is the empty tuple).  FpPoly is
+a checked (p, coeffs) value with its text format; one long division on
+coefficient lists, _rem, gives the remainders that poly_gcd and
+RingSpec.element need.
 
 Every ring element is its dense integer index 0 <= i < q, a plain int, for
 Z/p and for quotient fields alike: the base-p digits of i are the
 coefficients of the reduced polynomial, so a Z/p element is its residue.
-RingSpec.element reduces an int, FpPoly or coefficient list to its index, and
+RingSpec.element reduces an int or FpPoly to its index, and
 RingSpec.render(i) gives the index's text.  RingSpec checks its modulus
 (monic, irreducible) when built.
 
@@ -114,14 +115,6 @@ class FpPoly:
             cs.pop()
         return cls(p, tuple(cs))
 
-    @classmethod
-    def zero(cls, p: int) -> "FpPoly":
-        return cls(p, ())
-
-    @classmethod
-    def t(cls, p: int) -> "FpPoly":
-        return cls(p, (0, 1))
-
     @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
@@ -135,39 +128,12 @@ class FpPoly:
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    def _check_same_p(self, other: "FpPoly") -> None:
-        if self.p != other.p:
-            raise UsageError(f"mixed coefficient moduli: {self.p} vs {other.p}")
-
     def monic(self) -> "FpPoly":
         """Monic normalization; the zero polynomial stays zero."""
         if self.is_zero or self.is_monic:
             return self
         inv = pow(self.coeffs[-1], self.p - 2, self.p)
         return FpPoly.make(self.p, [inv * c for c in self.coeffs])
-
-    def divmod(self, divisor: "FpPoly") -> tuple["FpPoly", "FpPoly"]:
-        """Long division: self = q * divisor + r with deg r < deg divisor."""
-        self._check_same_p(divisor)
-        if divisor.is_zero:
-            raise DomainError("polynomial division by zero")
-        p = self.p
-        rem = list(self.coeffs)
-        ddeg = divisor.degree
-        if self.degree < ddeg:
-            return FpPoly.zero(p), self
-        inv_lead = pow(divisor.coeffs[-1], p - 2, p)
-        quot = [0] * (self.degree - ddeg + 1)
-        for shift in range(self.degree - ddeg, -1, -1):
-            coef = (rem[shift + ddeg] * inv_lead) % p
-            if coef:
-                quot[shift] = coef
-                for i, b in enumerate(divisor.coeffs):
-                    rem[shift + i] = (rem[shift + i] - coef * b) % p
-        return FpPoly.make(p, quot), FpPoly.make(p, rem)
-
-    def __mod__(self, divisor: "FpPoly") -> "FpPoly":
-        return self.divmod(divisor)[1]
 
     def __repr__(self) -> str:
         return f"FpPoly(p={self.p}, {format_poly(self)!r})"
@@ -199,12 +165,31 @@ def parse_poly(text: str, p: int) -> FpPoly:
     return FpPoly.make(p, coeffs)
 
 
+def _rem(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
+    """Remainder of a by b by long division on ascending coefficient lists
+    over F_p, trailing zeros trimmed; b's last coefficient is nonzero."""
+    m = len(b) - 1
+    inv_lead = pow(b[-1], p - 2, p)
+    low = b[:m]
+    rem = list(a)
+    while len(rem) > m:  # cancel the top coefficient against b's lead
+        coef = rem.pop() * inv_lead % p
+        if coef:
+            for i, y in enumerate(low, len(rem) - m):
+                rem[i] = (rem[i] - coef * y) % p
+    while rem and not rem[-1]:
+        rem.pop()
+    return rem
+
+
 def poly_gcd(a: FpPoly, b: FpPoly) -> FpPoly:
     """Monic greatest common divisor; gcd(a, 0) = monic(a), gcd(0, 0) = 0."""
-    a._check_same_p(b)
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
+    if a.p != b.p:
+        raise UsageError(f"mixed coefficient moduli: {a.p} vs {b.p}")
+    x, y = a.coeffs, b.coeffs
+    while y:
+        x, y = y, _rem(x, y, a.p)
+    return FpPoly(a.p, tuple(x)).monic()
 
 
 def _mul_mod(a: list[int], b: list[int], p: int, low: Sequence[int]) -> list[int]:
@@ -343,29 +328,18 @@ class RingSpec:
         """Ascending coefficients of the modulus; Z/p reads as F_p[t]/(t)."""
         return (0, 1) if self.modulus is None else self.modulus.coeffs
 
-    @classmethod
-    def prime_field(cls, p: int) -> "RingSpec":
-        return cls(p)
-
-    @classmethod
-    def quotient_field(cls, p: int, pi: FpPoly) -> "RingSpec":
-        return cls(p, pi)
-
-    def element(self, value: "int | FpPoly | Sequence[int]") -> int:
+    def element(self, value: "int | FpPoly") -> int:
         """The index of an integer or polynomial reduced into this ring."""
         p = self.p
         if isinstance(value, int):
             return value % p
-        if not isinstance(value, (FpPoly, tuple, list)):
+        if not isinstance(value, FpPoly):
             raise UsageError(f"cannot build an element of {self.describe()} from {value!r}")
-        poly = value if isinstance(value, FpPoly) else FpPoly.make(p, value)
-        if poly.p != p:
-            raise UsageError(f"polynomial over F_{poly.p} does not belong to F_{p}[t]")
-        if self.modulus is None and poly.degree > 0:
+        if value.p != p:
+            raise UsageError(f"polynomial over F_{value.p} does not belong to F_{p}[t]")
+        if self.modulus is None and value.degree > 0:
             raise UsageError("Z/p element cannot come from a non-constant polynomial")
-        if poly.degree >= self.degree_m:
-            poly = poly % self.modulus
-        return _index(poly.coeffs, p)
+        return _index(_rem(value.coeffs, self.modulus_coeffs, p), p)
 
     # -- dense index machinery (base-p digits of the coefficient vector) --
 

@@ -8,7 +8,9 @@ single sums, products and powers the textbook way: digit lists from the
 dense index, a schoolbook product, long division by the monic modulus, and
 square-and-multiply.  An element is its index 0 <= i < q, a plain int, as
 in perimod; the oracle reads a ring only through p and modulus_coeffs, and
-imports nothing from perimod.
+imports nothing from perimod.  Its long division, poly_rem, is also the
+division oracle of the gcd, irreducibility and element-reduction tests, so
+none of them checks perimod's remainder routine with itself.
 """
 
 

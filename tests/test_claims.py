@@ -301,7 +301,7 @@ def test_cells_are_reproducible_through_counting_function():
         claim = catalog[cell.claim_id]
         family = DegreeSpec(claim.family, cell.ell)
         if cell.m == 0:
-            ring = RingSpec.prime_field(cell.p)
+            ring = RingSpec(cell.p)
             c = ring.element(int(cell.c_rep))
             assert counting_function(family, ROOTS, ring, c) == cell.computed
         else:
@@ -309,7 +309,7 @@ def test_cells_are_reproducible_through_counting_function():
             # must be reproducible for at least one modulus of that degree
             reproduced = []
             for pi in enumerate_monic_irreducibles(cell.p, cell.m):
-                ring = RingSpec.quotient_field(cell.p, pi)
+                ring = RingSpec(cell.p, pi)
                 c = ring.element(parse_poly(cell.c_rep, cell.p))
                 reproduced.append(counting_function(family, ROOTS, ring, c))
             assert cell.computed in reproduced

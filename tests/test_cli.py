@@ -3,10 +3,11 @@
 import hashlib
 import json
 import re
+import time
 
 import pytest
 
-from perimod import claims
+from perimod import claims, rings
 from perimod.cli import CommandSpec, main, parse_args, run
 from perimod.errors import UsageError
 
@@ -319,6 +320,26 @@ def test_verify_refuses_a_ring_past_the_budget_before_any_count(tmp_path, capsys
     monkeypatch.setattr(claims, "primes_in_range", refuse)
     assert main(["verify", "--p-max", "200000", "--m-max", "1", "--interpretation", "roots", "--output", str(target)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("subcommand", ["count", "orbits"])
+@pytest.mark.parametrize("pi", [[2, 1] + [0] * 798 + [1], [0] * 800 + [1], [2, 1] + [0] * 9998 + [1]])
+def test_a_modulus_past_the_budget_is_refused_before_rabins_test(subcommand, pi, tmp_path, capsys, monkeypatch):
+    # Rabin's test of a degree-800 pi takes about 25 s, and 3^10000 has too
+    # many digits to print; t^800 is reducible, and still exits 2
+    def refuse(*args):
+        raise AssertionError("the modulus was tested before the budget check")
+
+    monkeypatch.setattr(rings, "is_irreducible", refuse)
+    text = ",".join(map(str, pi))
+    target = tmp_path / "out.csv"
+    start = time.monotonic()
+    argv = [subcommand, "--ring", "fpt", "--p", "3", "--pi", text, "--family", "p", "--c", "0"]
+    assert main(argv + ["--output", str(target)]) == 2
+    assert time.monotonic() - start < 2.0
+    err = capsys.readouterr().err
+    assert err == f"error: scanning F_3[t]/({text}) needs 3^{len(pi) - 1} elements, budget is 100000\n"
     assert not target.exists()
 
 

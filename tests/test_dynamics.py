@@ -37,11 +37,11 @@ EXACT2 = Interpretation.EXACT2
 
 
 def zp(p):
-    return RingSpec.prime_field(p)
+    return RingSpec(p)
 
 
 def fq(p, coeffs):
-    return RingSpec.quotient_field(p, FpPoly.make(p, coeffs))
+    return RingSpec(p, FpPoly.make(p, coeffs))
 
 
 def naive_apply(map_spec, z):
@@ -93,7 +93,7 @@ def test_map_rejects_a_coefficient_outside_the_ring():
     for ring, bad in (
         (zp(5), (-1, 5, 6, 2.0, "1", FpPoly.make(5, [2]))),
         (zp(7), (-1, 7, 8, "1")),
-        (fq(3, [1, 0, 1]), (-1, 9, 10, "1", FpPoly.t(3))),
+        (fq(3, [1, 0, 1]), (-1, 9, 10, "1", FpPoly(3, (0, 1)))),
         (fq(3, [1, 2, 0, 1]), (-1, 27, 28, "1")),
     ):
         for c in bad:
@@ -115,7 +115,7 @@ def test_successor_table_examples():
     assert successor(m)[2] == 2
     f9 = fq(3, [1, 0, 1])
     m = PowerMapSpec(f9, DegreeSpec(P, 1), f9.element(0))
-    t = f9.element(FpPoly.t(3))
+    t = f9.element(FpPoly(3, (0, 1)))
     assert f9.render(successor(m)[t]) == "0,2"  # t^3 = -t = 2t
 
 
@@ -213,7 +213,7 @@ def test_count_report_agrees_with_counting_function_by_name():
     # reordering either the enum or the fields must fail here
     for p in (3, 5, 7):
         quotients = [
-            RingSpec.quotient_field(p, pi) for m in (1, 2) for pi in enumerate_monic_irreducibles(p, m)
+            RingSpec(p, pi) for m in (1, 2) for pi in enumerate_monic_irreducibles(p, m)
         ]
         for ring in [zp(p), *quotients]:
             for base in (P, PM1):
@@ -243,7 +243,7 @@ def test_count_table_agrees_with_scan_in_every_call_order():
     _count_table.cache_clear()
     for p in (3, 5, 7):
         quotients = [
-            RingSpec.quotient_field(p, pi)
+            RingSpec(p, pi)
             for m in (1, 2, 3)
             for pi in enumerate_monic_irreducibles(p, m)[: 2 if p**m > 100 else None]
         ]
@@ -293,7 +293,7 @@ def test_count_report_builds_one_successor_table(scans):
     # a second report, or any counting_function, on the same map reads them
     ring = fq(3, [1, 0, 1])
     family = DegreeSpec(P, 2)
-    c = ring.element(FpPoly.t(3))
+    c = ring.element(FpPoly(3, (0, 1)))
     report = count_report(PowerMapSpec(ring, family, c))
     assert len(scans) == 1
     scans.clear()
@@ -326,11 +326,11 @@ def test_constant_coefficients_are_scanned_once_per_field_order(scans):
     for p in (3, 5, 7):
         for m in (1, 2, 3):
             pis = enumerate_monic_irreducibles(p, m)[-2 if p**m > 100 else 0 :]
-            fields = [RingSpec.quotient_field(p, pi) for pi in pis]
+            fields = [RingSpec(p, pi) for pi in pis]
             for ring in reversed([zp(p), *fields] if m == 1 else fields):
                 cs = [ring.element(c) for c in range(p)]
                 if m >= 2:
-                    cs.append(ring.element(FpPoly.t(p)))
+                    cs.append(ring.element(FpPoly(p, (0, 1))))
                     t_fields.add(ring)
                 for base in (P, PM1):
                     if p < base.min_prime:
@@ -391,7 +391,7 @@ def test_frobenius_closed_forms():
         for ell in (1, 2):
             for m in (1, 2, 3):
                 for pi in enumerate_monic_irreducibles(p, m):
-                    ring = RingSpec.quotient_field(p, pi)
+                    ring = RingSpec(p, pi)
                     spec = PowerMapSpec(ring, DegreeSpec(P, ell), 0)
                     fixed, le2 = p ** gcd(ell, m), p ** gcd(2 * ell, m)
                     assert count_report(spec) == CountReport(fixed, le2, le2 - fixed)
@@ -439,7 +439,7 @@ def test_budget_guard_refuses_a_cached_count(monkeypatch):
 def test_refused_scan_keeps_its_message(monkeypatch, capsys, tmp_path):
     # the message is formatted only on refusal, with the same text as ever;
     # a malformed budget is still a usage error once the counts are cached
-    ring = RingSpec.quotient_field(13, FpPoly.make(13, [2, 0, 1]))
+    ring = RingSpec(13, FpPoly.make(13, [2, 0, 1]))
     family = DegreeSpec(P, 1)
     message = "scanning F_13[t]/(2,0,1) needs 169 elements, budget is 10"
     verify = ["verify", "--p-max", "13", "--m-max", "2", "--ell-max", "1", "--interpretation", "roots",

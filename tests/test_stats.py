@@ -69,7 +69,7 @@ def test_average_against_direct_counting():
                 continue
             if condition is AvgCondition.OTHER_RESIDUES and (p > c or c % p in (0, 1, p - 1)):
                 continue
-            ring = RingSpec.prime_field(p)
+            ring = RingSpec(p)
             expected_num += counting_function(family, ROOTS, ring, ring.element(c % p))
             expected_den += 1
         assert (point.numerator, point.population) == (expected_num, expected_den)
@@ -158,7 +158,7 @@ def test_divides_plus1_cutoff_reaches_one_below_the_smallest_prime():
     for family, c in [(U1, 4), (P1, 2)]:
         point = avg(family, AvgCondition.P_DIVIDES_C_PLUS_1, [c]).points[0]
         assert point.population == 1
-        ring = RingSpec.prime_field(c + 1)
+        ring = RingSpec(c + 1)
         assert point.numerator == counting_function(family, ROOTS, ring, ring.element(c))
         with pytest.raises(DomainError):
             avg(family, AvgCondition.P_DIVIDES_C_PLUS_1, [c - 1])
@@ -299,7 +299,7 @@ def _enumerated_density(family, kind, interpretation, C, p_min, value, negate):
     primes = [p for p in range(p_min, C + 1) if all(p % f for f in range(2, p))]
     if kind is PredicateKind.COUNT_EQUALS:
         for p in primes:
-            ring = RingSpec.prime_field(p)
+            ring = RingSpec(p)
             zero = counting_function(family, interpretation, ring, ring.element(0))
             assert zero == _scanned_counts(family, p)[0][interpretation]
     offset = {
@@ -368,9 +368,9 @@ def test_series_rows_schema():
 
 def test_linear_modulus_matches_prime_field():
     for p in (3, 5, 7):
-        zp = RingSpec.prime_field(p)
+        zp = RingSpec(p)
         for pi in enumerate_monic_irreducibles(p, 1):
-            fq = RingSpec.quotient_field(p, pi)
+            fq = RingSpec(p, pi)
             for base in (DegreeBase.P, DegreeBase.P_MINUS_1):
                 if base is DegreeBase.P_MINUS_1 and p < 5:
                     continue
