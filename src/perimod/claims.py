@@ -7,17 +7,16 @@ congruence class together with a predicted count, the closed interval
 [lo, hi] whose bounds are ints or the tokens "p" (the ring prime) and "ell"
 (an exact count v is [v, v]).  The statements are one literal table, a row
 per branch, read once for each ring to give the 34 catalog records.  The
-verifier recomputes each cell exhaustively and reports matches and
-mismatches as data; a mismatch is a report row, never an execution failure,
-because documenting where brute force disagrees with the claimed counts is
-the point of the exercise.
+verifier is what the verify command runs: claim_catalog() lists the records,
+verify_all() recomputes each cell exhaustively, and render_report() writes
+the cells as CSV or JSON; a report is written, never parsed back.  Matches
+and mismatches are data; a mismatch is a report row, never an execution
+failure, because documenting where brute force disagrees with the claimed
+counts is the point of the exercise.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import lru_cache
@@ -81,10 +80,6 @@ class Prediction:
             raise DomainError(f"empty predicted interval [{lo}, {hi}]")
         return lo, hi
 
-    def matches(self, computed: int, p: int, ell: int) -> bool:
-        lo, hi = self.bounds(p, ell)
-        return lo <= computed <= hi
-
     def render(self, p: int, ell: int) -> str:
         lo, hi = self.bounds(p, ell)
         return str(lo) if lo == hi else f"{lo}..{hi}"
@@ -131,19 +126,9 @@ class VerificationReport:
     cells: tuple[VerificationCell, ...]
     skips: tuple[SkipNote, ...] = ()
 
-    @property
-    def match_count(self) -> int:
-        return sum(1 for cell in self.cells if cell.match)
-
-    @property
-    def mismatch_count(self) -> int:
-        return sum(1 for cell in self.cells if not cell.match)
-
     def summary_line(self) -> str:
-        return (
-            f"cells={len(self.cells)} matches={self.match_count} "
-            f"mismatches={self.mismatch_count}"
-        )
+        matches = sum(cell.match for cell in self.cells)
+        return f"cells={len(self.cells)} matches={matches} mismatches={len(self.cells) - matches}"
 
 
 # The paper's statements, one row per branch, grouped by family and read
@@ -273,24 +258,6 @@ def _skip_reason(
     return "no coefficient representatives in the swept range"
 
 
-def verify_claim(
-    claim: ClaimRecord,
-    p_range: Sequence[int],
-    ell_range: Sequence[int],
-    m_range: Sequence[int],
-    interpretation: Interpretation,
-) -> VerificationReport:
-    """Brute-force one claim across its admissible cells.
-
-    Raises DomainError when the claim's hypotheses exclude the entire range.
-    """
-    primes = sorted(p for p in p_range if p >= 3)
-    cells = _claim_cells(claim, primes, sorted(ell_range), sorted(m_range), interpretation, {})
-    if not cells:
-        raise DomainError(f"claim {claim.id}: {_skip_reason(claim, primes, sorted(ell_range))}")
-    return VerificationReport(cells=tuple(cells))
-
-
 def verify_all(
     p_max: int,
     ell_max: int,
@@ -329,12 +296,9 @@ def verify_all(
 # ---------------------------------------------------------------------------
 # report rendering
 
-_CELL_FIELDS = fields(VerificationCell)
-_CELL_NAMES = [f.name for f in _CELL_FIELDS]
+_CELL_NAMES = [f.name for f in fields(VerificationCell)]
 CSV_HEADER = ",".join(_CELL_NAMES)
 _cell_values = attrgetter(*_CELL_NAMES)
-# CSV text of a cell field back to its value, by the field's annotation.
-_FROM_CSV = {"str": str, "int": int, "bool": "true".__eq__}
 
 
 class ReportFormat(Enum):
@@ -354,21 +318,3 @@ def render_report(report: VerificationReport, fmt: ReportFormat) -> str:
         "skips": [{"claim_id": s.claim_id, "reason": s.reason} for s in report.skips],
     }
     return json_text(payload)
-
-
-def parse_report(text: str, fmt: ReportFormat) -> VerificationReport:
-    """Inverse of render_report (CSV drops skip notes by construction)."""
-    if fmt is ReportFormat.CSV:
-        rows = list(csv.reader(io.StringIO(text)))
-        if not rows or rows[0] != _CELL_NAMES:
-            raise UsageError("report header does not match the expected schema")
-        cells = [
-            VerificationCell(*(_FROM_CSV[f.type](v) for f, v in zip(_CELL_FIELDS, row)))
-            for row in rows[1:]
-        ]
-        return VerificationReport(cells=tuple(cells))
-    payload = json.loads(text)
-    cells = [VerificationCell(**cell) for cell in payload["cells"]]
-    skips = [SkipNote(**skip) for skip in payload.get("skips", [])]
-    return VerificationReport(cells=tuple(cells), skips=tuple(skips))
-

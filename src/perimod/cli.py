@@ -154,12 +154,6 @@ class CommandSpec:
     format: str = "csv"
     output: Optional[str] = None
 
-    def param(self, key: str, default: Optional[str] = None) -> Optional[str]:
-        for k, v in self.params:
-            if k == key:
-                return v
-        return default
-
     def to_argv(self) -> list[str]:
         argv = [self.subcommand]
         for key, value in self.params:
@@ -194,13 +188,15 @@ def _build_map(ns: argparse.Namespace) -> PowerMapSpec:
         pi = parse_poly(ns.pi, ns.p)
         # Likewise a ring of p^deg(pi) elements is refused before Rabin's
         # test, whose cost grows as deg(pi)^3.  The degree is capped first
-        # (p >= 3), so a huge pi builds no huge power; past the cap q is
-        # written p^m, as a decimal it can be too long to format.
+        # (p >= 3), so a huge pi builds no huge power; past the cap, where q
+        # is always refused, pi is named by its degree and q written p^m, as
+        # pi's coefficients and q's digits can be too many to print.
         m = max(pi.degree, 0)
         capped = min(m, limit.bit_length())
         q = ns.p**capped
-        amount = q if capped == m else f"{ns.p}^{m}"
-        refuse_past(limit, q, lambda: f"scanning F_{ns.p}[t]/({format_poly(pi)}) needs {amount} elements")
+        if capped < m:
+            refuse_past(limit, q, lambda: f"scanning F_{ns.p}[t]/(pi) of degree {m} needs {ns.p}^{m} elements")
+        refuse_past(limit, q, lambda: f"scanning F_{ns.p}[t]/({format_poly(pi)}) needs {q} elements")
         ring = RingSpec(ns.p, pi)
         c = ring.element(parse_poly(ns.c, ns.p))
     else:

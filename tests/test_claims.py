@@ -1,6 +1,10 @@
 """Claim catalog and verifier tests."""
 
+import csv
 import hashlib
+import io
+import json
+from dataclasses import asdict, astuple
 
 import pytest
 
@@ -13,10 +17,8 @@ from perimod.claims import (
     ReportFormat,
     VerificationReport,
     claim_catalog,
-    parse_report,
     render_report,
     verify_all,
-    verify_claim,
 )
 from perimod.dynamics import DegreeBase, Interpretation
 from perimod.errors import DomainError, UsageError
@@ -28,6 +30,21 @@ EXACT2 = Interpretation.EXACT2
 
 def catalog_index():
     return {record.id: record for record in claim_catalog()}
+
+
+def claim_cells(report, claim_id, **narrow):
+    """The report's cells of one claim, narrowed to the given field values
+    (p=5, m=2, ...)."""
+    return tuple(
+        c for c in report.cells
+        if c.claim_id == claim_id and all(getattr(c, k) == v for k, v in narrow.items())
+    )
+
+
+def csv_rows(cells):
+    """The CSV rows render_report writes for cells: each field as text, and
+    match as true/false."""
+    return [[str(v) for v in astuple(c)[:-1]] + ["true" if c.match else "false"] for c in cells]
 
 
 # ---------------------------------------------------------------------------
@@ -93,58 +110,48 @@ def test_prediction_instantiation():
     assert Prediction(3, 3).render(5, 1) == "3"
     assert Prediction("p", "p").render(7, 2) == "7"
     assert Prediction(2, "ell").render(5, 4) == "2..4"
-    assert Prediction(2, "ell").matches(3, 5, 4)
-    assert not Prediction(2, "ell").matches(5, 5, 4)
+    lo, hi = Prediction(2, "ell").bounds(5, 4)
+    assert lo <= 3 <= hi
+    assert not lo <= 5 <= hi
 
 
 # ---------------------------------------------------------------------------
-# verify_claim
+# verify_all
 
 
 def test_verify_base_p_l1_all_match():
-    index = catalog_index()
+    report = verify_all(7, 1, 1, ROOTS)
     for claim_id in ("zp-ppow-l1-divisible", "zp-ppow-l1-plus1", "zp-ppow-l1-minus1", "zp-ppow-l1-other"):
-        report = verify_claim(index[claim_id], [3, 5, 7], [1], [1], ROOTS)
-        assert report.mismatch_count == 0, claim_id
+        cells = claim_cells(report, claim_id)
+        assert cells and all(c.match for c in cells), claim_id
 
 
 def test_verify_unit_family_p5_flags_expected_branches():
-    index = catalog_index()
-    by_class = {}
-    for claim_id in (
-        "zp-unitpow-l1-divisible",
-        "zp-unitpow-l1-plus1",
-        "zp-unitpow-l1-minus1",
-        "zp-unitpow-l1-other",
-    ):
-        report = verify_claim(index[claim_id], [5], [1], [1], ROOTS)
-        by_class[claim_id] = report
-    assert by_class["zp-unitpow-l1-divisible"].mismatch_count == 0
-    assert by_class["zp-unitpow-l1-plus1"].mismatch_count == 0
-    minus1 = by_class["zp-unitpow-l1-minus1"].cells
+    report = verify_all(5, 1, 1, ROOTS)
+    by_class = {
+        claim_id: claim_cells(report, claim_id, p=5)
+        for claim_id in (
+            "zp-unitpow-l1-divisible",
+            "zp-unitpow-l1-plus1",
+            "zp-unitpow-l1-minus1",
+            "zp-unitpow-l1-other",
+        )
+    }
+    for claim_id in ("zp-unitpow-l1-divisible", "zp-unitpow-l1-plus1"):
+        assert by_class[claim_id] and all(c.match for c in by_class[claim_id]), claim_id
+    minus1 = by_class["zp-unitpow-l1-minus1"]
     assert [(c.computed, c.claimed, c.match) for c in minus1] == [(2, "1", False)]
-    other = by_class["zp-unitpow-l1-other"].cells
+    other = by_class["zp-unitpow-l1-other"]
     assert sorted(c.c_rep for c in other) == ["2", "3"]
     assert all(c.computed == 1 and c.claimed == "0" and not c.match for c in other)
 
 
 def test_verify_quotient_field_m2_divisible_mismatch():
-    index = catalog_index()
-    report = verify_claim(index["fpt-ppow-l1-divisible"], [3], [1], [2], ROOTS)
+    cells = claim_cells(verify_all(3, 1, 2, ROOTS), "fpt-ppow-l1-divisible", m=2)
     # three irreducible quadratics over F_3, each computing 9 against claimed 3
-    assert len(report.cells) == 3
-    for cell in report.cells:
+    assert len(cells) == 3
+    for cell in cells:
         assert cell.computed == 9 and cell.claimed == "3" and not cell.match
-
-
-def test_verify_claim_empty_domain_raises():
-    index = catalog_index()
-    with pytest.raises(DomainError):
-        verify_claim(index["zp-unitpow-l1-divisible"], [3], [1], [1], ROOTS)
-
-
-# ---------------------------------------------------------------------------
-# verify_all
 
 
 def test_verify_all_l1_m1_base_p_cells_all_match():
@@ -167,12 +174,21 @@ def test_verify_all_exact2_interpretation_flags_identity_cell():
 
 
 def test_verify_all_p3_skips_unit_family():
+    # every skip reason: a family that needs p >= 5, an ell domain that
+    # excludes ell = 1 at p = 3, and a coefficient class with no
+    # representative in F_3 or in F_3[t]/(pi) of degree 1
     report = verify_all(3, 1, 1, ROOTS)
     skipped = {s.claim_id: s.reason for s in report.skips}
+    expected = {}
     for record in claim_catalog():
         if record.family is DegreeBase.P_MINUS_1:
-            assert record.id in skipped
-            assert "p >= 5" in skipped[record.id]
+            expected[record.id] = "requires p >= 5"
+        elif record.ell_domain is EllDomain.NOT_1P:
+            expected[record.id] = "no admissible ell in range for domain l-not-1p"
+        elif record.coeff_class is CoeffClass.OTHER:
+            expected[record.id] = "no coefficient representatives in the swept range"
+    assert len(expected) == 16 + 2 + 4
+    assert skipped == expected
     assert not any("unitpow" in c.claim_id for c in report.cells)
 
 
@@ -238,22 +254,21 @@ def test_render_empty_report():
 
 
 def test_render_single_cell_and_round_trip():
-    index = catalog_index()
-    report = verify_claim(index["zp-ppow-l1-divisible"], [3], [1], [1], ROOTS)
+    report = VerificationReport(cells=claim_cells(verify_all(3, 1, 1, ROOTS), "zp-ppow-l1-divisible"))
     csv_text = render_report(report, ReportFormat.CSV)
     lines = csv_text.splitlines()
     assert lines[0] == CSV_HEADER
     assert lines[1] == "zp-ppow-l1-divisible,3,1,0,divisible,0,roots,3,3,true"
-    assert parse_report(csv_text, ReportFormat.CSV).cells == report.cells
+    assert list(csv.reader(io.StringIO(csv_text)))[1:] == csv_rows(report.cells)
 
     json_text = render_report(report, ReportFormat.JSON)
-    assert parse_report(json_text, ReportFormat.JSON).cells == report.cells
+    assert json.loads(json_text) == {"cells": [asdict(c) for c in report.cells], "skips": []}
 
 
 def test_round_trip_with_polynomial_reps():
     report = verify_all(5, 1, 2, ROOTS)
     csv_text = render_report(report, ReportFormat.CSV)
-    assert parse_report(csv_text, ReportFormat.CSV).cells == report.cells
+    assert list(csv.reader(io.StringIO(csv_text))) == [CSV_HEADER.split(","), *csv_rows(report.cells)]
 
 
 def test_determinism():
@@ -268,9 +283,8 @@ def test_ell_domain_couples_to_cell_prime():
     assert EllDomain.NOT_1P.admits(2, 3)
     assert not EllDomain.NOT_1P.admits(3, 3)
     # the mid-ell record picks up (p=3, ell=2) but not (p=3, ell=3)
-    index = catalog_index()
-    report = verify_claim(index["zp-ppow-gen-divisible-mid-ell"], [3], [1, 2, 3], [1], ROOTS)
-    assert [(c.p, c.ell) for c in report.cells] == [(3, 2)]
+    cells = claim_cells(verify_all(3, 3, 1, ROOTS), "zp-ppow-gen-divisible-mid-ell")
+    assert [(c.p, c.ell) for c in cells] == [(3, 2)]
 
 
 def test_cells_match_closed_form_oracles():
