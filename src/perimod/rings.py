@@ -20,10 +20,14 @@ every count, orbit and verify cell: pow_index_table(ring, e) is z -> z^e,
 one lookup per element in the ring's discrete log/antilog tables, and
 RingSpec.translation_table(c) is z -> z + c, built digit by digit.  One
 coefficient-list product, _mul_mod (Z/p is read as F_p[t]/(t), m = 1),
-serves the two places that multiply: the log/antilog tables, built once per
-ring by walking the powers of a generator of the unit group, and Rabin's
-t^(p^k) by square-and-multiply (_pow_mod).  The log/antilog pair is cached
-per ring and each power table per ring and exponent.  The tests check the
+serves the two places that multiply: the log/antilog tables and Rabin's
+t^(p^k) by square-and-multiply (_pow_mod).  _mul_mod forms the schoolbook
+product, then reduces it in one pass from the top down.  log_tables finds
+the generator of the unit group by its order test over the primes of q - 1,
+skipping the constants past m = 1, then walks its powers once, each step a
+product by the m x m matrix of z -> g z on the base-p digits.  The
+log/antilog pair is cached per ring and each power table per ring and
+exponent.  The tests check the
 tables against a schoolbook oracle, tests/polyoracle.py, that shares no
 code with them.
 """
@@ -33,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
+from operator import mul
 from typing import Sequence
 
 from .budget import refuse_monics
@@ -194,18 +199,21 @@ def poly_gcd(a: FpPoly, b: FpPoly) -> FpPoly:
 
 def _mul_mod(a: list[int], b: list[int], p: int, low: Sequence[int]) -> list[int]:
     """a * b on length-m coefficient lists, reduced modulo the monic
-    t^m + low[m-1] t^(m-1) + ... + low[0]."""
-    acc = [0] * len(a)
-    top = max((k for k, bk in enumerate(b) if bk), default=-1)
-    for k in range(top + 1):
-        if k:  # a <- a * t, with t^m replaced by -low
-            lead = a[-1]
-            a = [0] + a[:-1]
-            if lead:
-                a = [(x - lead * y) % p for x, y in zip(a, low)]
-        if b[k]:
-            acc = [(x + b[k] * y) % p for x, y in zip(acc, a)]
-    return acc
+    t^m + low[m-1] t^(m-1) + ... + low[0]: the schoolbook product, then each
+    t^k with k >= m replaced by -low t^(k-m), from the top down, and one % p
+    per coefficient."""
+    m = len(a)
+    prod = [0] * (2 * m - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                prod[j] += x * y
+    for k in range(2 * m - 2, m - 1, -1):
+        lead = prod[k] % p
+        if lead:
+            for j, y in enumerate(low, k - m):
+                prod[j] -= lead * y
+    return [x % p for x in prod[:m]]
 
 
 def _pow_mod(a: list[int], e: int, p: int, low: Sequence[int]) -> list[int]:
@@ -398,22 +406,30 @@ def log_tables(ring: RingSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
     antilog[k] is the index of g^k for 0 <= k < q - 1, and log[antilog[k]] = k;
     log[0] is -1, as zero has no logarithm.  The generator g is the first
-    index, in index order, whose powers first return to 1 at step q - 1.
+    index, in index order, of order q - 1: the first with g^((q-1)/r) != 1 for
+    every prime r dividing q - 1.  Past m = 1 the search starts at t, as a
+    constant's order divides p - 1 < q - 1.  The antilog is then one walk
+    from 1 through the powers of g, each step a product by the m x m matrix
+    of z -> g z on the base-p digits.
     """
     p = ring.p
     m = ring.degree_m
     low = ring.modulus_coeffs[:-1]
     q = p**m
     one = _coeffs(1, p, m)
-    for candidate in range(1, q):
+    factors = _prime_factors(q - 1)
+    for candidate in range(p if m > 1 else 1, q):
         g = _coeffs(candidate, p, m)
-        antilog = [1]
-        x = g
-        while x != one:
-            antilog.append(_index(x, p))
-            x = _mul_mod(x, g, p, low)
-        if len(antilog) == q - 1:
+        if all(_pow_mod(g, (q - 1) // r, p, low) != one for r in factors):
             break
+    # column j of the matrix is g t^j; the walk reads it by rows
+    rows = list(zip(*(_mul_mod(g, _coeffs(p**j, p, m), p, low) for j in range(m))))
+    weights = [p**j for j in range(m)]
+    antilog = [1]
+    x = one
+    for _ in range(q - 2):
+        x = [sum(map(mul, row, x)) % p for row in rows]
+        antilog.append(sum(map(mul, weights, x)))
     log = [-1] * q
     for k, i in enumerate(antilog):
         log[i] = k

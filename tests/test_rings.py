@@ -3,6 +3,7 @@
 import ast
 import copy
 import dataclasses
+import random
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,8 @@ from perimod.errors import DomainError, ResourceError, UsageError
 from perimod.rings import (
     FpPoly,
     RingSpec,
+    _mul_mod,
+    _pow_mod,
     enumerate_monic_irreducibles,
     format_poly,
     is_irreducible,
@@ -250,6 +253,61 @@ def test_log_tables_are_inverse_bijections_from_first_generator():
     f9 = quotient_ring(3, [1, 0, 1])
     assert naive_order(f9, f9.element(FpPoly(3, (0, 1)))) == 4
     assert log_tables(f9)[1][1] == f9.element(FpPoly.make(3, [1, 1]))
+
+
+def test_log_tables_first_generator_past_the_sweep():
+    # every cubic over F_3 and F_5, every quartic over F_3, and F_{7^3}, where
+    # q - 1 = 2 * 3^2 * 19 has a repeated prime factor
+    rings = [RingSpec(p, pi) for p, m in ((3, 3), (5, 3), (3, 4))
+             for pi in enumerate_monic_irreducibles(p, m)]
+    for ring in rings + [quotient_ring(7, [2, 0, 0, 1])]:
+        q = ring.cardinality_q
+        log, antilog = log_tables(ring)
+        assert sorted(antilog) == list(range(1, q))
+        assert all(log[antilog[k]] == k for k in range(q - 1))
+        g = antilog[1]
+        assert all(antilog[k + 1] == naive_mul(ring, antilog[k], g) for k in range(q - 2))
+        assert naive_order(ring, g) == q - 1
+        assert all(naive_order(ring, i) < q - 1 for i in range(1, g))
+    # Z/p searches from 1: its generator is the least primitive root
+    assert [log_tables(RingSpec(p))[1][1] for p in (3, 5, 7, 11, 13)] == [2, 2, 3, 2, 2]
+
+
+def test_mul_mod_matches_schoolbook_oracle():
+    def digits(z, p, m):
+        return [z // p**k % p for k in range(m)]
+
+    def check(p, modulus, a, b):
+        assert _mul_mod(a, b, p, modulus[:-1]) == poly_rem(poly_mul(a, b, p), modulus, p)
+
+    def operand(rng, p, m):
+        """A random operand; one in four is zero and one in four has a zero
+        top coefficient."""
+        a = [rng.randrange(p) for _ in range(m)]
+        kind = rng.randrange(4)
+        if kind == 0:
+            return [0] * m
+        if kind == 1:
+            a[-1] = 0
+        return a
+
+    for p, modulus in ((3, [1, 0, 1]), (3, [1, 2, 0, 1])):  # F_9 and F_27: every pair
+        m = len(modulus) - 1
+        elems = [digits(z, p, m) for z in range(p**m)]
+        for a in elems:
+            for b in elems:
+                check(p, modulus, a, b)
+        ring = RingSpec(p, FpPoly(p, tuple(modulus)))
+        for z, a in enumerate(elems):  # every power up to q, 0^0 = 1 included
+            for e in range(p**m + 1):
+                assert _pow_mod(a, e, p, modulus[:-1]) == digits(naive_pow(ring, z, e), p, m)
+    rng = random.Random(20)
+    big = ((313, [5, 0, 1]), (3, [1, 0, 1, 2, 0, 0, 0, 0, 0, 1]), (5, [4, 1] + [0] * 10 + [1]))
+    for p, modulus in big:
+        assert is_irreducible(FpPoly(p, tuple(modulus)))
+        m = len(modulus) - 1
+        for _ in range(500):
+            check(p, modulus, operand(rng, p, m), operand(rng, p, m))
 
 
 def test_frobenius_fixed_field_fact():
