@@ -1,11 +1,11 @@
-"""Every limit on a run: the four caps, their one override, their one refusal.
+"""Every limit on a run: the five caps, their one override, their one refusal.
 
 SCAN_BUDGET caps the elements a scan visits and the p^m monics an enumeration
 lists, and only it can be overridden, by a positive integer in PERIMOD_BUDGET.
 SWEEP_BUDGET caps the cutoff of an average over every prime up to c,
 FACTOR_BUDGET the numbers factored by trial division, DENSITY_BUDGET the
-density cutoff.  refuse_past raises every ResourceError in the package as
-"<work> needs <amount>, budget is <limit>", formatted only on refusal.
+density cutoff, CELL_BUDGET the cells of a verify sweep.  refuse_past raises
+every ResourceError as "<work> needs <amount>, budget is <limit>".
 """
 
 import os
@@ -17,6 +17,7 @@ SCAN_BUDGET = 10**5
 SWEEP_BUDGET = 10**6
 FACTOR_BUDGET = 10**12
 DENSITY_BUDGET = 10**5
+CELL_BUDGET = 250_000
 BUDGET_ENV_VAR = "PERIMOD_BUDGET"
 
 
@@ -40,9 +41,13 @@ def refuse_past(limit: int, size: int, work: Callable[[], str]) -> None:
         raise ResourceError(f"{work()}, budget is {limit}")
 
 
+def capped_power(p: int, m: int, limit: int) -> int:
+    """p^m, m first capped (p >= 2) at a power past limit: no huge power is built."""
+    return p ** min(m, limit.bit_length())
+
+
 def refuse_monics(p: int, m: int) -> None:
     """Refuse to enumerate the p^m degree-m monics over F_p past the scan
-    budget; m is capped first (p >= 2), so a huge m builds no huge power."""
+    budget."""
     limit = scan_budget()
-    size = p ** min(m, limit.bit_length())
-    refuse_past(limit, size, lambda: f"enumerating degree-{m} monics over F_{p} needs {p}^{m}")
+    refuse_past(limit, capped_power(p, m, limit), lambda: f"enumerating degree-{m} monics over F_{p} needs {p}^{m}")

@@ -23,7 +23,7 @@ from functools import lru_cache
 from operator import attrgetter
 from typing import Sequence, Union
 
-from .budget import refuse_monics, refuse_past, scan_budget
+from .budget import CELL_BUDGET, refuse_monics, refuse_past, scan_budget
 from .dynamics import DegreeBase, DegreeSpec, Interpretation, counting_function
 from .errors import DomainError, UsageError
 from .rings import RingKind, RingSpec, enumerate_monic_irreducibles, primes_in_range
@@ -212,12 +212,13 @@ def _claim_cells(
     ms: Sequence[int],
     interpretation: Interpretation,
     reps: dict,
-) -> list[VerificationCell]:
-    """The claim's cells.  reps maps (class, ring) to that class's
-    representatives and their text, built once and shared by the claims of
-    one sweep; the claimed text and bounds are resolved once per (p, ell)."""
+    cells: list[VerificationCell],
+) -> None:
+    """Append the claim's cells to the sweep's.  reps maps (class, ring) to
+    that class's representatives and their text, built once and shared by the
+    claims of one sweep; the claimed text and bounds are resolved once per
+    (p, ell), and a block that takes cells past CELL_BUDGET is refused."""
     coeff_class, c_class, interp = claim.coeff_class, claim.coeff_class.value, interpretation.value
-    cells: list[VerificationCell] = []
     for p in primes:
         if p < claim.family.min_prime:
             continue
@@ -232,6 +233,8 @@ def _claim_cells(
         for ell in ells:
             if not claim.ell_domain.admits(ell, p):
                 continue
+            total = len(cells) + sum(len(ring_cs) for _, _, ring_cs in ring_reps)
+            refuse_past(CELL_BUDGET, total, lambda: f"verifying through {claim.id} at p = {p}, ell = {ell} needs {total} cells")
             family = DegreeSpec(claim.family, ell)
             lo, hi = claim.prediction.bounds(p, ell)
             claimed = claim.prediction.render(p, ell)
@@ -244,7 +247,6 @@ def _claim_cells(
                             computed, lo <= computed <= hi,
                         )
                     )
-    return cells
 
 
 def _skip_reason(
@@ -271,7 +273,8 @@ def verify_all(
     enumerates and scans the F_P[t]/(pi) of degree m_max for the largest
     prime P <= p_max (fpt-ppow-l1-divisible at c = 0), so P^m_max past the
     scan budget is refused before any work; from p_max >= 2 * budget on,
-    before the sieve, since P > p_max / 2 (Bertrand).
+    before the sieve, since P > p_max / 2 (Bertrand).  Each ell gives a cell
+    (zp-ppow-gen-plus1 at p = 3), so an ell_max past CELL_BUDGET is too.
     """
     if p_max < 3 or ell_max < 1 or m_max < 1:
         raise UsageError("need p_max >= 3, ell_max >= 1, m_max >= 1")
@@ -279,16 +282,16 @@ def verify_all(
     refuse_past(scan_budget(), half + 1, lambda: f"sweeping p <= {p_max} needs over {half} elements")
     primes = primes_in_range(3, p_max)
     refuse_monics(primes[-1], m_max)
+    refuse_past(CELL_BUDGET, ell_max, lambda: f"sweeping ell <= {ell_max} needs at least {ell_max} cells")
     ells = list(range(1, ell_max + 1))
     ms = list(range(1, m_max + 1))
     cells: list[VerificationCell] = []
     skips: list[SkipNote] = []
     reps: dict = {}
     for claim in claim_catalog():
-        claim_cells = _claim_cells(claim, primes, ells, ms, interpretation, reps)
-        if claim_cells:
-            cells.extend(claim_cells)
-        else:
+        before = len(cells)
+        _claim_cells(claim, primes, ells, ms, interpretation, reps, cells)
+        if len(cells) == before:
             skips.append(SkipNote(claim.id, _skip_reason(claim, primes, ells)))
     return VerificationReport(cells=tuple(cells), skips=tuple(skips))
 

@@ -29,11 +29,10 @@ import argparse
 import sys
 from collections import Counter
 from dataclasses import asdict, dataclass
-from math import isqrt
 from typing import Callable, Optional, Sequence
 
 from . import claims, stats
-from .budget import refuse_past, scan_budget
+from .budget import scan_budget
 from .dynamics import (
     DegreeBase,
     DegreeSpec,
@@ -71,8 +70,8 @@ def _at_least(low: int) -> Callable[[str], int]:
 
 
 def _odd_prime_candidate(text: str) -> int:
-    """The cheap half of the primality check; trial division waits until the
-    size checks have passed, so a huge p fails fast."""
+    """The cheap half of the primality check; the ring refuses a huge p
+    before it tries trial division."""
     value = _integer(text)
     if value < 3 or value % 2 == 0:
         raise argparse.ArgumentTypeError(f"must be an odd prime >= 3, got {value}")
@@ -175,40 +174,23 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_map(ns: argparse.Namespace) -> PowerMapSpec:
     """The map z -> z^d + c that --ring, --p, --pi, --family, --ell and --c
-    name, with --pi and --c validated against the ring."""
-    # The scan refuses a ring over F_p, of at least p elements, past the
-    # budget after the trial division of p (a composite p exits 1).  That
-    # tries divisors up to sqrt(p), so a p past budget^2 is refused first.
-    limit = scan_budget()
-    root = isqrt(ns.p - 1) + 1  # the ceiling of sqrt(p): root > budget iff p > budget^2
-    refuse_past(limit, root, lambda: f"testing {ns.p} needs trial divisors up to {root}")
+    name, with --pi and --c validated against the ring.  RingSpec refuses a
+    ring past the scan budget before it tests p or pi; a Z/p --c is read
+    first, so a malformed one exits 1 whatever the size of the ring."""
     if RingKind(ns.ring) is RingKind.QUOTIENT_FIELD:
         if ns.pi is None:
             raise UsageError("--pi is required for --ring fpt")
-        pi = parse_poly(ns.pi, ns.p)
-        # Likewise a ring of p^deg(pi) elements is refused before Rabin's
-        # test, whose cost grows as deg(pi)^3.  The degree is capped first
-        # (p >= 3), so a huge pi builds no huge power; past the cap, where q
-        # is always refused, pi is named by its degree and q written p^m, as
-        # pi's coefficients and q's digits can be too many to print.
-        m = max(pi.degree, 0)
-        capped = min(m, limit.bit_length())
-        q = ns.p**capped
-        if capped < m:
-            refuse_past(limit, q, lambda: f"scanning F_{ns.p}[t]/(pi) of degree {m} needs {ns.p}^{m} elements")
-        refuse_past(limit, q, lambda: f"scanning F_{ns.p}[t]/({format_poly(pi)}) needs {q} elements")
-        ring = RingSpec(ns.p, pi)
-        c = ring.element(parse_poly(ns.c, ns.p))
+        ring = RingSpec(ns.p, parse_poly(ns.pi, ns.p))
+        value = parse_poly(ns.c, ns.p)
     else:
         if ns.pi is not None:
             raise UsageError("--pi only applies to --ring fpt")
-        ring = RingSpec(ns.p)
         try:
             value = int(ns.c)
         except ValueError:
             raise UsageError(f"argument --c: invalid int value: {ns.c!r}") from None
-        c = ring.element(value)
-    return PowerMapSpec(ring, ns.degree, c)
+        ring = RingSpec(ns.p)
+    return PowerMapSpec(ring, ns.degree, ring.element(value))
 
 
 def _parse(argv: Sequence[str]) -> argparse.Namespace:
@@ -256,8 +238,8 @@ def _text(value: object) -> str:
 
 def parse_args(argv: Sequence[str]) -> CommandSpec:
     """Validate argv into a CommandSpec, raising UsageError on any bad flag
-    and ResourceError when --p alone puts a count or orbits ring past the
-    scan budget."""
+    and ResourceError when the ring that --p and --pi name for count or
+    orbits is past the scan budget (RingSpec refuses it when built)."""
     ns = _parse(argv)
     params = []
     for flag in _FLAGS[ns.subcommand]:

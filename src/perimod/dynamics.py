@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 
-from .budget import refuse_past, scan_budget
 from .errors import DomainError, UsageError
 from .rings import RingSpec, pow_index_table
 
@@ -144,10 +143,8 @@ class CountReport:
 
 def _power_table(map_spec: PowerMapSpec) -> tuple[int, ...]:
     """Index table of z -> z^d over the whole ring, after the budget check."""
-    ring = map_spec.ring
-    q = ring.cardinality_q
-    refuse_past(scan_budget(), q, lambda: f"scanning {ring.describe()} needs {q} elements")
-    return pow_index_table(ring, map_spec.exponent)
+    map_spec.ring.refuse_scan()
+    return pow_index_table(map_spec.ring, map_spec.exponent)
 
 
 def _successor_table(map_spec: PowerMapSpec, u: tuple[int, ...]) -> list[int]:

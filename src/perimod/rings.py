@@ -12,8 +12,8 @@ Every ring element is its dense integer index 0 <= i < q, a plain int, for
 Z/p and for quotient fields alike: the base-p digits of i are the
 coefficients of the reduced polynomial, so a Z/p element is its residue.
 RingSpec.element reduces an int or FpPoly to its index, and
-RingSpec.render(i) gives the index's text.  RingSpec checks its modulus
-(monic, irreducible) when built.
+RingSpec.render(i) gives the index's text.  A ring is refused past the scan
+budget before its p or pi is tested, then checks its modulus when built.
 
 Arithmetic on elements is one kernel of whole-ring index tables, read by
 every count, orbit and verify cell: pow_index_table(ring, e) is z -> z^e,
@@ -37,10 +37,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
+from math import isqrt
 from operator import mul
 from typing import Sequence
 
-from .budget import refuse_monics
+from .budget import capped_power, refuse_monics, refuse_past, scan_budget
 from .errors import DomainError, UsageError
 
 
@@ -80,9 +81,11 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
 
 def require_odd_prime(p: int) -> int:
     """p itself if it is an odd prime p >= 3, the only moduli the counting
-    results treat; UsageError otherwise."""
+    results treat; UsageError otherwise.  Past the scan budget squared, ResourceError first."""
     if not isinstance(p, int) or p < 3 or p % 2 == 0:
         raise UsageError(f"modulus must be an odd prime >= 3, got {p!r}")
+    root = isqrt(p - 1) + 1  # the ceiling of sqrt(p): root > budget iff p > budget^2
+    refuse_past(scan_budget(), root, lambda: f"testing {p} needs trial divisors up to {root}")
     if not is_prime_int(p):
         raise UsageError(f"{p} is not prime")
     return p
@@ -300,10 +303,10 @@ class RingKind(Enum):
 
 @dataclass(frozen=True)
 class RingSpec:
-    """Which finite ring is in play: Z/pZ, or F_p[t]/(pi), p an odd prime
-    checked when the ring is built.  degree_m (the modulus degree: the number
-    of base-p digits of an index), cardinality_q = p^m and the hash are set
-    once, when the ring is built; equality reads p and modulus only."""
+    """Which finite ring is in play: Z/pZ, or F_p[t]/(pi), p an odd prime and
+    q = p^m within the scan budget, checked when the ring is built.  degree_m
+    (the number of base-p digits of an index), cardinality_q and the hash are
+    set then too; equality reads p and modulus only."""
 
     p: int
     modulus: "FpPoly | None" = None
@@ -312,10 +315,15 @@ class RingSpec:
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        require_odd_prime(self.p)
-        object.__setattr__(self, "degree_m", len(self.modulus_coeffs) - 1)
-        object.__setattr__(self, "cardinality_q", self.p**self.degree_m)
-        object.__setattr__(self, "_hash", hash((self.p, self.modulus)))
+        p = require_odd_prime(self.p)
+        m = len(self.modulus_coeffs) - 1
+        limit = scan_budget()
+        q = capped_power(p, m, limit)
+        if m > limit.bit_length():  # q is refused, and pi and p^m can be too long to print
+            refuse_past(limit, q, lambda: f"scanning F_{p}[t]/(pi) of degree {m} needs {p}^{m} elements")
+        for name, value in (("degree_m", m), ("cardinality_q", q), ("_hash", hash((p, self.modulus)))):
+            object.__setattr__(self, name, value)
+        self.refuse_scan()  # before Rabin's test, whose cost grows as m^3
         pi = self.modulus
         if pi is None:
             return
@@ -330,6 +338,11 @@ class RingSpec:
 
     def __hash__(self) -> int:
         return self._hash
+
+    def refuse_scan(self) -> None:
+        """Refuse a scan of the ring's q elements past the scan budget as it is now."""
+        q = self.cardinality_q
+        refuse_past(scan_budget(), q, lambda: f"scanning {self.describe()} needs {q} elements")
 
     @property
     def modulus_coeffs(self) -> tuple[int, ...]:

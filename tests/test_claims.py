@@ -8,6 +8,7 @@ from dataclasses import asdict, astuple
 
 import pytest
 
+from perimod import claims
 from perimod.claims import (
     CSV_HEADER,
     ClaimRecord,
@@ -20,8 +21,8 @@ from perimod.claims import (
     render_report,
     verify_all,
 )
-from perimod.dynamics import DegreeBase, Interpretation
-from perimod.errors import DomainError, UsageError
+from perimod.dynamics import DegreeBase, Interpretation, counting_function
+from perimod.errors import DomainError, ResourceError, UsageError
 from perimod.rings import RingKind, RingSpec
 
 ROOTS = Interpretation.ROOTS_LE2
@@ -195,6 +196,38 @@ def test_verify_all_p3_skips_unit_family():
 def test_verify_all_rejects_bad_ranges():
     with pytest.raises(UsageError):
         verify_all(2, 1, 1, ROOTS)
+
+
+def test_a_sweep_past_the_cell_budget_is_refused_before_its_block_is_counted(monkeypatch):
+    # the default sweep has 14352 cells, so it runs at a cap of 14352 and is
+    # refused at 14351, before the last (p, ell) block is counted
+    counted = []
+
+    def counting(*args):
+        counted.append(args)
+        return counting_function(*args)
+
+    monkeypatch.setattr(claims, "counting_function", counting)
+    monkeypatch.setattr(claims, "CELL_BUDGET", 14351)
+    with pytest.raises(ResourceError) as err:
+        verify_all(13, 2, 2, ROOTS)
+    assert str(err.value) == "verifying through fpt-unitpow-gen-other at p = 13, ell = 2 needs 14352 cells, budget is 14351"
+    assert len(counted) < 14351
+    monkeypatch.setattr(claims, "CELL_BUDGET", 14352)
+    assert len(verify_all(13, 2, 2, ROOTS).cells) == 14352
+
+
+def test_an_ell_max_past_the_cell_budget_is_refused_up_front(monkeypatch):
+    # every ell gives at least one cell (zp-ppow-gen-plus1 at p = 3)
+    def refuse(*args):
+        raise AssertionError("verify counted a cell before its cell budget check")
+
+    monkeypatch.setattr(claims, "counting_function", refuse)
+    with pytest.raises(ResourceError) as err:
+        verify_all(3, 10**12, 1, ROOTS)
+    assert str(err.value) == "sweeping ell <= 1000000000000 needs at least 1000000000000 cells, budget is 250000"
+    monkeypatch.undo()
+    assert len(claim_cells(verify_all(3, 40, 1, ROOTS), "zp-ppow-gen-plus1")) == 40
 
 
 def test_warm_sweep_builds_each_representative_once(monkeypatch):

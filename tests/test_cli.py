@@ -215,9 +215,11 @@ def test_run_irreducibles(capsys):
 
 
 def test_no_partial_output_on_resource_error(tmp_path, monkeypatch):
+    # parse_args itself refuses Z/7 under a budget of 3, so the budget is
+    # lowered between parsing and running
     target = tmp_path / "never.csv"
-    monkeypatch.setenv("PERIMOD_BUDGET", "3")
     cmd = parse_args(["count", "--p", "7", "--family", "p", "--c", "1", "--output", str(target)])
+    monkeypatch.setenv("PERIMOD_BUDGET", "3")
     assert run(cmd) == 2
     assert not target.exists()
 
@@ -323,6 +325,17 @@ def test_verify_refuses_a_ring_past_the_budget_before_any_count(tmp_path, capsys
     assert main(["verify", "--p-max", "200000", "--m-max", "1", "--interpretation", "roots", "--output", str(target)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not target.exists()
+
+
+def test_verify_past_the_cell_budget_exits_2_without_file(tmp_path, capsys, monkeypatch):
+    # the default sweep has 14352 cells; the cap is fixed, so the test lowers it
+    monkeypatch.setattr(claims, "CELL_BUDGET", 14351)
+    target = tmp_path / "out.csv"
+    for argv in (["verify"], ["verify", "--ell-max", str(10**12)]):
+        assert main(argv + ["--interpretation", "roots", "--output", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: \S.* needs \S.* cells, budget is 14351\n", err), err
+        assert not target.exists()
 
 
 @pytest.mark.parametrize("subcommand", ["count", "orbits"])

@@ -4,11 +4,13 @@ import ast
 import copy
 import dataclasses
 import random
+import time
 from pathlib import Path
 
 import pytest
 from polyoracle import elements, naive_add, naive_mul, naive_pow, poly_mul, poly_rem
 
+from perimod import rings
 from perimod.budget import refuse_past, scan_budget
 from perimod.dynamics import DegreeBase, DegreeSpec
 from perimod.errors import DomainError, ResourceError, UsageError
@@ -183,6 +185,50 @@ def test_poly_modulus_requires_monic_irreducible():
         RingSpec(9)
     with pytest.raises(UsageError, match="odd prime"):
         RingSpec(4)
+
+
+def test_a_prime_past_the_budget_is_refused_before_trial_division():
+    # a ring over F_p has at least p elements, so a p past budget^2 is
+    # refused before trial division, which would try 5 * 10^8 divisors
+    p = 1000000000000000003
+    for build in (lambda: RingSpec(p), lambda: FpPoly.make(p, [1])):
+        start = time.monotonic()
+        with pytest.raises(ResourceError) as err:
+            build()
+        assert time.monotonic() - start < 0.1
+        assert str(err.value) == f"testing {p} needs trial divisors up to 1000000001, budget is 100000"
+
+
+@pytest.mark.parametrize("coeffs", [[2, 1] + [0] * 598 + [1], [0] * 600 + [1], [2, 1] + [0] * 598 + [2]])
+def test_a_ring_past_the_budget_is_refused_before_rabins_test(coeffs, monkeypatch):
+    # Rabin's test of a degree-600 pi takes seconds, and neither 3^600 nor
+    # 601 coefficients fit on one error line, so past the degree cap the
+    # modulus is named by its degree; t^600 is reducible and the last pi is
+    # not monic, and both are still refused on their size
+    def refuse(*args):
+        raise AssertionError("the modulus was tested before the budget check")
+
+    monkeypatch.setattr(rings, "is_irreducible", refuse)
+    pi = FpPoly.make(3, coeffs)
+    start = time.monotonic()
+    with pytest.raises(ResourceError) as err:
+        RingSpec(3, pi)
+    assert time.monotonic() - start < 2.0
+    assert str(err.value) == "scanning F_3[t]/(pi) of degree 600 needs 3^600 elements, budget is 100000"
+
+
+def test_a_ring_is_refused_just_past_the_budget_and_built_at_it(monkeypatch):
+    pi = FpPoly.make(3, [1, 0, 1])
+    for budget, ring, message in (
+        ("8", lambda: RingSpec(3, pi), "scanning F_3[t]/(1,0,1) needs 9 elements, budget is 8"),
+        ("6", lambda: RingSpec(7), "scanning Z/7 needs 7 elements, budget is 6"),
+    ):
+        monkeypatch.setenv("PERIMOD_BUDGET", budget)
+        with pytest.raises(ResourceError) as err:
+            ring()
+        assert str(err.value) == message
+        monkeypatch.setenv("PERIMOD_BUDGET", str(int(budget) + 1))
+        assert ring().cardinality_q == int(budget) + 1
 
 
 # ---------------------------------------------------------------------------
