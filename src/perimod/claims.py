@@ -8,8 +8,9 @@ congruence class together with a predicted count, the closed interval
 (an exact count v is [v, v]).  The statements are one literal table, a row
 per branch, read once for each ring to give the 34 catalog records.  The
 verifier is what the verify command runs: claim_catalog() lists the records,
-verify_all() recomputes each cell exhaustively, and render_report() writes
-the cells as CSV or JSON; a report is written, never parsed back.  Matches
+verify_all() plans the cells, refuses a sweep past CELL_BUDGET, then counts
+each cell exhaustively, and render_report() writes each cell as a CSV row
+or JSON object; a report is written, never parsed back.  Matches
 and mismatches are data; a mismatch is a report row, never an execution
 failure, because documenting where brute force disagrees with the claimed
 counts is the point of the exercise.
@@ -17,11 +18,10 @@ counts is the point of the exercise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from operator import attrgetter
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from .budget import CELL_BUDGET, refuse_monics, refuse_past, scan_budget
 from .dynamics import DegreeBase, DegreeSpec, Interpretation, counting_function
@@ -99,8 +99,7 @@ class ClaimRecord:
     citation: str
 
 
-@dataclass(frozen=True)
-class VerificationCell:
+class VerificationCell(NamedTuple):
     """One (claim, p, ell, m, c) comparison; m = 0 marks prime-field cells."""
 
     claim_id: str
@@ -205,20 +204,15 @@ def _quotient_rings(p: int, m: int) -> tuple[RingSpec, ...]:
     return tuple(RingSpec(p, pi) for pi in enumerate_monic_irreducibles(p, m))
 
 
-def _claim_cells(
-    claim: ClaimRecord,
-    primes: Sequence[int],
-    ells: Sequence[int],
-    ms: Sequence[int],
-    interpretation: Interpretation,
-    reps: dict,
-    cells: list[VerificationCell],
-) -> None:
-    """Append the claim's cells to the sweep's.  reps maps (class, ring) to
-    that class's representatives and their text, built once and shared by the
-    claims of one sweep; the claimed text and bounds are resolved once per
-    (p, ell), and a block that takes cells past CELL_BUDGET is refused."""
-    coeff_class, c_class, interp = claim.coeff_class, claim.coeff_class.value, interpretation.value
+def _claim_blocks(
+    claim: ClaimRecord, primes: Sequence[int], ells: Sequence[int], ms: Sequence[int], reps: dict
+) -> list[tuple[int, int, list]]:
+    """The claim's (p, ell) blocks in sweep order, each with the (m, ring,
+    representatives) of its rings that hold one, and none without; nothing
+    is counted.  reps maps (class, ring) to that class's representatives and
+    their text, built once and shared by the claims of one sweep."""
+    coeff_class = claim.coeff_class
+    blocks = []
     for p in primes:
         if p < claim.family.min_prime:
             continue
@@ -229,24 +223,9 @@ def _claim_cells(
         for m, ring in rings:
             if (coeff_class, ring) not in reps:
                 reps[coeff_class, ring] = [(c, ring.render(c)) for c in _class_reps(coeff_class, ring)]
-        ring_reps = [(m, ring, reps[coeff_class, ring]) for m, ring in rings]
-        for ell in ells:
-            if not claim.ell_domain.admits(ell, p):
-                continue
-            total = len(cells) + sum(len(ring_cs) for _, _, ring_cs in ring_reps)
-            refuse_past(CELL_BUDGET, total, lambda: f"verifying through {claim.id} at p = {p}, ell = {ell} needs {total} cells")
-            family = DegreeSpec(claim.family, ell)
-            lo, hi = claim.prediction.bounds(p, ell)
-            claimed = claim.prediction.render(p, ell)
-            for m, ring, ring_cs in ring_reps:
-                for c, c_rep in ring_cs:
-                    computed = counting_function(family, interpretation, ring, c)
-                    cells.append(
-                        VerificationCell(
-                            claim.id, p, ell, m, c_class, c_rep, interp, claimed,
-                            computed, lo <= computed <= hi,
-                        )
-                    )
+        ring_reps = [(m, ring, reps[coeff_class, ring]) for m, ring in rings if reps[coeff_class, ring]]
+        blocks += [(p, ell, ring_reps) for ell in ells if ring_reps and claim.ell_domain.admits(ell, p)]
+    return blocks
 
 
 def _skip_reason(
@@ -275,6 +254,9 @@ def verify_all(
     scan budget is refused before any work; from p_max >= 2 * budget on,
     before the sieve, since P > p_max / 2 (Bertrand).  Each ell gives a cell
     (zp-ppow-gen-plus1 at p = 3), so an ell_max past CELL_BUDGET is too.
+    Then every claim's blocks are planned, a claim with none is skipped,
+    and the planned cells are summed and refused past CELL_BUDGET before
+    any is counted.
     """
     if p_max < 3 or ell_max < 1 or m_max < 1:
         raise UsageError("need p_max >= 3, ell_max >= 1, m_max >= 1")
@@ -285,23 +267,32 @@ def verify_all(
     refuse_past(CELL_BUDGET, ell_max, lambda: f"sweeping ell <= {ell_max} needs at least {ell_max} cells")
     ells = list(range(1, ell_max + 1))
     ms = list(range(1, m_max + 1))
-    cells: list[VerificationCell] = []
-    skips: list[SkipNote] = []
     reps: dict = {}
-    for claim in claim_catalog():
-        before = len(cells)
-        _claim_cells(claim, primes, ells, ms, interpretation, reps, cells)
-        if len(cells) == before:
-            skips.append(SkipNote(claim.id, _skip_reason(claim, primes, ells)))
+    plan = [(claim, _claim_blocks(claim, primes, ells, ms, reps)) for claim in claim_catalog()]
+    total = sum(len(cs) for _, blocks in plan for _, _, ring_reps in blocks for _, _, cs in ring_reps)
+    refuse_past(CELL_BUDGET, total, lambda: f"verifying p <= {p_max}, ell <= {ell_max}, m <= {m_max} needs {total} cells")
+    skips = [SkipNote(claim.id, _skip_reason(claim, primes, ells)) for claim, blocks in plan if not blocks]
+    interp = interpretation.value
+    cells: list[VerificationCell] = []
+    for claim, blocks in plan:
+        c_class = claim.coeff_class.value
+        for p, ell, ring_reps in blocks:
+            family = DegreeSpec(claim.family, ell)
+            lo, hi = claim.prediction.bounds(p, ell)
+            claimed = claim.prediction.render(p, ell)
+            for m, ring, ring_cs in ring_reps:
+                for c, c_rep in ring_cs:
+                    computed = counting_function(family, interpretation, ring, c)
+                    cells.append(VerificationCell(
+                        claim.id, p, ell, m, c_class, c_rep, interp, claimed, computed, lo <= computed <= hi
+                    ))
     return VerificationReport(cells=tuple(cells), skips=tuple(skips))
 
 
 # ---------------------------------------------------------------------------
 # report rendering
 
-_CELL_NAMES = [f.name for f in fields(VerificationCell)]
-CSV_HEADER = ",".join(_CELL_NAMES)
-_cell_values = attrgetter(*_CELL_NAMES)
+CSV_HEADER = ",".join(VerificationCell._fields)
 
 
 class ReportFormat(Enum):
@@ -312,12 +303,10 @@ class ReportFormat(Enum):
 def render_report(report: VerificationReport, fmt: ReportFormat) -> str:
     if fmt is ReportFormat.CSV:
         # match, the last field, reads true/false in CSV and a bool in JSON
-        return csv_text(
-            _CELL_NAMES,
-            ((*_cell_values(cell)[:-1], "true" if cell.match else "false") for cell in report.cells),
-        )
+        rows = ((*cell[:-1], "true" if cell.match else "false") for cell in report.cells)
+        return csv_text(VerificationCell._fields, rows)
     payload = {
-        "cells": [dict(zip(_CELL_NAMES, _cell_values(cell))) for cell in report.cells],
+        "cells": [cell._asdict() for cell in report.cells],
         "skips": [{"claim_id": s.claim_id, "reason": s.reason} for s in report.skips],
     }
     return json_text(payload)

@@ -5,8 +5,9 @@ canonical representatives, and re-reducing a result is always the identity.
 Polynomials are stored as tuples of residues in ascending powers of t with
 trailing zeros trimmed (the zero polynomial is the empty tuple).  FpPoly is
 a checked (p, coeffs) value with its text format; one long division on
-coefficient lists, _rem, gives the remainders that poly_gcd and
-RingSpec.element need.
+coefficient lists, _rem, gives the remainders that RingSpec.element and the
+one list gcd, _gcd, need, and _gcd serves poly_gcd and Rabin's test, so
+that test builds no FpPoly.
 
 Every ring element is its dense integer index 0 <= i < q, a plain int, for
 Z/p and for quotient fields alike: the base-p digits of i are the
@@ -138,10 +139,7 @@ class FpPoly:
 
     def monic(self) -> "FpPoly":
         """Monic normalization; the zero polynomial stays zero."""
-        if self.is_zero or self.is_monic:
-            return self
-        inv = pow(self.coeffs[-1], self.p - 2, self.p)
-        return FpPoly.make(self.p, [inv * c for c in self.coeffs])
+        return FpPoly(self.p, tuple(_gcd(self.coeffs, (), self.p)))
 
     def __repr__(self) -> str:
         return f"FpPoly(p={self.p}, {format_poly(self)!r})"
@@ -190,14 +188,21 @@ def _rem(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     return rem
 
 
+def _gcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
+    """Monic gcd of ascending coefficient lists over F_p by Euclid on _rem,
+    so _gcd(a, [], p) is a made monic.  b is trimmed (empty, or its last
+    coefficient nonzero), and a need not be unless b is empty."""
+    while b:
+        a, b = b, _rem(a, b, p)
+    inv = pow(a[-1], p - 2, p) if a else 0
+    return [x * inv % p for x in a]
+
+
 def poly_gcd(a: FpPoly, b: FpPoly) -> FpPoly:
     """Monic greatest common divisor; gcd(a, 0) = monic(a), gcd(0, 0) = 0."""
     if a.p != b.p:
         raise UsageError(f"mixed coefficient moduli: {a.p} vs {b.p}")
-    x, y = a.coeffs, b.coeffs
-    while y:
-        x, y = y, _rem(x, y, a.p)
-    return FpPoly(a.p, tuple(x)).monic()
+    return FpPoly(a.p, tuple(_gcd(a.coeffs, b.coeffs, a.p)))
 
 
 def _mul_mod(a: list[int], b: list[int], p: int, low: Sequence[int]) -> list[int]:
@@ -257,15 +262,15 @@ def is_irreducible(f: FpPoly) -> bool:
     if n == 1:
         return True
     p = f.p
-    f = f.monic()
-    low = f.coeffs[:n]
+    monic = _gcd(f.coeffs, [], p)  # gcd(f, 0): f made monic
+    low = monic[:n]
     t = [0, 1] + [0] * (n - 2)
     # t^(p^k) mod f by iterated p-th powering (x -> x^p is a ring map mod f)
     needed = {n // r for r in _prime_factors(n)}
     frob = t
     for k in range(1, n + 1):
         frob = _pow_mod(frob, p, p, low)
-        if k in needed and poly_gcd(FpPoly.make(p, [a - b for a, b in zip(frob, t)]), f).degree != 0:
+        if k in needed and len(_gcd([(a - b) % p for a, b in zip(frob, t)], monic, p)) != 1:
             return False
     return frob == t
 

@@ -4,7 +4,6 @@ import csv
 import hashlib
 import io
 import json
-from dataclasses import asdict, astuple
 
 import pytest
 
@@ -45,7 +44,7 @@ def claim_cells(report, claim_id, **narrow):
 def csv_rows(cells):
     """The CSV rows render_report writes for cells: each field as text, and
     match as true/false."""
-    return [[str(v) for v in astuple(c)[:-1]] + ["true" if c.match else "false"] for c in cells]
+    return [[str(v) for v in tuple(c)[:-1]] + ["true" if c.match else "false"] for c in cells]
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +199,7 @@ def test_verify_all_rejects_bad_ranges():
 
 def test_a_sweep_past_the_cell_budget_is_refused_before_its_block_is_counted(monkeypatch):
     # the default sweep has 14352 cells, so it runs at a cap of 14352 and is
-    # refused at 14351, before the last (p, ell) block is counted
+    # refused at 14351, its planned cells summed before any is counted
     counted = []
 
     def counting(*args):
@@ -211,10 +210,21 @@ def test_a_sweep_past_the_cell_budget_is_refused_before_its_block_is_counted(mon
     monkeypatch.setattr(claims, "CELL_BUDGET", 14351)
     with pytest.raises(ResourceError) as err:
         verify_all(13, 2, 2, ROOTS)
-    assert str(err.value) == "verifying through fpt-unitpow-gen-other at p = 13, ell = 2 needs 14352 cells, budget is 14351"
-    assert len(counted) < 14351
+    assert str(err.value) == "verifying p <= 13, ell <= 2, m <= 2 needs 14352 cells, budget is 14351"
+    assert counted == []
     monkeypatch.setattr(claims, "CELL_BUDGET", 14352)
     assert len(verify_all(13, 2, 2, ROOTS).cells) == 14352
+
+
+@pytest.mark.parametrize("p_max, ell_max, cells", [(31, 2, 266952), (13, 52, 253552)])
+def test_a_sweep_past_the_real_cell_budget_counts_no_cell(monkeypatch, p_max, ell_max, cells):
+    def refuse(*args):
+        raise AssertionError("verify counted a cell before its cell budget check")
+
+    monkeypatch.setattr(claims, "counting_function", refuse)
+    with pytest.raises(ResourceError) as err:
+        verify_all(p_max, ell_max, 2, ROOTS)
+    assert str(err.value) == f"verifying p <= {p_max}, ell <= {ell_max}, m <= 2 needs {cells} cells, budget is 250000"
 
 
 def test_an_ell_max_past_the_cell_budget_is_refused_up_front(monkeypatch):
@@ -295,7 +305,7 @@ def test_render_single_cell_and_round_trip():
     assert list(csv.reader(io.StringIO(csv_text)))[1:] == csv_rows(report.cells)
 
     json_text = render_report(report, ReportFormat.JSON)
-    assert json.loads(json_text) == {"cells": [asdict(c) for c in report.cells], "skips": []}
+    assert json.loads(json_text) == {"cells": [c._asdict() for c in report.cells], "skips": []}
 
 
 def test_round_trip_with_polynomial_reps():

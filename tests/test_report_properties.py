@@ -8,7 +8,7 @@ import csv
 import io
 import json
 import string
-from dataclasses import asdict, astuple
+from dataclasses import asdict
 
 import pytest
 
@@ -54,11 +54,11 @@ reports = st.builds(
 def test_report_round_trip(report):
     from_json = json.loads(render_report(report, ReportFormat.JSON))
     assert from_json == {
-        "cells": [asdict(cell) for cell in report.cells],
+        "cells": [cell._asdict() for cell in report.cells],
         "skips": [asdict(skip) for skip in report.skips],
     }
     from_csv = list(csv.reader(io.StringIO(render_report(report, ReportFormat.CSV))))
     assert from_csv == [CSV_HEADER.split(",")] + [
-        [str(v) for v in astuple(cell)[:-1]] + ["true" if cell.match else "false"]
+        [str(v) for v in tuple(cell)[:-1]] + ["true" if cell.match else "false"]
         for cell in report.cells
     ]

@@ -428,6 +428,21 @@ def test_is_irreducible_matches_trial_division():
                 assert is_irreducible(f) == (not reducible_by_trial_division(f)), format_poly(f)
 
 
+def test_an_enumeration_checks_its_prime_once_per_monic(monkeypatch):
+    # each monic is built as one FpPoly, and Rabin's test (two gcd steps at
+    # m = 6) runs on coefficient lists, so it builds none and checks no prime
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return require_odd_prime(p)
+
+    monkeypatch.setattr(rings, "require_odd_prime", counted)
+    found = rings._monic_irreducibles.__wrapped__(3, 6)
+    assert len(found) == mobius_irreducible_count(3, 6)
+    assert len(calls) <= 3**6
+
+
 def test_enumerate_monic_irreducibles():
     assert [format_poly(f) for f in enumerate_monic_irreducibles(3, 1)] == ["0,1", "1,1", "2,1"]
     assert len(enumerate_monic_irreducibles(3, 2)) == 3
