@@ -8,12 +8,12 @@ congruence class together with a predicted count, the closed interval
 (an exact count v is [v, v]).  The statements are one literal table, a row
 per branch, read once for each ring to give the 34 catalog records.  The
 verifier is what the verify command runs: claim_catalog() lists the records,
-verify_all() plans the cells, refuses a sweep past CELL_BUDGET, then counts
-each cell exhaustively, and render_report() writes each cell as a CSV row
-or JSON object; a report is written, never parsed back.  Matches
-and mismatches are data; a mismatch is a report row, never an execution
-failure, because documenting where brute force disagrees with the claimed
-counts is the point of the exercise.
+verify_all() plans the cells on one Z/p per prime, refuses a sweep past
+CELL_BUDGET, then counts each cell exhaustively, and render_report() writes
+each cell as a CSV row or JSON object; a report is written, never parsed
+back.  Matches and mismatches are data; a mismatch is a report row, never
+an execution failure, because documenting where brute force disagrees with
+the claimed counts is the point of the exercise.
 """
 
 from __future__ import annotations
@@ -205,19 +205,21 @@ def _quotient_rings(p: int, m: int) -> tuple[RingSpec, ...]:
 
 
 def _claim_blocks(
-    claim: ClaimRecord, primes: Sequence[int], ells: Sequence[int], ms: Sequence[int], reps: dict
+    claim: ClaimRecord, prime_fields: Sequence[RingSpec], ells: Sequence[int], ms: Sequence[int], reps: dict
 ) -> list[tuple[int, int, list]]:
     """The claim's (p, ell) blocks in sweep order, each with the (m, ring,
     representatives) of its rings that hold one, and none without; nothing
-    is counted.  reps maps (class, ring) to that class's representatives and
-    their text, built once and shared by the claims of one sweep."""
+    is counted.  prime_fields holds the sweep's Z/p, one per prime, and reps
+    maps (class, ring) to that class's representatives and their text: both
+    are built once and shared by the claims of one sweep."""
     coeff_class = claim.coeff_class
     blocks = []
-    for p in primes:
+    for zp in prime_fields:
+        p = zp.p
         if p < claim.family.min_prime:
             continue
         if claim.ring_kind is RingKind.PRIME_FIELD:
-            rings = [(0, RingSpec(p))]
+            rings = [(0, zp)]
         else:
             rings = [(m, ring) for m in ms for ring in _quotient_rings(p, m)]
         for m, ring in rings:
@@ -267,8 +269,9 @@ def verify_all(
     refuse_past(CELL_BUDGET, ell_max, lambda: f"sweeping ell <= {ell_max} needs at least {ell_max} cells")
     ells = list(range(1, ell_max + 1))
     ms = list(range(1, m_max + 1))
+    prime_fields = [RingSpec(p) for p in primes]
     reps: dict = {}
-    plan = [(claim, _claim_blocks(claim, primes, ells, ms, reps)) for claim in claim_catalog()]
+    plan = [(claim, _claim_blocks(claim, prime_fields, ells, ms, reps)) for claim in claim_catalog()]
     total = sum(len(cs) for _, blocks in plan for _, _, ring_reps in blocks for _, _, cs in ring_reps)
     refuse_past(CELL_BUDGET, total, lambda: f"verifying p <= {p_max}, ell <= {ell_max}, m <= {m_max} needs {total} cells")
     skips = [SkipNote(claim.id, _skip_reason(claim, primes, ells)) for claim, blocks in plan if not blocks]

@@ -21,8 +21,9 @@ answered from them (exact2 is their difference).  Maps are distinct up to
 an isomorphism that fixes F_p, and any two fields of order q = p^m have
 one, so the maps with a constant c in F_p share one table per (p, m) and
 reduced exponent, whichever field of that order fills it first.  A warm
-request is the budget test plus two cache lookups, the power table and the
-count table.
+counting_function call builds no PowerMapSpec: it is one range check on c,
+one pow for the reduced exponent, the budget test and two cache lookups,
+the power table and the count table.
 
 Over Z/p the reduced exponent is 1 (base p) or p-1 (base p-1), so a map is
 the translation z + c or sends every z into {c, c+1}.  residue_count_table
@@ -111,11 +112,20 @@ class PowerMapSpec:
     exponent: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.c, int) or not 0 <= self.c < self.ring.cardinality_q:
-            raise UsageError(f"index {self.c!r} out of range for {self.ring.describe()}")
-        self.degree.require_prime(self.ring.p)
-        e = self.degree.reduced_exponent_for(self.ring.p, self.ring.cardinality_q)
-        object.__setattr__(self, "exponent", e)
+        object.__setattr__(self, "exponent", _exponent(self.ring, self.degree, self.c))
+
+
+def _exponent(ring: RingSpec, degree: DegreeSpec, c: int) -> int:
+    """The reduced exponent of z -> z^d + c on ring, after checking that c is
+    an index 0 <= c < q (UsageError) and p the family's (DomainError)."""
+    q = ring.cardinality_q
+    if not isinstance(c, int) or not 0 <= c < q:
+        raise UsageError(f"index {c!r} out of range for {ring.describe()}")
+    p = ring.p
+    if degree.base is DegreeBase.P:  # needs p >= 3, as every ring has
+        return pow(p, degree.ell, q - 1) or q - 1
+    degree.require_prime(p)
+    return pow(p - 1, degree.ell, q - 1) or q - 1
 
 
 @dataclass(frozen=True)
@@ -141,22 +151,13 @@ class CountReport:
     exact2: int
 
 
-def _power_table(map_spec: PowerMapSpec) -> tuple[int, ...]:
-    """Index table of z -> z^d over the whole ring, after the budget check."""
-    map_spec.ring.refuse_scan()
-    return pow_index_table(map_spec.ring, map_spec.exponent)
-
-
-def _successor_table(map_spec: PowerMapSpec, u: tuple[int, ...]) -> list[int]:
-    """Index table of z -> phi(z) over the whole ring (exhaustive), u being
-    the map's _power_table."""
-    addc = map_spec.ring.translation_table(map_spec.c)
-    return list(map(addc.__getitem__, u))
-
-
 def orbit_decomposition(map_spec: PowerMapSpec) -> OrbitDecomposition:
-    """Classify every ring element as a cycle node or a tail node."""
-    succ = _successor_table(map_spec, _power_table(map_spec))
+    """Classify every ring element as a cycle node or a tail node, read off
+    the map's successor table (after the budget check)."""
+    ring = map_spec.ring
+    ring.refuse_scan()
+    addc = ring.translation_table(map_spec.c)
+    succ = list(map(addc.__getitem__, pow_index_table(ring, map_spec.exponent)))
     q = len(succ)
     status = bytearray(q)  # 0 unvisited, 1 on current path, 2 settled
     cycles: list[tuple[int, int]] = []
@@ -196,38 +197,41 @@ def _count_table(key: "RingSpec | tuple[int, int]", e: int, size: int) -> tuple[
     return unscanned, array("i", unscanned)
 
 
-def _count(map_spec: PowerMapSpec, interpretation: Interpretation) -> int:
-    """The interpretation's count for one map, read from its slots in
+def _count(ring: RingSpec, e: int, c: int, interpretation: Interpretation) -> int:
+    """The interpretation's count for z -> z^e + c on ring, e a reduced
+    exponent and c a checked index, read from the map's slots in
     _count_table: the slots shared by the fields of its order when c is a
     constant (its index is one base-p digit), its ring's own otherwise.
 
-    A warm request is the budget test and two cache lookups, the power table
-    and the map's slots.  The first request for a map builds its successor
-    table and fills both slots: one pass finds the points of period dividing
-    2, and the fixed points are counted among those.  The budget is tested
-    first, so a lowered budget refuses a cached count too.
+    The budget is tested first, on every call, so a lowered budget refuses
+    a cached count too; a warm call is then two cache lookups, the power
+    table and the map's slots.  The first call for a map builds its
+    successor table and fills both slots: one pass finds the points of
+    period dividing 2, and the fixed points are counted among those.
     """
-    u = _power_table(map_spec)
-    ring, k = map_spec.ring, map_spec.c
-    if k < ring.p:
-        fixed, roots = _count_table((ring.p, ring.degree_m), map_spec.exponent, ring.p)
+    ring.refuse_scan()
+    u = pow_index_table(ring, e)
+    if c < ring.p:
+        fixed, roots = _count_table((ring.p, ring.degree_m), e, ring.p)
     else:
-        fixed, roots = _count_table(ring, map_spec.exponent, ring.cardinality_q)
-    if fixed[k] < 0:
-        succ = _successor_table(map_spec, u)
+        fixed, roots = _count_table(ring, e, ring.cardinality_q)
+    if fixed[c] < 0:
+        addc = ring.translation_table(c)
+        succ = list(map(addc.__getitem__, u))
         period2 = [z for z, w in enumerate(succ) if succ[w] == z]
-        roots[k] = len(period2)
-        fixed[k] = sum(1 for z in period2 if succ[z] == z)
+        roots[c] = len(period2)
+        fixed[c] = sum(1 for z in period2 if succ[z] == z)
     if interpretation is Interpretation.FIXED:
-        return fixed[k]
+        return fixed[c]
     if interpretation is Interpretation.ROOTS_LE2:
-        return roots[k]
-    return roots[k] - fixed[k]
+        return roots[c]
+    return roots[c] - fixed[c]
 
 
 def count_report(map_spec: PowerMapSpec) -> CountReport:
     """All three counts of one map, in Interpretation order."""
-    return CountReport(*(_count(map_spec, i) for i in Interpretation))
+    ring, e, c = map_spec.ring, map_spec.exponent, map_spec.c
+    return CountReport(*(_count(ring, e, c, i) for i in Interpretation))
 
 
 def counting_function(
@@ -237,8 +241,9 @@ def counting_function(
     c: int,
 ) -> int:
     """The interpretation's count for z -> z^d + c on ring, d from family and
-    c given by its index."""
-    return _count(PowerMapSpec(ring, family, c), interpretation)
+    c given by its index: one range check and one pow, then _count, with
+    no PowerMapSpec built."""
+    return _count(ring, _exponent(ring, family, c), c, interpretation)
 
 
 @dataclass(frozen=True)

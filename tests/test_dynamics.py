@@ -10,6 +10,7 @@ from polyoracle import elements, naive_add, naive_mul
 from residueoracle import degree, residue_counts
 from scanoracle import COUNTS
 
+from perimod import claims, dynamics
 from perimod.claims import verify_all
 from perimod.cli import main
 from perimod.dynamics import (
@@ -23,11 +24,9 @@ from perimod.dynamics import (
     orbit_decomposition,
     residue_count_table,
     _count_table,
-    _power_table,
-    _successor_table,
 )
 from perimod.errors import DomainError, ResourceError, UsageError
-from perimod.rings import FpPoly, RingSpec, enumerate_monic_irreducibles, primes_in_range
+from perimod.rings import FpPoly, RingSpec, enumerate_monic_irreducibles, pow_index_table, primes_in_range
 
 P = DegreeBase.P
 PM1 = DegreeBase.P_MINUS_1
@@ -53,9 +52,16 @@ def naive_apply(map_spec, z):
     return naive_add(ring, acc, map_spec.c)
 
 
+# unwrapped, so a test can build its oracle's successor table unseen by the
+# scans fixture
+translation_table = RingSpec.translation_table
+
+
 def successor(map_spec):
-    """The map's successor table, as every count and orbit reads it."""
-    return _successor_table(map_spec, _power_table(map_spec))
+    """The map's successor table, as every count and orbit reads it: its
+    power table, then the translation by c."""
+    addc = translation_table(map_spec.ring, map_spec.c)
+    return [addc[w] for w in pow_index_table(map_spec.ring, map_spec.exponent)]
 
 
 def brute_counts(map_spec):
@@ -100,6 +106,42 @@ def test_map_rejects_a_coefficient_outside_the_ring():
             with pytest.raises(UsageError, match="out of range for"):
                 PowerMapSpec(ring, DegreeSpec(P, 1), c)
         assert PowerMapSpec(ring, DegreeSpec(P, 1), ring.cardinality_q - 1).c == ring.cardinality_q - 1
+
+
+def assert_refused_alike(ring, family, c, warm):
+    """counting_function(family, i, ring, c) raises the error, type and text,
+    that PowerMapSpec(ring, family, c) raises, in every interpretation, each
+    time right after the valid, cached calls in warm."""
+    with pytest.raises((UsageError, DomainError)) as expected:
+        PowerMapSpec(ring, family, c)
+    for interp in Interpretation:
+        for ok_ring, ok_family, ok_c in warm:
+            counting_function(ok_family, interp, ok_ring, ok_c)
+        with pytest.raises(type(expected.value)) as err:
+            counting_function(family, interp, ring, c)
+        assert type(err.value) is type(expected.value)
+        assert str(err.value) == str(expected.value)
+
+
+def test_counting_function_refuses_what_a_map_refuses():
+    # counting_function builds no PowerMapSpec but runs its checks, and a
+    # warm call on the same ring and family skips none of them
+    for ring, bad in (
+        (zp(5), (-1, 5, 6, 2.0, "1", FpPoly.make(5, [2]))),
+        (zp(7), (-1, 7, 8, 2.0, "1", FpPoly.make(7, [2]))),
+        (fq(3, [1, 0, 1]), (-1, 9, 10, 2.0, "1", FpPoly(3, (0, 1)))),
+        (fq(3, [1, 2, 0, 1]), (-1, 27, 28, 2.0, "1", FpPoly(3, (0, 1)))),
+    ):
+        for family in (DegreeSpec(P, 1), DegreeSpec(PM1, 2)):
+            if ring.p < family.min_prime:
+                continue
+            for c in bad:
+                assert_refused_alike(ring, family, c, [(ring, family, 0), (ring, family, ring.cardinality_q - 1)])
+    # (p-1)^1 has no valid call on Z/3: warm Z/3 under p^1 and (p-1)^1 on Z/5
+    z3, unit = zp(3), DegreeSpec(PM1, 1)
+    assert_refused_alike(z3, unit, 0, [(z3, DegreeSpec(P, 1), 0), (zp(5), unit, 0)])
+    with pytest.raises(DomainError, match=r"^family \(p-1\)\^1 needs p >= 5, got p = 3$"):
+        counting_function(unit, ROOTS, z3, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +297,7 @@ def test_count_table_agrees_with_scan_in_every_call_order():
                     family = DegreeSpec(base, ell)
                     for c in elements(ring):
                         spec = PowerMapSpec(ring, family, c)
-                        succ = _successor_table(spec, _power_table(spec))
+                        succ = successor(spec)
                         expected = {i: COUNTS[i.value](succ) for i in Interpretation}
                         for interp in orders[6 * ((c + ell) % 4) + c % 6]:
                             if interp is None:
@@ -267,16 +309,11 @@ def test_count_table_agrees_with_scan_in_every_call_order():
                                 )
 
 
-# unwrapped, so a test can build its oracle's successor table unseen by the
-# scans fixture
-translation_table = RingSpec.translation_table
-
-
 @pytest.fixture
 def scans(monkeypatch):
     """The (ring, c) of every successor table built from here on, with the
     count tables cleared: RingSpec.translation_table is called once per
-    scan, by _successor_table."""
+    scan, by _count."""
     seen = []
 
     def counted(ring, c):
@@ -302,16 +339,33 @@ def test_count_report_builds_one_successor_table(scans):
     assert scans == []
 
 
-def test_verify_scans_each_map_once(scans):
+def test_verify_scans_each_map_once(scans, monkeypatch):
     # 14352 cells per default pass cover 8756 maps, but only 887 up to an
     # isomorphism between fields of one order that fixes F_p (the constant-c
     # maps of every field of order p^m share their counts); the cold pass
-    # scans each of those once and the warm passes scan none
+    # scans each of those once and the warm passes scan none.  Cold or warm,
+    # each cell is one counting_function call and one power-table lookup,
+    # the calls perfbench/reference.json pins (43056 over three passes).
+    calls = {"counting_function": 0, "pow_index_table": 0}
+
+    def count_calls(module, name):
+        original = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count_calls(claims, "counting_function")
+    count_calls(dynamics, "pow_index_table")
     cells = []
     for interp in (ROOTS, EXACT2, FIXED):
         scans.clear()
+        calls.update(dict.fromkeys(calls, 0))
         cells.append(len(verify_all(13, 2, 2, interp).cells))
         assert len(scans) == (887 if interp is ROOTS else 0)
+        assert calls == {"counting_function": 14352, "pow_index_table": 14352}, interp
     assert cells == [14352] * 3
 
 
@@ -338,8 +392,7 @@ def test_constant_coefficients_are_scanned_once_per_field_order(scans):
                     for ell in (1, 2, 3):
                         for c in cs:
                             spec = PowerMapSpec(ring, DegreeSpec(base, ell), c)
-                            addc = translation_table(ring, c)
-                            succ = [addc[w] for w in _power_table(spec)]
+                            succ = successor(spec)
                             key = ((p, m) if c < p else ring, spec.exponent, c)
                             before = len(scans)
                             report = astuple(count_report(spec))
@@ -434,6 +487,31 @@ def test_budget_guard_refuses_a_cached_count(monkeypatch):
     for interp in Interpretation:
         with pytest.raises(ResourceError):
             counting_function(family, interp, ring, 0)
+    monkeypatch.delenv("PERIMOD_BUDGET")
+    # every call reads the budget: it refuses a cached constant c on Z/11, a
+    # cached non-constant c in F_9's own slots (9 elements pass a budget of
+    # 10, so 8 refuses them) and a cached count_report, and each call
+    # counts again once the budget is restored
+    f9 = fq(3, [1, 0, 1])
+    t = f9.element(FpPoly(3, (0, 1)))
+    for ring, family, c, budget, message in (
+        (ring, family, 0, "10", "scanning Z/11 needs 11 elements, budget is 10"),
+        (f9, DegreeSpec(P, 2), t, "8", "scanning F_3[t]/(1,0,1) needs 9 elements, budget is 8"),
+    ):
+        spec = PowerMapSpec(ring, family, c)
+        report = count_report(spec)
+        assert [counting_function(family, i, ring, c) for i in Interpretation] == list(astuple(report))
+        monkeypatch.setenv("PERIMOD_BUDGET", budget)
+        for interp in Interpretation:
+            with pytest.raises(ResourceError) as err:
+                counting_function(family, interp, ring, c)
+            assert str(err.value) == message
+        with pytest.raises(ResourceError) as err:
+            count_report(spec)
+        assert str(err.value) == message
+        monkeypatch.delenv("PERIMOD_BUDGET")
+        assert [counting_function(family, i, ring, c) for i in Interpretation] == list(astuple(report))
+        assert count_report(spec) == report
 
 
 def test_refused_scan_keeps_its_message(monkeypatch, capsys, tmp_path):
