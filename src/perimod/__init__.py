@@ -8,7 +8,8 @@ Library layout:
 - dynamics: orbit decomposition and the three counting interpretations
             (fixed / roots of the second iterate / exact period 2) of a
             map's successor table, read through counting_function or
-            count_report
+            count_report; every entry point names a map z^d + c as
+            (family, ring, c), a DegreeSpec, a RingSpec and c's index
 - claims:   catalog of the claimed counting branches plus the brute-force
             verifier and its CSV/JSON report
 - stats:    exact-rational partial averages, divergence series, and
@@ -24,7 +25,6 @@ from .dynamics import (
     DegreeSpec,
     Interpretation,
     OrbitDecomposition,
-    PowerMapSpec,
     count_report,
     counting_function,
     orbit_decomposition,
@@ -49,7 +49,6 @@ __all__ = [
     "Interpretation",
     "OrbitDecomposition",
     "PerimodError",
-    "PowerMapSpec",
     "ResourceError",
     "RingSpec",
     "UsageError",

@@ -15,9 +15,12 @@ single polynomial.
 parse_args turns argv into a CommandSpec of canonical strings.  run renders
 the spec back with to_argv() and parses that argv again through the same
 internal path to get typed values, so it builds the count/orbits map itself
-and a spec never carries a parsed object.  Reports are fully built before a
-single byte is written (so a failing run never leaves partial output), and
-identical invocations produce byte-identical files.
+and a spec never carries a parsed object.  That map is named as the library
+names it, (family, ring, c): a DegreeSpec from --family and --ell, and the
+ring and coefficient index that --ring, --p, --pi and --c give.  Reports
+are fully built before a single byte is written (so a failing run never
+leaves partial output), and identical invocations produce byte-identical
+files.
 
 Exit status: 0 on success (mismatch rows in a verify report are data, not
 failures), 1 on usage or domain errors, 2 on resource errors.
@@ -37,7 +40,6 @@ from .dynamics import (
     DegreeBase,
     DegreeSpec,
     Interpretation,
-    PowerMapSpec,
     count_report,
     orbit_decomposition,
 )
@@ -172,11 +174,12 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _build_map(ns: argparse.Namespace) -> PowerMapSpec:
-    """The map z -> z^d + c that --ring, --p, --pi, --family, --ell and --c
-    name, with --pi and --c validated against the ring.  RingSpec refuses a
-    ring past the scan budget before it tests p or pi; a Z/p --c is read
-    first, so a malformed one exits 1 whatever the size of the ring."""
+def _build_map(ns: argparse.Namespace) -> tuple[RingSpec, int]:
+    """The (ring, c) of the map z -> z^d + c that --ring, --p, --pi, --family,
+    --ell and --c name, with --pi and --c validated against the ring and
+    then p against the family.  RingSpec refuses a ring past the scan
+    budget before it tests p or pi; a Z/p --c is read first, so a malformed
+    one exits 1 whatever the size of the ring."""
     if RingKind(ns.ring) is RingKind.QUOTIENT_FIELD:
         if ns.pi is None:
             raise UsageError("--pi is required for --ring fpt")
@@ -190,7 +193,9 @@ def _build_map(ns: argparse.Namespace) -> PowerMapSpec:
         except ValueError:
             raise UsageError(f"argument --c: invalid int value: {ns.c!r}") from None
         ring = RingSpec(ns.p)
-    return PowerMapSpec(ring, ns.degree, ring.element(value))
+    c = ring.element(value)
+    ns.degree.require_prime(ring.p)
+    return ring, c
 
 
 def _parse(argv: Sequence[str]) -> argparse.Namespace:
@@ -208,10 +213,10 @@ def _parse(argv: Sequence[str]) -> argparse.Namespace:
     if "family" in _FLAGS[ns.subcommand]:
         ns.degree = DegreeSpec(DegreeBase(ns.family), ns.ell)
     if ns.subcommand in ("count", "orbits"):
-        ns.map = _build_map(ns)
-        ns.c = ns.map.ring.render(ns.map.c)
+        ns.map = ring, c = _build_map(ns)
+        ns.c = ring.render(c)
         if ns.pi is not None:
-            ns.pi = format_poly(ns.map.ring.modulus)
+            ns.pi = format_poly(ring.modulus)
     elif ns.subcommand == "avg":
         if (ns.c is None) == (ns.primorial_k is None):
             raise UsageError("avg needs exactly one of --c or --primorial-k")
@@ -256,12 +261,12 @@ _Table = tuple[object, list[str], list, Optional[str]]
 
 
 def _run_count(ns: argparse.Namespace) -> _Table:
-    counts = asdict(count_report(ns.map))
+    counts = asdict(count_report(ns.degree, *ns.map))
     return counts, list(counts), [list(counts.values())], None
 
 
 def _run_orbits(ns: argparse.Namespace) -> _Table:
-    decomposition = orbit_decomposition(ns.map)
+    decomposition = orbit_decomposition(ns.degree, *ns.map)
     lengths = sorted(Counter(length for length, _ in decomposition.cycles).items())
     tail = decomposition.tail_node_count
     payload = {"cycle_lengths": lengths, "tail_node_count": tail}

@@ -20,10 +20,12 @@ together, and every later request for that map, in any interpretation, is
 answered from them (exact2 is their difference).  Maps are distinct up to
 an isomorphism that fixes F_p, and any two fields of order q = p^m have
 one, so the maps with a constant c in F_p share one table per (p, m) and
-reduced exponent, whichever field of that order fills it first.  A warm
-counting_function call builds no PowerMapSpec: it is one range check on c,
-one pow for the reduced exponent, the budget test and two cache lookups,
-the power table and the count table.
+reduced exponent, whichever field of that order fills it first.
+counting_function, count_report and orbit_decomposition each name a map as
+(family, ring, c) and check it first alike (_exponent): c is an index into
+the ring, then DegreeSpec.exponent, the one rule from a family to a reduced
+exponent, checks the prime.  A warm counting_function call is that check,
+the budget test and two cache lookups, the power table and the count table.
 
 Over Z/p the reduced exponent is 1 (base p) or p-1 (base p-1), so a map is
 the translation z + c or sends every z into {c, c+1}.  residue_count_table
@@ -35,7 +37,7 @@ each found by evaluating the map on at most two points.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
@@ -70,6 +72,10 @@ class DegreeSpec:
     ell: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.base, DegreeBase):
+            raise UsageError(f"base must be a DegreeBase, got {self.base!r}")
+        if isinstance(self.ell, bool) or not isinstance(self.ell, int):
+            raise UsageError(f"ell must be an int, got {self.ell!r}")
         if self.ell < 1:
             raise DomainError(f"ell must be >= 1, got {self.ell}")
 
@@ -83,36 +89,19 @@ class DegreeSpec:
         if p < low:
             raise DomainError(f"family {self.describe()} needs p >= {low}, got p = {p}")
 
-    def base_value(self, p: int) -> int:
-        return p if self.base is DegreeBase.P else p - 1
-
-    def reduced_exponent_for(self, p: int, q: int) -> int:
-        """base^ell reduced mod q-1, mapped into [1, q-1].
-
-        Valid for exponentiation over a field of order q: nonzero elements
-        satisfy z^(q-1) = 1, and z = 0 satisfies 0^e = 0 for any e >= 1, so
-        one reduced exponent covers the whole ring.
-        """
-        e = pow(self.base_value(p), self.ell, q - 1)
-        return e if e != 0 else q - 1
+    def exponent(self, p: int, q: int) -> int:
+        """base^ell reduced mod q-1 into [1, q-1]: one exponent for the whole
+        field of order q over F_p, as z^(q-1) = 1 for z != 0 and 0^e = 0.
+        Refuses a p below the family's smallest, which only base p-1 checks:
+        base p needs p >= 3, and every ring's prime is odd."""
+        if self.base is DegreeBase.P:
+            return pow(p, self.ell, q - 1) or q - 1
+        self.require_prime(p)
+        return pow(p - 1, self.ell, q - 1) or q - 1
 
     def describe(self) -> str:
         base = "p" if self.base is DegreeBase.P else "(p-1)"
         return f"{base}^{self.ell}"
-
-
-@dataclass(frozen=True)
-class PowerMapSpec:
-    """The map z -> z^d + c on a specific ring, d = degree.base^degree.ell,
-    c given by its index in the ring."""
-
-    ring: RingSpec
-    degree: DegreeSpec
-    c: int
-    exponent: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "exponent", _exponent(self.ring, self.degree, self.c))
 
 
 def _exponent(ring: RingSpec, degree: DegreeSpec, c: int) -> int:
@@ -121,11 +110,7 @@ def _exponent(ring: RingSpec, degree: DegreeSpec, c: int) -> int:
     q = ring.cardinality_q
     if not isinstance(c, int) or not 0 <= c < q:
         raise UsageError(f"index {c!r} out of range for {ring.describe()}")
-    p = ring.p
-    if degree.base is DegreeBase.P:  # needs p >= 3, as every ring has
-        return pow(p, degree.ell, q - 1) or q - 1
-    degree.require_prime(p)
-    return pow(p - 1, degree.ell, q - 1) or q - 1
+    return degree.exponent(ring.p, q)
 
 
 @dataclass(frozen=True)
@@ -151,13 +136,14 @@ class CountReport:
     exact2: int
 
 
-def orbit_decomposition(map_spec: PowerMapSpec) -> OrbitDecomposition:
+def orbit_decomposition(family: DegreeSpec, ring: RingSpec, c: int) -> OrbitDecomposition:
     """Classify every ring element as a cycle node or a tail node, read off
-    the map's successor table (after the budget check)."""
-    ring = map_spec.ring
+    the successor table of z -> z^d + c on ring, d from family and c given
+    by its index (after the map's checks and the budget check)."""
+    e = _exponent(ring, family, c)
     ring.refuse_scan()
-    addc = ring.translation_table(map_spec.c)
-    succ = list(map(addc.__getitem__, pow_index_table(ring, map_spec.exponent)))
+    addc = ring.translation_table(c)
+    succ = list(map(addc.__getitem__, pow_index_table(ring, e)))
     q = len(succ)
     status = bytearray(q)  # 0 unvisited, 1 on current path, 2 settled
     cycles: list[tuple[int, int]] = []
@@ -225,12 +211,15 @@ def _count(ring: RingSpec, e: int, c: int, interpretation: Interpretation) -> in
         return fixed[c]
     if interpretation is Interpretation.ROOTS_LE2:
         return roots[c]
-    return roots[c] - fixed[c]
+    if interpretation is Interpretation.EXACT2:
+        return roots[c] - fixed[c]
+    raise UsageError(f"interpretation must be an Interpretation, got {interpretation!r}")
 
 
-def count_report(map_spec: PowerMapSpec) -> CountReport:
-    """All three counts of one map, in Interpretation order."""
-    ring, e, c = map_spec.ring, map_spec.exponent, map_spec.c
+def count_report(family: DegreeSpec, ring: RingSpec, c: int) -> CountReport:
+    """All three counts of z -> z^d + c on ring, in Interpretation order,
+    the map named and checked as counting_function names and checks it."""
+    e = _exponent(ring, family, c)
     return CountReport(*(_count(ring, e, c, i) for i in Interpretation))
 
 
@@ -241,8 +230,8 @@ def counting_function(
     c: int,
 ) -> int:
     """The interpretation's count for z -> z^d + c on ring, d from family and
-    c given by its index: one range check and one pow, then _count, with
-    no PowerMapSpec built."""
+    c given by its index: the map's checks and reduced exponent (_exponent),
+    then _count."""
     return _count(ring, _exponent(ring, family, c), c, interpretation)
 
 
@@ -302,8 +291,7 @@ def residue_count_table(
     """
     if p < 3 or p % 2 == 0:
         raise UsageError(f"modulus must be an odd prime >= 3, got {p!r}")
-    family.require_prime(p)
-    e = family.reduced_exponent_for(p, p)
+    e = family.exponent(p, p)
 
     def count(c: int) -> int:
         if interpretation is Interpretation.FIXED:
@@ -311,6 +299,8 @@ def residue_count_table(
         le2 = _period_count(p, e, c, 2)
         if interpretation is Interpretation.ROOTS_LE2:
             return le2
-        return le2 - _period_count(p, e, c, 1)
+        if interpretation is Interpretation.EXACT2:
+            return le2 - _period_count(p, e, c, 1)
+        raise UsageError(f"interpretation must be an Interpretation, got {interpretation!r}")
 
     return ResidueProfile(p, generic=count(1), at_zero=count(0), at_minus_one=count(p - 1))

@@ -137,10 +137,6 @@ class FpPoly:
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    def monic(self) -> "FpPoly":
-        """Monic normalization; the zero polynomial stays zero."""
-        return FpPoly(self.p, tuple(_gcd(self.coeffs, (), self.p)))
-
     def __repr__(self) -> str:
         return f"FpPoly(p={self.p}, {format_poly(self)!r})"
 

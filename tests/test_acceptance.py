@@ -27,7 +27,6 @@ from perimod.dynamics import (
     DegreeBase,
     DegreeSpec,
     Interpretation,
-    PowerMapSpec,
     count_report,
     counting_function,
 )
@@ -116,7 +115,7 @@ def test_criterion_3():
     for p in (3, 5, 7, 11, 13):
         ring = RingSpec(p)
         for c in range(p * p):
-            report = count_report(PowerMapSpec(ring, family, ring.element(c)))
+            report = count_report(family, ring, ring.element(c))
             assert report.period_le2_roots == report.fixed + report.exact2
 
 
@@ -130,8 +129,7 @@ def test_criterion_4():
             for m in (1, 2, 3):
                 for pi in enumerate_monic_irreducibles(p, m):
                     ring = RingSpec(p, pi)
-                    spec = PowerMapSpec(ring, family, 0)
-                    report = count_report(spec)
+                    report = count_report(family, ring, 0)
                     fixed, le2, exact2 = report.fixed, report.period_le2_roots, report.exact2
                     assert fixed == p ** gcd(ell, m)
                     assert le2 == p ** gcd(2 * ell, m)
@@ -316,7 +314,6 @@ def test_public_api_is_pinned():
         "Interpretation",
         "OrbitDecomposition",
         "PerimodError",
-        "PowerMapSpec",
         "ResourceError",
         "RingSpec",
         "UsageError",

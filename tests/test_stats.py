@@ -277,7 +277,7 @@ def test_density_smallest_population():
 @lru_cache(maxsize=None)
 def _scanned_counts(family, p):
     """{interpretation: count} for every c mod p, iterating z^d + c directly."""
-    d = family.base_value(p) ** family.ell
+    d = degree(family.base.value, family.ell, p)
     powers = [pow(z, d, p) for z in range(p)]
     out = []
     for c in range(p):
