@@ -37,7 +37,6 @@ from .rings import (
     format_poly,
     is_irreducible,
     parse_poly,
-    poly_gcd,
 )
 
 __all__ = [
@@ -59,7 +58,6 @@ __all__ = [
     "is_irreducible",
     "orbit_decomposition",
     "parse_poly",
-    "poly_gcd",
 ]
 
 __version__ = "0.1.0"

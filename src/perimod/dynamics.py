@@ -14,13 +14,14 @@ and that set with fixed points excluded (exact period 2).  Both are
 first-class Interpretation values here, alongside the plain fixed-point
 count; nothing in this package silently prefers one reading.
 counting_function (one interpretation) and count_report (all three) read
-one per-map count table, keyed by the ring and the reduced exponent: each
-distinct map is scanned once, its fixed and period-dividing-2 counts filled
-together, and every later request for that map, in any interpretation, is
-answered from them (exact2 is their difference).  Maps are distinct up to
-an isomorphism that fixes F_p, and any two fields of order q = p^m have
-one, so the maps with a constant c in F_p share one table per (p, m) and
-reduced exponent, whichever field of that order fills it first.
+one count table, keyed by the ring and the reduced exponent: each distinct
+map is scanned once, its fixed and period-dividing-2 counts stored as one
+entry under c, and every later request for that map, in any
+interpretation, is answered from them (exact2 is their difference).  Maps
+are distinct up to an isomorphism that fixes F_p, and any two fields of
+order q = p^m have one, so the maps with a constant c in F_p share one
+table per (p, m) and reduced exponent, whichever field of that order
+fills it first.
 counting_function, count_report and orbit_decomposition each name a map as
 (family, ring, c) and check it first alike (_exponent): c is an index into
 the ring, then DegreeSpec.exponent, the one rule from a family to a reduced
@@ -36,7 +37,6 @@ each found by evaluating the map on at most two points.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -106,9 +106,10 @@ class DegreeSpec:
 
 def _exponent(ring: RingSpec, degree: DegreeSpec, c: int) -> int:
     """The reduced exponent of z -> z^d + c on ring, after checking that c is
-    an index 0 <= c < q (UsageError) and p the family's (DomainError)."""
+    an int index 0 <= c < q, not a bool (UsageError), and p the family's
+    (DomainError)."""
     q = ring.cardinality_q
-    if not isinstance(c, int) or not 0 <= c < q:
+    if type(c) is not int or not 0 <= c < q:
         raise UsageError(f"index {c!r} out of range for {ring.describe()}")
     return degree.exponent(ring.p, q)
 
@@ -169,50 +170,46 @@ def orbit_decomposition(family: DegreeSpec, ring: RingSpec, c: int) -> OrbitDeco
 
 
 @lru_cache(maxsize=None)
-def _count_table(key: "RingSpec | tuple[int, int]", e: int, size: int) -> tuple[array, array]:
-    """Count slots of the maps z -> z^e + c (each e in [1, q-1] is a distinct
-    power map): #{z : phi(z) = z} and #{z : phi^2(z) = z} for each
-    coefficient index c < size, -1 until that map is scanned.
+def _count_table(key: "RingSpec | tuple[int, int]", e: int) -> dict[int, tuple[int, int]]:
+    """Counts of the maps z -> z^e + c scanned so far (each e in [1, q-1] is
+    a distinct power map): c -> (#{z : phi(z) = z}, #{z : phi^2(z) = z}).
 
-    key is a ring, whose q slots hold its own maps, or (p, m), whose p slots
-    hold the maps with a constant c in F_p on every field of order q = p^m:
-    an isomorphism sigma between two such fields fixes F_p, so it carries
-    z^e + c to sigma(z)^e + c and the two maps have the same counts.
+    key is a ring, for its own maps, or (p, m), for the maps with a constant
+    c in F_p on every field of order q = p^m: an isomorphism sigma between
+    two such fields fixes F_p, so it carries z^e + c to sigma(z)^e + c and
+    the two maps have the same counts.
     """
-    unscanned = array("i", [-1]) * size
-    return unscanned, array("i", unscanned)
+    return {}
 
 
 def _count(ring: RingSpec, e: int, c: int, interpretation: Interpretation) -> int:
     """The interpretation's count for z -> z^e + c on ring, e a reduced
-    exponent and c a checked index, read from the map's slots in
-    _count_table: the slots shared by the fields of its order when c is a
+    exponent and c a checked index, read from the map's entry in
+    _count_table: the table shared by the fields of its order when c is a
     constant (its index is one base-p digit), its ring's own otherwise.
 
     The budget is tested first, on every call, so a lowered budget refuses
     a cached count too; a warm call is then two cache lookups, the power
-    table and the map's slots.  The first call for a map builds its
-    successor table and fills both slots: one pass finds the points of
-    period dividing 2, and the fixed points are counted among those.
+    table and the count table, and a read of the map's entry.  The first
+    call for a map builds its successor table and stores both counts: one
+    pass finds the points of period dividing 2, and the fixed points are
+    counted among those.
     """
     ring.refuse_scan()
     u = pow_index_table(ring, e)
-    if c < ring.p:
-        fixed, roots = _count_table((ring.p, ring.degree_m), e, ring.p)
-    else:
-        fixed, roots = _count_table(ring, e, ring.cardinality_q)
-    if fixed[c] < 0:
+    counts = _count_table((ring.p, ring.degree_m) if c < ring.p else ring, e)
+    if c not in counts:
         addc = ring.translation_table(c)
         succ = list(map(addc.__getitem__, u))
         period2 = [z for z, w in enumerate(succ) if succ[w] == z]
-        roots[c] = len(period2)
-        fixed[c] = sum(1 for z in period2 if succ[z] == z)
+        counts[c] = sum(1 for z in period2 if succ[z] == z), len(period2)
+    fixed, roots = counts[c]
     if interpretation is Interpretation.FIXED:
-        return fixed[c]
+        return fixed
     if interpretation is Interpretation.ROOTS_LE2:
-        return roots[c]
+        return roots
     if interpretation is Interpretation.EXACT2:
-        return roots[c] - fixed[c]
+        return roots - fixed
     raise UsageError(f"interpretation must be an Interpretation, got {interpretation!r}")
 
 

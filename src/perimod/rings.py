@@ -6,8 +6,9 @@ Polynomials are stored as tuples of residues in ascending powers of t with
 trailing zeros trimmed (the zero polynomial is the empty tuple).  FpPoly is
 a checked (p, coeffs) value with its text format; one long division on
 coefficient lists, _rem, gives the remainders that RingSpec.element and the
-one list gcd, _gcd, need, and _gcd serves poly_gcd and Rabin's test, so
-that test builds no FpPoly.
+one gcd, _gcd on coefficient lists, need; Rabin's test runs _gcd, so it
+builds no FpPoly.  One trial division, prime_factors, serves primality
+(is_prime_int), the generator search and the stats averages.
 
 Every ring element is its dense integer index 0 <= i < q, a plain int, for
 Z/p and for quotient fields alike: the base-p digits of i are the
@@ -38,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
+from itertools import chain, count
 from math import isqrt
 from operator import mul
 from typing import Sequence
@@ -50,20 +52,28 @@ from .errors import DomainError, UsageError
 # primes
 
 
+def prime_factors(n: int) -> list[int]:
+    """Distinct prime factors of n, ascending, by trial division by 2 and
+    then by odd divisors only; [] for n < 2.  Adequate at desk scale."""
+    out = []
+    for f in chain((2,), count(3, 2)):
+        if f * f > n:
+            break
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+    if n > 1:
+        out.append(n)
+    return out
+
+
 @lru_cache(maxsize=None)
 def is_prime_int(n: int) -> bool:
-    """Trial-division primality test; adequate at desk scale.  Cached, as
-    every FpPoly checks its modulus when it is built."""
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    """Whether n is prime: its only prime factor is n itself (prime_factors,
+    so False for n < 2).  Cached, as every FpPoly checks its modulus when it
+    is built."""
+    return prime_factors(n) == [n]
 
 
 def primes_in_range(lo: int, hi: int) -> list[int]:
@@ -194,13 +204,6 @@ def _gcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     return [x * inv % p for x in a]
 
 
-def poly_gcd(a: FpPoly, b: FpPoly) -> FpPoly:
-    """Monic greatest common divisor; gcd(a, 0) = monic(a), gcd(0, 0) = 0."""
-    if a.p != b.p:
-        raise UsageError(f"mixed coefficient moduli: {a.p} vs {b.p}")
-    return FpPoly(a.p, tuple(_gcd(a.coeffs, b.coeffs, a.p)))
-
-
 def _mul_mod(a: list[int], b: list[int], p: int, low: Sequence[int]) -> list[int]:
     """a * b on length-m coefficient lists, reduced modulo the monic
     t^m + low[m-1] t^(m-1) + ... + low[0]: the schoolbook product, then each
@@ -233,21 +236,6 @@ def _pow_mod(a: list[int], e: int, p: int, low: Sequence[int]) -> list[int]:
     return result
 
 
-def _prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of n >= 1, ascending."""
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def is_irreducible(f: FpPoly) -> bool:
     """Rabin test: f of degree n over F_p is irreducible iff t^(p^n) = t (mod f)
     and gcd(t^(p^(n/r)) - t, f) = 1 for every prime r dividing n.
@@ -262,7 +250,7 @@ def is_irreducible(f: FpPoly) -> bool:
     low = monic[:n]
     t = [0, 1] + [0] * (n - 2)
     # t^(p^k) mod f by iterated p-th powering (x -> x^p is a ring map mod f)
-    needed = {n // r for r in _prime_factors(n)}
+    needed = {n // r for r in prime_factors(n)}
     frob = t
     for k in range(1, n + 1):
         frob = _pow_mod(frob, p, p, low)
@@ -353,7 +341,7 @@ class RingSpec:
     def element(self, value: "int | FpPoly") -> int:
         """The index of an integer or polynomial reduced into this ring."""
         p = self.p
-        if isinstance(value, int):
+        if type(value) is int:
             return value % p
         if not isinstance(value, FpPoly):
             raise UsageError(f"cannot build an element of {self.describe()} from {value!r}")
@@ -431,7 +419,7 @@ def log_tables(ring: RingSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:
     low = ring.modulus_coeffs[:-1]
     q = p**m
     one = _coeffs(1, p, m)
-    factors = _prime_factors(q - 1)
+    factors = prime_factors(q - 1)
     for candidate in range(p if m > 1 else 1, q):
         g = _coeffs(candidate, p, m)
         if all(_pow_mod(g, (q - 1) // r, p, low) != one for r in factors):

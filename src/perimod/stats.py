@@ -28,7 +28,7 @@ from typing import Optional
 from .budget import DENSITY_BUDGET, FACTOR_BUDGET, SWEEP_BUDGET, refuse_past
 from .dynamics import DegreeSpec, Interpretation, residue_count_table
 from .errors import DomainError
-from .rings import _prime_factors, is_prime_int, primes_in_range
+from .rings import is_prime_int, prime_factors, primes_in_range
 
 
 class AvgCondition(Enum):
@@ -118,7 +118,7 @@ def _divisor_sums(
     p_min = family.min_prime
     sums = []
     for c in cs:
-        primes = [p for p in _prime_factors(c + offset) if p >= p_min]
+        primes = [p for p in prime_factors(c + offset) if p >= p_min]
         counts = [residue_count_table(p, family, interpretation)[c % p] for p in primes]
         sums.append((sum(counts), len(counts)))
     return sums

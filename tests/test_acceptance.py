@@ -324,7 +324,6 @@ def test_public_api_is_pinned():
         "is_irreducible",
         "orbit_decomposition",
         "parse_poly",
-        "poly_gcd",
     ]
     namespace = {}
     exec("from perimod import *", namespace)

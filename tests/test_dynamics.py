@@ -120,12 +120,12 @@ def assert_refused_alike(family, ring, c, warm, error, message):
 def test_entry_points_refuse_a_map_alike():
     # the three entry points share one check, and a warm call on the same
     # ring and family skips none of it: c is an index 0 <= c < q, and a
-    # polynomial is refused
+    # polynomial or a bool is refused
     for ring, bad in (
-        (zp(5), (-1, 5, 6, 2.0, "1", FpPoly.make(5, [2]))),
-        (zp(7), (-1, 7, 8, 2.0, "1", FpPoly.make(7, [2]))),
-        (fq(3, [1, 0, 1]), (-1, 9, 10, 2.0, "1", FpPoly(3, (0, 1)))),
-        (fq(3, [1, 2, 0, 1]), (-1, 27, 28, 2.0, "1", FpPoly(3, (0, 1)))),
+        (zp(5), (-1, 5, 6, 2.0, "1", True, False, FpPoly.make(5, [2]))),
+        (zp(7), (-1, 7, 8, 2.0, "1", True, False, FpPoly.make(7, [2]))),
+        (fq(3, [1, 0, 1]), (-1, 9, 10, 2.0, "1", True, False, FpPoly(3, (0, 1)))),
+        (fq(3, [1, 2, 0, 1]), (-1, 27, 28, 2.0, "1", True, False, FpPoly(3, (0, 1)))),
     ):
         for family in (DegreeSpec(P, 1), DegreeSpec(PM1, 2)):
             if ring.p < family.min_prime:
@@ -286,9 +286,9 @@ def test_count_report_agrees_with_counting_function_by_name():
 
 
 def test_count_table_agrees_with_scan_in_every_call_order():
-    # the first request for a map fills both of its slots, whatever it asks
+    # the first request for a map stores both of its counts, whatever it asks
     # for; each map takes one of the 24 orders of the three interpretations
-    # and count_report (None), so a slot that only one first request fills
+    # and count_report (None), so a count that only one first request stores
     # correctly fails here.  permutations lists the orders in four blocks
     # of six by first request, and (c + ell) % 4 picks the block, so the
     # maps of every prime field, Z/3 included, start with each request.  Every quotient field of degree <= 3, except
@@ -338,7 +338,7 @@ def scans(monkeypatch):
 
 
 def test_count_report_builds_one_successor_table(scans):
-    # count_report fills the map's count slots from one successor table;
+    # count_report stores the map's counts from one successor table;
     # a second report, or any counting_function, on the same map reads them
     ring = fq(3, [1, 0, 1])
     family = DegreeSpec(P, 2)
@@ -499,7 +499,7 @@ def test_budget_guard_refuses_a_cached_count(monkeypatch):
             counting_function(family, interp, ring, 0)
     monkeypatch.delenv("PERIMOD_BUDGET")
     # every call reads the budget: it refuses a cached constant c on Z/11, a
-    # cached non-constant c in F_9's own slots (9 elements pass a budget of
+    # cached non-constant c in F_9's own table (9 elements pass a budget of
     # 10, so 8 refuses them) and a cached count_report, and each call
     # counts again once the budget is restored
     f9 = fq(3, [1, 0, 1])

@@ -17,15 +17,17 @@ from perimod.errors import DomainError, ResourceError, UsageError
 from perimod.rings import (
     FpPoly,
     RingSpec,
+    _gcd,
     _mul_mod,
     _pow_mod,
     enumerate_monic_irreducibles,
     format_poly,
     is_irreducible,
+    is_prime_int,
     log_tables,
     parse_poly,
-    poly_gcd,
     pow_index_table,
+    prime_factors,
     primes_in_range,
     require_odd_prime,
 )
@@ -128,15 +130,31 @@ def test_prime_rejects_non_odd_primes(bad):
     assert str(err.value) == (f"{bad} is not prime" if odd else f"modulus must be an odd prime >= 3, got {bad}")
 
 
+def test_is_prime_int_agrees_with_the_sieve():
+    primes = primes_in_range(2, 10**4)
+    assert [n for n in range(-3, 10**4 + 1) if is_prime_int(n)] == primes
+
+
+def test_prime_factors_are_the_sieve_primes_of_n():
+    primes = set(primes_in_range(2, 10**4))
+    for n in range(1, 10**4 + 1):
+        factors = prime_factors(n)
+        assert factors == sorted(set(factors)) and primes.issuperset(factors), n
+        rest = n
+        for f in factors:  # each factor taken to its full power
+            while rest % f == 0:
+                rest //= f
+        assert rest == 1, n
+
+
 @pytest.mark.parametrize("p", [1, 2, 4, 9, 15])
 def test_polynomials_refuse_a_modulus_that_is_not_an_odd_prime(p):
-    # unchecked, p = 4 sends poly_gcd and enumerate_monic_irreducibles(4, 2) into
-    # an endless loop, and enumerate_monic_irreducibles(9, 1) lists 9 polynomials
+    # unchecked, p = 4 sends enumerate_monic_irreducibles(4, 2) into an
+    # endless loop, and enumerate_monic_irreducibles(9, 1) lists 9 polynomials
     for call in (
         lambda: FpPoly(p, (0, 1)),
         lambda: FpPoly.make(p, [1, 2, 2]),
         lambda: parse_poly("0", p),
-        lambda: poly_gcd(FpPoly.make(p, [1, 2, 2]), FpPoly.make(p, [1, 2])),
         lambda: is_irreducible(FpPoly.make(p, [1, 0, 1])),
         lambda: enumerate_monic_irreducibles(p, 1),
         lambda: enumerate_monic_irreducibles(p, 2),
@@ -386,14 +404,17 @@ def test_polyoracle_imports_nothing_from_perimod():
     assert not [name for name in modules if name.startswith((".", "perimod"))]
 
 
+def monic_gcd(a, b):
+    """The monic gcd of two polynomials over one F_p, by the list gcd _gcd."""
+    return FpPoly(a.p, tuple(_gcd(a.coeffs, b.coeffs, a.p)))
+
+
 def test_poly_gcd_examples():
-    assert poly_gcd(FpPoly.make(5, [4, 0, 1]), FpPoly.make(5, [4, 1])) == FpPoly.make(5, [4, 1])
+    assert monic_gcd(FpPoly.make(5, [4, 0, 1]), FpPoly.make(5, [4, 1])) == FpPoly.make(5, [4, 1])
     a = FpPoly.make(5, [3, 2, 4])
-    assert poly_gcd(a, FpPoly(5, ())) == FpPoly.make(5, [2, 3, 1])  # a / 4
-    assert poly_gcd(FpPoly(3, ()), FpPoly(3, ())).is_zero
-    assert poly_gcd(FpPoly.make(3, [1, 0, 1]), FpPoly.make(3, [2, 0, 1])) == FpPoly.make(3, [1])
-    with pytest.raises(UsageError, match="^mixed coefficient moduli: 3 vs 5$"):
-        poly_gcd(FpPoly.make(3, [1, 1]), FpPoly.make(5, [1, 1]))
+    assert monic_gcd(a, FpPoly(5, ())) == FpPoly.make(5, [2, 3, 1])  # a / 4
+    assert monic_gcd(FpPoly(3, ()), FpPoly(3, ())).is_zero
+    assert monic_gcd(FpPoly.make(3, [1, 0, 1]), FpPoly.make(3, [2, 0, 1])) == FpPoly.make(3, [1])
 
 
 def test_poly_gcd_against_common_divisor_enumeration():
@@ -404,7 +425,7 @@ def test_poly_gcd_against_common_divisor_enumeration():
         for b in polys:
             prod_a = FpPoly.make(p, poly_mul(a.coeffs, [1, 2], p))
             prod_b = FpPoly.make(p, poly_mul(b.coeffs, [1, 2], p))
-            g = poly_gcd(prod_a, prod_b)
+            g = monic_gcd(prod_a, prod_b)
             assert divides(g, prod_a) and divides(g, prod_b)
             for d in range(g.degree + 1, min(prod_a.degree, prod_b.degree) + 1):
                 for candidate in all_monics(p, d):
@@ -495,6 +516,10 @@ def test_ring_element_reduction_and_arith():
         z5.element(FpPoly(5, (0, 1)))  # Z/p takes constant polynomials only
     with pytest.raises(UsageError):
         z5.element([1, 1])
+    for flag in (True, False):  # a bool is not an index, though it is an int
+        with pytest.raises(UsageError) as err:
+            z5.element(flag)
+        assert str(err.value) == f"cannot build an element of Z/5 from {flag!r}"
 
 
 def test_element_reduces_like_the_oracle_division():
