@@ -2,7 +2,8 @@
 
 Library layout:
 
-- rings:    Z/pZ and F_p[t]/(pi), each element a plain int index, their one
+- rings:    Z/pZ and F_p[t]/(pi), each element a plain int index and each
+            polynomial a tuple of ascending coefficients, their one
             arithmetic kernel of whole-ring power and translation tables,
             irreducibility testing, enumeration of irreducible monic moduli
 - dynamics: orbit decomposition and the three counting interpretations
@@ -31,7 +32,6 @@ from .dynamics import (
 )
 from .errors import DomainError, PerimodError, ResourceError, UsageError
 from .rings import (
-    FpPoly,
     RingSpec,
     enumerate_monic_irreducibles,
     format_poly,
@@ -44,7 +44,6 @@ __all__ = [
     "DegreeBase",
     "DegreeSpec",
     "DomainError",
-    "FpPoly",
     "Interpretation",
     "OrbitDecomposition",
     "PerimodError",

@@ -2,20 +2,22 @@
 
 Everything here is immutable and pure: operations return fully reduced
 canonical representatives, and re-reducing a result is always the identity.
-Polynomials are stored as tuples of residues in ascending powers of t with
-trailing zeros trimmed (the zero polynomial is the empty tuple).  FpPoly is
-a checked (p, coeffs) value with its text format; one long division on
-coefficient lists, _rem, gives the remainders that RingSpec.element and the
-one gcd, _gcd on coefficient lists, need; Rabin's test runs _gcd, so it
-builds no FpPoly.  One trial division, prime_factors, serves primality
-(is_prime_int), the generator search and the stats averages.
+A polynomial over F_p is a plain tuple of its residues in ascending powers
+of t with trailing zeros trimmed (the zero polynomial is ()).  One check,
+_poly, guards every polynomial that enters: it tests p and every
+coefficient and trims the tuple, for parse_poly, is_irreducible and
+RingSpec alike.  One long division on coefficient lists, _rem, gives the
+remainders that RingSpec.element and the one gcd, _gcd on coefficient
+lists, need; Rabin's test runs _gcd.  One trial division, prime_factors,
+serves primality (is_prime_int), the generator search and the stats
+averages.
 
 Every ring element is its dense integer index 0 <= i < q, a plain int, for
 Z/p and for quotient fields alike: the base-p digits of i are the
 coefficients of the reduced polynomial, so a Z/p element is its residue.
-RingSpec.element reduces an int or FpPoly to its index, and
+RingSpec.element reduces an int or a coefficient tuple to its index, and
 RingSpec.render(i) gives the index's text.  A ring is refused past the scan
-budget before its p or pi is tested, then checks its modulus when built.
+budget before trial division tests its p or Rabin's test its pi.
 
 Arithmetic on elements is one kernel of whole-ring index tables, read by
 every count, orbit and verify cell: pow_index_table(ring, e) is z -> z^e,
@@ -71,8 +73,8 @@ def prime_factors(n: int) -> list[int]:
 @lru_cache(maxsize=None)
 def is_prime_int(n: int) -> bool:
     """Whether n is prime: its only prime factor is n itself (prime_factors,
-    so False for n < 2).  Cached, as every FpPoly checks its modulus when it
-    is built."""
+    so False for n < 2).  Cached, as every ring and every polynomial check
+    (_poly) tests its p."""
     return prime_factors(n) == [n]
 
 
@@ -106,66 +108,34 @@ def require_odd_prime(p: int) -> int:
 # polynomials over F_p
 
 
-@dataclass(frozen=True)
-class FpPoly:
-    """A polynomial over F_p in canonical form.
-
-    coeffs[i] is the coefficient of t^i; the last entry is nonzero unless the
-    tuple is empty (the zero polynomial).  The strict constructor rejects a
-    p that is not an odd prime and non-canonical input; use FpPoly.make to
-    reduce arbitrary coefficients.
-    """
-
-    p: int
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        require_odd_prime(self.p)
-        if self.coeffs and self.coeffs[-1] == 0:
-            raise UsageError("non-canonical polynomial: trailing zero coefficient")
-        if any(not (0 <= a < self.p) for a in self.coeffs):
-            raise UsageError(f"coefficients must lie in [0, {self.p})")
-
-    @classmethod
-    def make(cls, p: int, coeffs: Sequence[int]) -> "FpPoly":
-        """Reduce coefficients mod p and trim trailing zeros."""
-        cs = [a % p for a in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return cls(p, tuple(cs))
-
-    @property
-    def degree(self) -> int:
-        """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def __repr__(self) -> str:
-        return f"FpPoly(p={self.p}, {format_poly(self)!r})"
+def _poly(coeffs: Sequence[int], p: int) -> tuple[int, ...]:
+    """The polynomial over F_p with these ascending coefficients, as a tuple
+    with trailing zeros trimmed (the zero polynomial is ()).  The one check
+    of a polynomial: p must be an odd prime and every coefficient an int
+    (not a bool) in [0, p); UsageError otherwise."""
+    require_odd_prime(p)
+    for a in coeffs:
+        if type(a) is not int or not 0 <= a < p:
+            raise UsageError(f"coefficient {a!r} is not an int in [0, {p})")
+    end = len(coeffs)
+    while end and not coeffs[end - 1]:
+        end -= 1
+    return tuple(coeffs[:end])
 
 
-def format_poly(f: FpPoly) -> str:
+def format_poly(f: Sequence[int]) -> str:
     """Comma-separated ascending coefficients; the zero polynomial is "0"."""
-    if f.is_zero:
-        return "0"
-    return ",".join(str(c) for c in f.coeffs)
+    return ",".join(map(str, f)) or "0"
 
 
-def parse_poly(text: str, p: int) -> FpPoly:
-    """Parse the comma-coefficient format, e.g. "1,0,1" -> 1 + t^2.
+def parse_poly(text: str, p: int) -> tuple[int, ...]:
+    """Parse the comma-coefficient format, e.g. "1,0,1" -> (1, 0, 1), 1 + t^2.
 
-    Coefficients outside [0, p) are rejected rather than reduced.
+    A text is refused in its own words first, so a coefficient outside
+    [0, p) is rejected rather than reduced, and named with the text.
     """
-    parts = text.split(",")
     coeffs = []
-    for part in parts:
+    for part in text.split(","):
         part = part.strip()
         try:
             a = int(part)
@@ -174,7 +144,7 @@ def parse_poly(text: str, p: int) -> FpPoly:
         if not (0 <= a < p):
             raise UsageError(f"coefficient {a} out of range [0, {p}) in {text!r}")
         coeffs.append(a)
-    return FpPoly.make(p, coeffs)
+    return _poly(coeffs, p)
 
 
 def _rem(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
@@ -236,17 +206,18 @@ def _pow_mod(a: list[int], e: int, p: int, low: Sequence[int]) -> list[int]:
     return result
 
 
-def is_irreducible(f: FpPoly) -> bool:
-    """Rabin test: f of degree n over F_p is irreducible iff t^(p^n) = t (mod f)
-    and gcd(t^(p^(n/r)) - t, f) = 1 for every prime r dividing n.
+def is_irreducible(f: Sequence[int], p: int) -> bool:
+    """Rabin test: f of degree n over F_p, its ascending coefficients checked
+    by _poly, is irreducible iff t^(p^n) = t (mod f) and
+    gcd(t^(p^(n/r)) - t, f) = 1 for every prime r dividing n.
     """
-    n = f.degree
-    if f.is_zero or n == 0:
+    f = _poly(f, p)
+    n = len(f) - 1
+    if n < 1:
         raise DomainError("irreducibility is undefined for constants and zero")
     if n == 1:
         return True
-    p = f.p
-    monic = _gcd(f.coeffs, [], p)  # gcd(f, 0): f made monic
+    monic = _gcd(f, [], p)  # gcd(f, 0): f made monic
     low = monic[:n]
     t = [0, 1] + [0] * (n - 2)
     # t^(p^k) mod f by iterated p-th powering (x -> x^p is a ring map mod f)
@@ -260,16 +231,16 @@ def is_irreducible(f: FpPoly) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _monic_irreducibles(p: int, m: int) -> tuple[FpPoly, ...]:
+def _monic_irreducibles(p: int, m: int) -> tuple[tuple[int, ...], ...]:
     out = []
     for n in range(p**m):
-        f = FpPoly(p, tuple(_coeffs(n, p, m)) + (1,))
-        if is_irreducible(f):
+        f = tuple(_coeffs(n, p, m)) + (1,)
+        if is_irreducible(f, p):
             out.append(f)
     return tuple(out)
 
 
-def enumerate_monic_irreducibles(p: int, m: int) -> list[FpPoly]:
+def enumerate_monic_irreducibles(p: int, m: int) -> list[tuple[int, ...]]:
     """All monic irreducible polynomials of degree exactly m over F_p.
 
     Ordered by the base-p value of the coefficient vector (so for m = 1 this
@@ -298,32 +269,33 @@ class RingSpec:
     set then too; equality reads p and modulus only."""
 
     p: int
-    modulus: "FpPoly | None" = None
+    modulus: "tuple[int, ...] | None" = None
     degree_m: int = field(init=False, repr=False, compare=False)
     cardinality_q: int = field(init=False, repr=False, compare=False)
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         p = require_odd_prime(self.p)
+        pi = self.modulus
+        if pi is not None:
+            pi = _poly(pi, p)
+            object.__setattr__(self, "modulus", pi)
         m = len(self.modulus_coeffs) - 1
         limit = scan_budget()
         q = capped_power(p, m, limit)
         if m > limit.bit_length():  # q is refused, and pi and p^m can be too long to print
             refuse_past(limit, q, lambda: f"scanning F_{p}[t]/(pi) of degree {m} needs {p}^{m} elements")
-        for name, value in (("degree_m", m), ("cardinality_q", q), ("_hash", hash((p, self.modulus)))):
+        for name, value in (("degree_m", m), ("cardinality_q", q), ("_hash", hash((p, pi)))):
             object.__setattr__(self, name, value)
         self.refuse_scan()  # before Rabin's test, whose cost grows as m^3
-        pi = self.modulus
         if pi is None:
             return
-        if pi.p != self.p:
-            raise UsageError(f"modulus over F_{pi.p} does not match prime {self.p}")
-        if not pi.is_monic:
+        if pi[-1:] != (1,):
             raise UsageError(f"modulus must be monic: {format_poly(pi)}")
-        if pi.degree < 1:
-            raise UsageError(f"modulus must have degree >= 1, got {pi.degree}")
-        if not is_irreducible(pi):
-            raise UsageError(f"modulus {format_poly(pi)} is reducible over F_{pi.p}")
+        if m < 1:
+            raise UsageError(f"modulus must have degree >= 1, got {m}")
+        if not is_irreducible(pi, p):
+            raise UsageError(f"modulus {format_poly(pi)} is reducible over F_{p}")
 
     def __hash__(self) -> int:
         return self._hash
@@ -336,27 +308,27 @@ class RingSpec:
     @property
     def modulus_coeffs(self) -> tuple[int, ...]:
         """Ascending coefficients of the modulus; Z/p reads as F_p[t]/(t)."""
-        return (0, 1) if self.modulus is None else self.modulus.coeffs
+        return (0, 1) if self.modulus is None else self.modulus
 
-    def element(self, value: "int | FpPoly") -> int:
-        """The index of an integer or polynomial reduced into this ring."""
+    def element(self, value: "int | tuple[int, ...]") -> int:
+        """The index of an int, or of a polynomial's coefficient tuple,
+        reduced into this ring."""
         p = self.p
         if type(value) is int:
             return value % p
-        if not isinstance(value, FpPoly):
+        if type(value) is not tuple:
             raise UsageError(f"cannot build an element of {self.describe()} from {value!r}")
-        if value.p != p:
-            raise UsageError(f"polynomial over F_{value.p} does not belong to F_{p}[t]")
-        if self.modulus is None and value.degree > 0:
+        f = _poly(value, p)
+        if self.modulus is None and len(f) > 1:
             raise UsageError("Z/p element cannot come from a non-constant polynomial")
-        return _index(_rem(value.coeffs, self.modulus_coeffs, p), p)
+        return _index(_rem(f, self.modulus_coeffs, p), p)
 
     # -- dense index machinery (base-p digits of the coefficient vector) --
 
     def render(self, idx: int) -> str:
         """Text form of an index: comma-separated ascending coefficients, "0"
         for zero (for Z/p, the decimal residue)."""
-        return ",".join(map(str, _digits(idx, self.p))) or "0"
+        return format_poly(_digits(idx, self.p))
 
     def translation_table(self, c: int) -> list[int]:
         """Index table of z -> z + c over the whole ring, c given by its index.

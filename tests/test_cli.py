@@ -37,7 +37,12 @@ def test_parse_orbits_quotient_example():
     [
         (["count", "--p", "9", "--family", "p", "--c", "1"], "not prime"),
         (["count", "--p", "5", "--family", "p", "--c", "1", "--bogus", "x"], "bogus"),
-        (["count", "--ring", "fpt", "--p", "5", "--pi", "1,0,1", "--family", "p", "--c", "0"], "reducible"),
+        (["count", "--ring", "fpt", "--p", "5", "--pi", "1,0,1", "--family", "p", "--c", "0"],
+         "modulus 1,0,1 is reducible over F_5"),
+        (["count", "--ring", "fpt", "--p", "3", "--pi", "1,2", "--family", "p", "--c", "0"], "modulus must be monic: 1,2"),
+        (["count", "--ring", "fpt", "--p", "3", "--pi", "1", "--family", "p", "--c", "0"],
+         "modulus must have degree >= 1, got 0"),
+        (["count", "--ring", "fpt", "--p", "3", "--pi", "0", "--family", "p", "--c", "0"], "modulus must be monic: 0"),
         (["count", "--ring", "fpt", "--p", "5", "--pi", "1,7", "--family", "p", "--c", "0"], "out of range"),
         (["count", "--ring", "zp", "--p", "5", "--pi", "0,1", "--family", "p", "--c", "0"], "--pi"),
         (["avg", "--family", "p", "--condition", "divides"], "--c or --primorial-k"),

@@ -25,7 +25,7 @@ from perimod.dynamics import (
     _count_table,
 )
 from perimod.errors import DomainError, ResourceError, UsageError
-from perimod.rings import FpPoly, RingSpec, enumerate_monic_irreducibles, pow_index_table, primes_in_range
+from perimod.rings import RingSpec, enumerate_monic_irreducibles, pow_index_table, primes_in_range
 from perimod.stats import AvgCondition, PredicateKind, density, partial_average
 
 P = DegreeBase.P
@@ -40,7 +40,7 @@ def zp(p):
 
 
 def fq(p, coeffs):
-    return RingSpec(p, FpPoly.make(p, coeffs))
+    return RingSpec(p, tuple(coeffs))
 
 
 def naive_apply(family, ring, c, z):
@@ -122,10 +122,10 @@ def test_entry_points_refuse_a_map_alike():
     # ring and family skips none of it: c is an index 0 <= c < q, and a
     # polynomial or a bool is refused
     for ring, bad in (
-        (zp(5), (-1, 5, 6, 2.0, "1", True, False, FpPoly.make(5, [2]))),
-        (zp(7), (-1, 7, 8, 2.0, "1", True, False, FpPoly.make(7, [2]))),
-        (fq(3, [1, 0, 1]), (-1, 9, 10, 2.0, "1", True, False, FpPoly(3, (0, 1)))),
-        (fq(3, [1, 2, 0, 1]), (-1, 27, 28, 2.0, "1", True, False, FpPoly(3, (0, 1)))),
+        (zp(5), (-1, 5, 6, 2.0, "1", True, False, (2,))),
+        (zp(7), (-1, 7, 8, 2.0, "1", True, False, (2,))),
+        (fq(3, [1, 0, 1]), (-1, 9, 10, 2.0, "1", True, False, (0, 1))),
+        (fq(3, [1, 2, 0, 1]), (-1, 27, 28, 2.0, "1", True, False, (0, 1))),
     ):
         for family in (DegreeSpec(P, 1), DegreeSpec(PM1, 2)):
             if ring.p < family.min_prime:
@@ -150,7 +150,7 @@ def test_successor_table_examples():
     z3 = zp(3)
     assert successor(DegreeSpec(P, 1), z3, z3.element(0))[2] == 2
     f9 = fq(3, [1, 0, 1])
-    t = f9.element(FpPoly(3, (0, 1)))
+    t = f9.element((0, 1))
     assert f9.render(successor(DegreeSpec(P, 1), f9, f9.element(0))[t]) == "0,2"  # t^3 = -t = 2t
 
 
@@ -342,7 +342,7 @@ def test_count_report_builds_one_successor_table(scans):
     # a second report, or any counting_function, on the same map reads them
     ring = fq(3, [1, 0, 1])
     family = DegreeSpec(P, 2)
-    c = ring.element(FpPoly(3, (0, 1)))
+    c = ring.element((0, 1))
     report = count_report(family, ring, c)
     assert len(scans) == 1
     scans.clear()
@@ -396,7 +396,7 @@ def test_constant_coefficients_are_scanned_once_per_field_order(scans):
             for ring in reversed([zp(p), *fields] if m == 1 else fields):
                 cs = [ring.element(c) for c in range(p)]
                 if m >= 2:
-                    cs.append(ring.element(FpPoly(p, (0, 1))))
+                    cs.append(ring.element((0, 1)))
                     t_fields.add(ring)
                 for base in (P, PM1):
                     if p < base.min_prime:
@@ -503,7 +503,7 @@ def test_budget_guard_refuses_a_cached_count(monkeypatch):
     # 10, so 8 refuses them) and a cached count_report, and each call
     # counts again once the budget is restored
     f9 = fq(3, [1, 0, 1])
-    t = f9.element(FpPoly(3, (0, 1)))
+    t = f9.element((0, 1))
     for ring, family, c, budget, message in (
         (ring, family, 0, "10", "scanning Z/11 needs 11 elements, budget is 10"),
         (f9, DegreeSpec(P, 2), t, "8", "scanning F_3[t]/(1,0,1) needs 9 elements, budget is 8"),
@@ -526,7 +526,7 @@ def test_budget_guard_refuses_a_cached_count(monkeypatch):
 def test_refused_scan_keeps_its_message(monkeypatch, capsys, tmp_path):
     # the message is formatted only on refusal, with the same text as ever;
     # a malformed budget is still a usage error once the counts are cached
-    ring = RingSpec(13, FpPoly.make(13, [2, 0, 1]))
+    ring = RingSpec(13, (2, 0, 1))
     family = DegreeSpec(P, 1)
     message = "scanning F_13[t]/(2,0,1) needs 169 elements, budget is 10"
     verify = ["verify", "--p-max", "13", "--m-max", "2", "--ell-max", "1", "--interpretation", "roots",

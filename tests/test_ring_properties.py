@@ -8,15 +8,15 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 from polyoracle import naive_add, naive_mul, naive_pow  # noqa: E402
 
-from perimod.rings import FpPoly, RingSpec, parse_poly, pow_index_table  # noqa: E402
+from perimod.rings import RingSpec, parse_poly, pow_index_table  # noqa: E402
 
 RINGS = (
     RingSpec(3),
     RingSpec(7),
-    RingSpec(3, FpPoly.make(3, [1, 0, 1])),  # F_9
-    RingSpec(5, FpPoly.make(5, [2, 0, 1])),  # F_25
-    RingSpec(3, FpPoly.make(3, [1, 2, 0, 1])),  # F_27
-    RingSpec(7, FpPoly.make(7, [1, 0, 1])),  # F_49
+    RingSpec(3, (1, 0, 1)),  # F_9
+    RingSpec(5, (2, 0, 1)),  # F_25
+    RingSpec(3, (1, 2, 0, 1)),  # F_27
+    RingSpec(7, (1, 0, 1)),  # F_49
 )
 
 

@@ -15,11 +15,11 @@ from perimod.budget import refuse_past, scan_budget
 from perimod.dynamics import DegreeBase, DegreeSpec
 from perimod.errors import DomainError, ResourceError, UsageError
 from perimod.rings import (
-    FpPoly,
     RingSpec,
     _gcd,
     _mul_mod,
     _pow_mod,
+    _poly,
     enumerate_monic_irreducibles,
     format_poly,
     is_irreducible,
@@ -45,18 +45,26 @@ def all_monics(p, degree):
         for _ in range(degree):
             coeffs.append(v % p)
             v //= p
-        out.append(FpPoly(p, tuple(coeffs) + (1,)))
+        out.append(tuple(coeffs) + (1,))
     return out
 
 
-def divides(g, f):
-    """Does the monic g divide f, by the oracle's long division?"""
-    return not any(poly_rem(f.coeffs, g.coeffs, f.p))
+def make(p, coeffs):
+    """The polynomial over F_p with coeffs reduced mod p, trailing zeros trimmed."""
+    cs = [a % p for a in coeffs]
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
 
 
-def reducible_by_trial_division(f):
-    """f (monic, degree >= 1) divisible by some lower-degree monic?"""
-    return any(divides(g, f) for d in range(1, f.degree) for g in all_monics(f.p, d))
+def divides(g, f, p):
+    """Does the monic g divide f over F_p, by the oracle's long division?"""
+    return not any(poly_rem(f, g, p))
+
+
+def reducible_by_trial_division(f, p):
+    """f (monic, degree >= 1) divisible by some lower-degree monic over F_p?"""
+    return any(divides(g, f, p) for d in range(1, len(f) - 1) for g in all_monics(p, d))
 
 
 def mobius_irreducible_count(p, m):
@@ -80,7 +88,7 @@ def mobius_irreducible_count(p, m):
 
 
 def quotient_ring(p, coeffs):
-    return RingSpec(p, FpPoly.make(p, coeffs))
+    return RingSpec(p, tuple(coeffs))
 
 
 def naive_order(ring, z):
@@ -152,10 +160,10 @@ def test_polynomials_refuse_a_modulus_that_is_not_an_odd_prime(p):
     # unchecked, p = 4 sends enumerate_monic_irreducibles(4, 2) into an
     # endless loop, and enumerate_monic_irreducibles(9, 1) lists 9 polynomials
     for call in (
-        lambda: FpPoly(p, (0, 1)),
-        lambda: FpPoly.make(p, [1, 2, 2]),
+        lambda: _poly((0, 1), p),
+        lambda: RingSpec(p, (1, 2, 2)),
         lambda: parse_poly("0", p),
-        lambda: is_irreducible(FpPoly.make(p, [1, 0, 1])),
+        lambda: is_irreducible((1, 0, 1), p),
         lambda: enumerate_monic_irreducibles(p, 1),
         lambda: enumerate_monic_irreducibles(p, 2),
     ):
@@ -164,19 +172,37 @@ def test_polynomials_refuse_a_modulus_that_is_not_an_odd_prime(p):
 
 
 def test_poly_canonical_form():
-    assert FpPoly.make(3, [4, 3, 3]).coeffs == (1,)
-    assert FpPoly.make(5, [0, 0, 0]).coeffs == ()
-    assert FpPoly.make(5, [0, 0, 0]).is_zero
-    with pytest.raises(UsageError):
-        FpPoly(3, (1, 0))  # trailing zero is non-canonical
-    with pytest.raises(UsageError):
-        FpPoly(3, (5,))  # out-of-range residue
+    # a polynomial is the tuple of its ascending coefficients, trailing zeros trimmed
+    assert parse_poly("1,2,0,0", 3) == (1, 2)
+    assert parse_poly("0,0,0", 5) == ()
+    assert _poly([1, 0, 1, 0], 3) == (1, 0, 1)
+    assert _poly((0, 0), 5) == ()
+    for bad in (3, 5, -1):  # out-of-range residues are refused, not reduced
+        with pytest.raises(UsageError) as err:
+            _poly((1, bad), 3)
+        assert str(err.value) == f"coefficient {bad} is not an int in [0, 3)"
+
+
+@pytest.mark.parametrize("bad", [2.0, 2.5, True, "1"])
+def test_a_coefficient_must_be_an_int(bad):
+    # 2.0 == 2 and True == 1, but neither is a residue: each entry point
+    # refuses them alike, rather than failing in pow or storing them
+    for call in (
+        lambda: RingSpec(5, (bad, 0, 1)),
+        lambda: RingSpec(5, (2, 0, bad)),
+        lambda: RingSpec(5).element((bad,)),
+        lambda: quotient_ring(5, [2, 0, 1]).element((0, bad)),
+        lambda: is_irreducible((bad, 0, 1), 5),
+    ):
+        with pytest.raises(UsageError) as err:
+            call()
+        assert str(err.value) == f"coefficient {bad!r} is not an int in [0, 5)"
 
 
 def test_poly_text_format_round_trip():
     assert format_poly(parse_poly("1,0,1", 3)) == "1,0,1"
-    assert format_poly(FpPoly(7, ())) == "0"
-    assert parse_poly("0", 5).is_zero
+    assert format_poly(()) == "0"
+    assert parse_poly("0", 5) == ()
     with pytest.raises(UsageError):
         parse_poly("1,5", 5)  # coefficient outside [0, p) is rejected, not reduced
     with pytest.raises(UsageError):
@@ -190,15 +216,15 @@ def test_poly_modulus_requires_monic_irreducible():
         quotient_ring(3, [1, 2])  # not monic
     with pytest.raises(UsageError, match="degree"):
         quotient_ring(3, [1])
-    with pytest.raises(UsageError, match="does not match prime 5"):
-        RingSpec(5, FpPoly.make(3, [1, 0, 1]))
+    with pytest.raises(UsageError, match=r"^coefficient 5 is not an int in \[0, 5\)$"):
+        RingSpec(5, (1, 0, 5))
     with pytest.raises(UsageError, match="reducible"):
-        RingSpec(5, FpPoly.make(5, [1, 0, 1]))  # a direct RingSpec is checked too
-    good = quotient_ring(3, [1, 0, 1])
-    assert good.degree_m == 2 and good.modulus == FpPoly.make(3, [1, 0, 1])
+        RingSpec(5, (1, 0, 1))  # a direct RingSpec is checked too
+    good = quotient_ring(3, [1, 0, 1, 0])  # stored trimmed
+    assert good.degree_m == 2 and good.modulus == (1, 0, 1)
     # p is checked and stored as the int it is
     assert RingSpec(5).modulus is None and type(RingSpec(5).p) is int
-    assert RingSpec(3, FpPoly.make(3, [1, 0, 1])) == good
+    assert RingSpec(3, (1, 0, 1)) == good
     with pytest.raises(UsageError, match="not prime"):
         RingSpec(9)
     with pytest.raises(UsageError, match="odd prime"):
@@ -209,7 +235,7 @@ def test_a_prime_past_the_budget_is_refused_before_trial_division():
     # a ring over F_p has at least p elements, so a p past budget^2 is
     # refused before trial division, which would try 5 * 10^8 divisors
     p = 1000000000000000003
-    for build in (lambda: RingSpec(p), lambda: FpPoly.make(p, [1])):
+    for build in (lambda: RingSpec(p), lambda: _poly((1,), p)):
         start = time.monotonic()
         with pytest.raises(ResourceError) as err:
             build()
@@ -227,7 +253,7 @@ def test_a_ring_past_the_budget_is_refused_before_rabins_test(coeffs, monkeypatc
         raise AssertionError("the modulus was tested before the budget check")
 
     monkeypatch.setattr(rings, "is_irreducible", refuse)
-    pi = FpPoly.make(3, coeffs)
+    pi = tuple(coeffs)
     start = time.monotonic()
     with pytest.raises(ResourceError) as err:
         RingSpec(3, pi)
@@ -236,7 +262,7 @@ def test_a_ring_past_the_budget_is_refused_before_rabins_test(coeffs, monkeypatc
 
 
 def test_a_ring_is_refused_just_past_the_budget_and_built_at_it(monkeypatch):
-    pi = FpPoly.make(3, [1, 0, 1])
+    pi = (1, 0, 1)
     for budget, ring, message in (
         ("8", lambda: RingSpec(3, pi), "scanning F_3[t]/(1,0,1) needs 9 elements, budget is 8"),
         ("6", lambda: RingSpec(7), "scanning Z/7 needs 7 elements, budget is 6"),
@@ -261,7 +287,7 @@ def test_pow_index_table_examples():
     z7 = RingSpec(7)
     assert pow_index_table(z7, 9)[3] == 6  # 3^9 = 19683 = 6 mod 7
     f9 = quotient_ring(3, [1, 0, 1])
-    t = f9.element(FpPoly(3, (0, 1)))
+    t = f9.element((0, 1))
     assert f9.render(pow_index_table(f9, 2)[t]) == "2"  # t^2 = -1 = 2
 
 
@@ -315,8 +341,8 @@ def test_log_tables_are_inverse_bijections_from_first_generator():
         assert all(naive_order(ring, i) < q - 1 for i in range(1, antilog[1]))
     # over t^2 + 1, t has order 4 in F_9^*, so the search must go past it
     f9 = quotient_ring(3, [1, 0, 1])
-    assert naive_order(f9, f9.element(FpPoly(3, (0, 1)))) == 4
-    assert log_tables(f9)[1][1] == f9.element(FpPoly.make(3, [1, 1]))
+    assert naive_order(f9, f9.element((0, 1))) == 4
+    assert log_tables(f9)[1][1] == f9.element((1, 1))
 
 
 def test_log_tables_first_generator_past_the_sweep():
@@ -361,14 +387,14 @@ def test_mul_mod_matches_schoolbook_oracle():
         for a in elems:
             for b in elems:
                 check(p, modulus, a, b)
-        ring = RingSpec(p, FpPoly(p, tuple(modulus)))
+        ring = RingSpec(p, tuple(modulus))
         for z, a in enumerate(elems):  # every power up to q, 0^0 = 1 included
             for e in range(p**m + 1):
                 assert _pow_mod(a, e, p, modulus[:-1]) == digits(naive_pow(ring, z, e), p, m)
     rng = random.Random(20)
     big = ((313, [5, 0, 1]), (3, [1, 0, 1, 2, 0, 0, 0, 0, 0, 1]), (5, [4, 1] + [0] * 10 + [1]))
     for p, modulus in big:
-        assert is_irreducible(FpPoly(p, tuple(modulus)))
+        assert is_irreducible(modulus, p)
         m = len(modulus) - 1
         for _ in range(500):
             check(p, modulus, operand(rng, p, m), operand(rng, p, m))
@@ -404,54 +430,55 @@ def test_polyoracle_imports_nothing_from_perimod():
     assert not [name for name in modules if name.startswith((".", "perimod"))]
 
 
-def monic_gcd(a, b):
-    """The monic gcd of two polynomials over one F_p, by the list gcd _gcd."""
-    return FpPoly(a.p, tuple(_gcd(a.coeffs, b.coeffs, a.p)))
+def monic_gcd(a, b, p):
+    """The monic gcd of two polynomials over F_p, by the list gcd _gcd."""
+    return tuple(_gcd(a, b, p))
 
 
 def test_poly_gcd_examples():
-    assert monic_gcd(FpPoly.make(5, [4, 0, 1]), FpPoly.make(5, [4, 1])) == FpPoly.make(5, [4, 1])
-    a = FpPoly.make(5, [3, 2, 4])
-    assert monic_gcd(a, FpPoly(5, ())) == FpPoly.make(5, [2, 3, 1])  # a / 4
-    assert monic_gcd(FpPoly(3, ()), FpPoly(3, ())).is_zero
-    assert monic_gcd(FpPoly.make(3, [1, 0, 1]), FpPoly.make(3, [2, 0, 1])) == FpPoly.make(3, [1])
+    assert monic_gcd((4, 0, 1), (4, 1), 5) == (4, 1)
+    assert monic_gcd((3, 2, 4), (), 5) == (2, 3, 1)  # (3, 2, 4) / 4
+    assert monic_gcd((), (), 3) == ()
+    assert monic_gcd((1, 0, 1), (2, 0, 1), 3) == (1,)
 
 
 def test_poly_gcd_against_common_divisor_enumeration():
     # gcd must be the highest-degree monic dividing both operands
     p = 3
-    polys = [FpPoly.make(p, [1, 1]), FpPoly.make(p, [2, 1]), FpPoly.make(p, [1, 0, 1])]
+    polys = [(1, 1), (2, 1), (1, 0, 1)]
     for a in polys:
         for b in polys:
-            prod_a = FpPoly.make(p, poly_mul(a.coeffs, [1, 2], p))
-            prod_b = FpPoly.make(p, poly_mul(b.coeffs, [1, 2], p))
-            g = monic_gcd(prod_a, prod_b)
-            assert divides(g, prod_a) and divides(g, prod_b)
-            for d in range(g.degree + 1, min(prod_a.degree, prod_b.degree) + 1):
+            prod_a = make(p, poly_mul(a, [1, 2], p))
+            prod_b = make(p, poly_mul(b, [1, 2], p))
+            g = monic_gcd(prod_a, prod_b, p)
+            assert divides(g, prod_a, p) and divides(g, prod_b, p)
+            for d in range(len(g), min(len(prod_a), len(prod_b))):
                 for candidate in all_monics(p, d):
-                    assert not (divides(candidate, prod_a) and divides(candidate, prod_b))
+                    assert not (divides(candidate, prod_a, p) and divides(candidate, prod_b, p))
 
 
 def test_is_irreducible_examples():
-    assert is_irreducible(FpPoly.make(3, [1, 0, 1])) is True
-    assert is_irreducible(FpPoly.make(5, [1, 0, 1])) is False  # (t+2)(t+3)
-    assert is_irreducible(FpPoly(7, (0, 1))) is True
+    assert is_irreducible((1, 0, 1), 3) is True
+    assert is_irreducible((1, 0, 1), 5) is False  # (t+2)(t+3)
+    assert is_irreducible((0, 1), 7) is True
+    assert is_irreducible((0, 1, 0), 7) is True  # trimmed to t
     with pytest.raises(DomainError):
-        is_irreducible(FpPoly(3, ()))
+        is_irreducible((), 3)
     with pytest.raises(DomainError):
-        is_irreducible(FpPoly.make(3, [2]))
+        is_irreducible((2,), 3)
 
 
 def test_is_irreducible_matches_trial_division():
     for p in (3, 5):
         for degree in (2, 3, 4):
             for f in all_monics(p, degree):
-                assert is_irreducible(f) == (not reducible_by_trial_division(f)), format_poly(f)
+                assert is_irreducible(f, p) == (not reducible_by_trial_division(f, p)), format_poly(f)
 
 
 def test_an_enumeration_checks_its_prime_once_per_monic(monkeypatch):
-    # each monic is built as one FpPoly, and Rabin's test (two gcd steps at
-    # m = 6) runs on coefficient lists, so it builds none and checks no prime
+    # each monic is checked once, by _poly as Rabin's test starts, and the
+    # test itself (two gcd steps at m = 6) runs on coefficient lists, so it
+    # checks no prime again
     calls = []
 
     def counted(p):
@@ -474,7 +501,7 @@ def test_enumerate_monic_irreducibles():
         found = enumerate_monic_irreducibles(p, m)
         assert len(found) == mobius_irreducible_count(p, m)
         assert len(set(found)) == len(found)
-        assert all(f.degree == m and f.is_monic for f in found)
+        assert all(len(f) == m + 1 and f[-1] == 1 for f in found)
 
 
 def test_enumerate_budget():
@@ -503,17 +530,17 @@ def test_ring_elements_examples():
 
 def test_ring_element_reduction_and_arith():
     f9 = quotient_ring(3, [1, 0, 1])
-    t = f9.element(FpPoly(3, (0, 1)))
+    t = f9.element((0, 1))
     assert t == 3 and f9.render(t) == "0,1"
     assert f9.render(pow_index_table(f9, 2)[t]) == "2"  # t^2 = -1
     assert f9.render(f9.translation_table(t)[t]) == "0,2"  # t + t = 2t
-    assert f9.render(f9.element(FpPoly.make(3, [0, 0, 1]))) == "2"  # reduce t^2 on entry
+    assert f9.render(f9.element((0, 0, 1))) == "2"  # reduce t^2 on entry
     assert f9.render(f9.element(7)) == "1"
     z5 = RingSpec(5)
     assert z5.element(-3) == 2
-    assert z5.element(FpPoly.make(5, [3])) == z5.element(3)
-    with pytest.raises(UsageError):
-        z5.element(FpPoly(5, (0, 1)))  # Z/p takes constant polynomials only
+    assert z5.element((3,)) == z5.element((3, 0)) == z5.element(3)
+    with pytest.raises(UsageError, match="^Z/p element cannot come from a non-constant polynomial$"):
+        z5.element((0, 1))  # Z/p takes constant polynomials only
     with pytest.raises(UsageError):
         z5.element([1, 1])
     for flag in (True, False):  # a bool is not an index, though it is an int
@@ -530,7 +557,7 @@ def test_element_reduces_like_the_oracle_division():
         for n in range(3 ** (2 * m)):
             a = [n // 3**k % 3 for k in range(2 * m)]
             expected = sum(r * 3**k for k, r in enumerate(poly_rem(a, pi, 3)))
-            assert ring.element(FpPoly.make(3, a)) == expected, (pi, a)
+            assert ring.element(tuple(a)) == expected, (pi, a)  # trailing zeros kept
 
 
 def test_index_round_trip_and_addition():
@@ -538,7 +565,7 @@ def test_index_round_trip_and_addition():
         q = ring.cardinality_q
         for i in range(q):
             poly = parse_poly(ring.render(i), ring.p)
-            assert poly.degree < ring.degree_m
+            assert len(poly) <= ring.degree_m
             assert ring.element(poly) == i
             assert ring.render(i) == format_poly(poly)
         for c in range(q):
@@ -571,16 +598,16 @@ def test_cached_ring_attributes_keep_equality_and_hash():
     # degree_m, cardinality_q and the hash are set when a ring is built;
     # rings built separately from one modulus are still equal, hash alike
     # and share their cache entries
-    pi = FpPoly.make(17, [3, 0, 1])
-    a, b = RingSpec(17, pi), RingSpec(17, FpPoly.make(17, [3, 0, 1]))
+    pi = (3, 0, 1)
+    a, b = RingSpec(17, pi), RingSpec(17, (3, 0, 1))
     assert a is not b and a == b and hash(a) == hash(b) and repr(a) == repr(b)
     before = pow_index_table.cache_info()
     assert pow_index_table(a, 7) is pow_index_table(b, 7)
     after = pow_index_table.cache_info()
     assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
-    f9 = RingSpec(3, FpPoly.make(3, [1, 0, 1]))
-    f27 = RingSpec(3, FpPoly.make(3, [1, 2, 0, 1]))
-    assert f9 != RingSpec(3, FpPoly.make(3, [2, 1, 1]))
+    f9 = RingSpec(3, (1, 0, 1))
+    f27 = RingSpec(3, (1, 2, 0, 1))
+    assert f9 != RingSpec(3, (2, 1, 1))
     assert "cardinality_q" not in repr(f9)
     for ring, m, q in ((RingSpec(7), 1, 7), (f9, 2, 9), (f27, 3, 27)):
         for other in (ring, copy.copy(ring), dataclasses.replace(ring)):
