@@ -23,8 +23,9 @@ BUDGET_ENV_VAR = "PERIMOD_BUDGET"
 
 def scan_budget() -> int:
     """SCAN_BUDGET, or its override (UsageError unless a positive integer)."""
-    raw = os.environ.get(BUDGET_ENV_VAR)
-    if raw is None:
+    try:  # read on every call; indexing skips the Mapping.get frame around the KeyError
+        raw = os.environ[BUDGET_ENV_VAR]
+    except KeyError:
         return SCAN_BUDGET
     try:
         value = int(raw)

@@ -255,7 +255,8 @@ def parse_args(argv: Sequence[str]) -> CommandSpec:
 
 
 # ---------------------------------------------------------------------------
-# execution: each runner returns (json payload, csv header, csv rows, summary)
+# execution: each runner returns (json payload, csv header, csv rows, summary);
+# a series table's payload is None unless the format is json
 
 _Table = tuple[object, list[str], list, Optional[str]]
 
@@ -274,16 +275,21 @@ def _run_orbits(ns: argparse.Namespace) -> _Table:
     return payload, ["cycle_length", "num_cycles", "tail_node_count"], rows, None
 
 
-def _series_table(series: stats.Series, population: str, trend: str = "") -> _Table:
-    """An avg or density table, summed up by its last point's ratio."""
+def _series_table(
+    ns: argparse.Namespace, series: stats.Series, population: str, trend: str = ""
+) -> _Table:
+    """An avg or density table, summed up by its last point's ratio; its json
+    payload is built only for --format json."""
     last = series.points[-1]
     summary = f"{last.numerator}/{last.population}{trend}" if last.population else "empty"
     header = stats.SERIES_HEADER.split(",")
     rows = stats.series_rows(series)
-    payload = {
-        "population": population,
-        "series": [dict(zip(header, row)) for row in rows],
-    }
+    payload = None
+    if ns.format == "json":
+        payload = {
+            "population": population,
+            "series": [dict(zip(header, row)) for row in rows],
+        }
     return payload, header, rows, summary
 
 
@@ -303,7 +309,7 @@ def _run_avg(ns: argparse.Namespace) -> _Table:
         p_max = "c + 1" if condition is stats.AvgCondition.P_DIVIDES_C_PLUS_1 else "c"
         population = f"primes p with {p_min} <= p <= {p_max}, condition {ns.condition}"
         trend = ""
-    return _series_table(series, population, trend)
+    return _series_table(ns, series, population, trend)
 
 
 def _run_density(ns: argparse.Namespace) -> _Table:
@@ -311,7 +317,8 @@ def _run_density(ns: argparse.Namespace) -> _Table:
     kind, interpretation = stats.PredicateKind(ns.predicate), Interpretation(ns.interpretation)
     value = ns.count_value or 0  # None for the divisibility predicates
     series = stats.density(ns.degree, kind, interpretation, ns.C, p_min, value, ns.negate)
-    return _series_table(series, f"pairs (p, c) with p prime, {p_min} <= p <= c <= {ns.C}")
+    population = f"pairs (p, c) with p prime, {p_min} <= p <= c <= {ns.C}"
+    return _series_table(ns, series, population)
 
 
 def _run_irreducibles(ns: argparse.Namespace) -> _Table:

@@ -111,9 +111,11 @@ def require_odd_prime(p: int) -> int:
 def _poly(coeffs: Sequence[int], p: int) -> tuple[int, ...]:
     """The polynomial over F_p with these ascending coefficients, as a tuple
     with trailing zeros trimmed (the zero polynomial is ()).  The one check
-    of a polynomial: p must be an odd prime and every coefficient an int
-    (not a bool) in [0, p); UsageError otherwise."""
+    of a polynomial: p must be an odd prime, coeffs a tuple or list, and
+    every coefficient an int (not a bool) in [0, p); UsageError otherwise."""
     require_odd_prime(p)
+    if not isinstance(coeffs, (tuple, list)):
+        raise UsageError(f"polynomial {coeffs!r} is not a tuple or list of coefficients")
     for a in coeffs:
         if type(a) is not int or not 0 <= a < p:
             raise UsageError(f"coefficient {a!r} is not an int in [0, {p})")

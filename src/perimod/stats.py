@@ -5,8 +5,10 @@ cutoffs: an average at cutoff c sums the count over the primes p <= c (or
 p <= c + 1, under the condition p | c + 1) meeting a condition on c, and a
 density counts pairs (p, c) with p_min <= p <= c <= C satisfying a
 predicate.  Averages, divergence series and densities all come back as one
-Series of SeriesPoint(cutoff, numerator, population, ratio), the ratio an
-exact rational; nothing here ever touches floating point.
+Series of SeriesPoint(cutoff, numerator, population) tuples of ints; a
+point's ratio is the exact rational numerator/population, built only when
+it is read, and series_rows writes it reduced by one gcd.  Nothing here
+ever touches floating point.
 
 Per-prime counts come from dynamics.residue_count_table, a residue profile:
 over Z/p a map's count depends on c only through whether c mod p is 0, p-1
@@ -23,7 +25,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
-from typing import Optional
+from math import gcd
+from typing import NamedTuple, Optional
 
 from .budget import DENSITY_BUDGET, FACTOR_BUDGET, SWEEP_BUDGET, refuse_past
 from .dynamics import DegreeSpec, Interpretation, residue_count_table
@@ -41,17 +44,20 @@ class AvgCondition(Enum):
     OTHER_RESIDUES = "other"
 
 
-@dataclass(frozen=True)
-class SeriesPoint:
+class SeriesPoint(NamedTuple):
     """One cutoff of an average or a density: the numerator (a sum of counts,
-    or the pairs that hold), the population it is taken over (selected
-    primes, or pairs) and their exact ratio, None when the population is
-    empty: an empty average is flagged, never divided."""
+    or the pairs that hold) and the population it is taken over (selected
+    primes, or pairs)."""
 
     cutoff: int
     numerator: int
     population: int
-    ratio: Optional[Fraction]
+
+    @property
+    def ratio(self) -> Optional[Fraction]:
+        """numerator/population exactly, None when the population is empty:
+        an empty average is flagged, never divided."""
+        return Fraction(self.numerator, self.population) if self.population else None
 
 
 @dataclass(frozen=True)
@@ -151,12 +157,7 @@ def partial_average(
         sums = _sweep_sums(family, condition, interpretation, cs)
     else:
         sums = _divisor_sums(family, offset, interpretation, cs)
-    return Series(
-        tuple(
-            SeriesPoint(c, num, den, Fraction(num, den) if den else None)
-            for c, (num, den) in zip(cs, sums)
-        )
-    )
+    return Series(tuple(SeriesPoint(c, num, den) for c, (num, den) in zip(cs, sums)))
 
 
 def odd_primorials(k_max: int) -> list[int]:
@@ -256,11 +257,7 @@ def density(
                 found = periods * len(special) + bisect_left(special, rest)
                 hits[s] += n - found if generic_holds != negate else found
                 population[s] += n
-    points = tuple(
-        SeriesPoint(s, hits[s], population[s], Fraction(hits[s], population[s]))
-        for s in snapshots
-        if population[s]
-    )
+    points = tuple(SeriesPoint(s, hits[s], population[s]) for s in snapshots if population[s])
     if not points or points[-1].cutoff != C:
         raise DomainError("population is empty at the requested cutoff")
     return Series(points)
@@ -275,9 +272,13 @@ SERIES_HEADER = "cutoff_or_c,numerator,denominator,ratio_num,ratio_den"
 def series_rows(series: Series) -> list[tuple]:
     """One (cutoff, numerator, denominator, ratio numerator, ratio
     denominator) row of ints per point, the denominator being the
-    population; an empty average's ratio is None."""
+    population and the ratio reduced to lowest terms (0 is 0/1); an empty
+    average's ratio is None, None."""
     rows = []
-    for pt in series.points:
-        ratio = (None, None) if pt.ratio is None else (pt.ratio.numerator, pt.ratio.denominator)
-        rows.append((pt.cutoff, pt.numerator, pt.population, *ratio))
+    for cutoff, num, den in series.points:
+        if den:
+            g = gcd(num, den)
+            rows.append((cutoff, num, den, num // g, den // g))
+        else:
+            rows.append((cutoff, num, den, None, None))
     return rows

@@ -199,6 +199,16 @@ def test_a_coefficient_must_be_an_int(bad):
         assert str(err.value) == f"coefficient {bad!r} is not an int in [0, 5)"
 
 
+@pytest.mark.parametrize("bad", [7, 2.0, "1,0,1"])
+def test_a_polynomial_must_be_a_tuple_or_list(bad):
+    # an int, a float or a text is not a coefficient sequence: refused by
+    # name, not by a TypeError from iterating it (or one per character)
+    for call in (lambda: RingSpec(5, bad), lambda: is_irreducible(bad, 5)):
+        with pytest.raises(UsageError) as err:
+            call()
+        assert str(err.value) == f"polynomial {bad!r} is not a tuple or list of coefficients"
+
+
 def test_poly_text_format_round_trip():
     assert format_poly(parse_poly("1,0,1", 3)) == "1,0,1"
     assert format_poly(()) == "0"

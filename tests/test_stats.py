@@ -352,6 +352,43 @@ def test_density_matches_pair_enumeration(family, p_min):
                 assert got == expected, (kind, interpretation, value, negate, C)
 
 
+def test_series_rows_reduce_each_ratio_like_fraction():
+    # every avg and density series the CLI can write: rows reduce each
+    # numerator/population with one gcd, exactly as Fraction does
+    series = [
+        avg(family, condition, range(family.min_prime, 80), interpretation)
+        for family in (P1, U1)
+        for condition in AvgCondition
+        for interpretation in Interpretation
+    ]
+    series += [divergence_series(family, 4) for family in (P1, U1)]
+    predicates = [(kind, ROOTS, 0) for kind in PredicateKind if kind is not PredicateKind.COUNT_EQUALS]
+    predicates += [
+        (PredicateKind.COUNT_EQUALS, interpretation, value)
+        for interpretation in Interpretation
+        for value in (0, 1)
+    ]
+    series += [
+        density(family, kind, interpretation, 60, family.min_prime, value)
+        for family in (P1, U1)
+        for kind, interpretation, value in predicates
+    ]
+    seen = set()
+    for result in series:
+        for point, row in zip(result.points, series_rows(result), strict=True):
+            cutoff, num, den = point
+            assert row[:3] == (cutoff, num, den)
+            if den:
+                ratio = Fraction(num, den)
+                assert row[3:] == (ratio.numerator, ratio.denominator)
+                assert type(point.ratio) is Fraction and point.ratio == ratio
+                seen.add("zero" if num == 0 else "nonzero")
+            else:
+                assert row[3:] == (None, None) and point.ratio is None
+                seen.add("empty")
+    assert seen == {"empty", "zero", "nonzero"}  # zero is written 0/1, empty None/None
+
+
 def test_series_rows_schema():
     series = avg(P1, AvgCondition.P_DIVIDES_C, [4, 15])
     rows = series_rows(series)
