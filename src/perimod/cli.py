@@ -17,10 +17,11 @@ the spec back with to_argv() and parses that argv again through the same
 internal path to get typed values, so it builds the count/orbits map itself
 and a spec never carries a parsed object.  That map is named as the library
 names it, (family, ring, c): a DegreeSpec from --family and --ell, and the
-ring and coefficient index that --ring, --p, --pi and --c give.  Reports
-are fully built before a single byte is written (so a failing run never
-leaves partial output), and identical invocations produce byte-identical
-files.
+ring and coefficient index that --ring, --p, --pi and --c give.  Both
+parses reuse one parser, built once per process on the first parse
+(_parser), not at import.  Reports are fully built before a single byte
+is written (so a failing run never leaves partial output), and identical
+invocations produce byte-identical files.
 
 Exit status: 0 on success (mismatch rows in a verify report are data, not
 failures), 1 on usage or domain errors, 2 on resource errors.
@@ -32,6 +33,7 @@ import argparse
 import sys
 from collections import Counter
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 from . import claims, stats
@@ -198,15 +200,21 @@ def _build_map(ns: argparse.Namespace) -> tuple[RingSpec, int]:
     return ring, c
 
 
-def _parse(argv: Sequence[str]) -> argparse.Namespace:
-    """Typed, checked flag values of argv, before any computation."""
+@lru_cache(maxsize=None)
+def _parser() -> _Parser:
+    """The one parser of every subcommand, built from _FLAGS on first use."""
     parser = _Parser(prog="perimod")
     sub = parser.add_subparsers(dest="subcommand")
     for name, flags in _FLAGS.items():
         subparser = sub.add_parser(name)
         for flag, keywords in {**flags, **_OUTPUT_FLAGS}.items():
             subparser.add_argument(f"--{flag}", **keywords)
-    ns = parser.parse_args(list(argv))
+    return parser
+
+
+def _parse(argv: Sequence[str]) -> argparse.Namespace:
+    """Typed, checked flag values of argv, before any computation."""
+    ns = _parser().parse_args(list(argv))
     if ns.subcommand is None:
         raise UsageError(f"expected a subcommand: {', '.join(SUBCOMMANDS)}")
     scan_budget()  # a malformed PERIMOD_BUDGET exits 1 for every subcommand

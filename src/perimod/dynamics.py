@@ -29,10 +29,12 @@ exponent, checks the prime.  A warm counting_function call is that check,
 the budget test and two cache lookups, the power table and the count table.
 
 Over Z/p the reduced exponent is 1 (base p) or p-1 (base p-1), so a map is
-the translation z + c or sends every z into {c, c+1}.  residue_count_table
-uses this to give the count for every residue c at once as a
-ResidueProfile: one generic value plus the values at c = 0 and c = p-1,
-each found by evaluating the map on at most two points.
+the translation z + c, or z -> c + [z != 0] by Fermat.  residue_count_table
+reads the count for every residue c at once off that shape, as a
+ResidueProfile: one generic value plus the values at c = 0 and c = p-1.
+As (fixed, roots) pairs, the translation has (p, p) at c = 0 and (0, 0)
+elsewhere; z -> c + [z != 0] has (1, 1) at a generic c, (2, 2) at c = 0
+and (0, 2) at c = p-1.  exact2 is roots - fixed.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from operator import sub
 
 from .errors import DomainError, UsageError
 from .rings import RingSpec, pow_index_table
@@ -254,50 +257,36 @@ class ResidueProfile:
         return self.at_minus_one if r == self.p - 1 else self.generic
 
 
-def _period_count(p: int, e: int, c: int, k: int) -> int:
-    """#{z in Z/p : phi^k(z) = z} for phi(z) = z^e + c, with e = 1 or p-1."""
-    if e == 1:  # the translation: phi^k(z) = z + kc
-        return p if k * c % p == 0 else 0
-    # z^(p-1) is 0 at z = 0 and 1 elsewhere, so phi maps Z/p into {c, c+1},
-    # and every point of period dividing k lies in that image
-    hits = 0
-    for z in {c % p, (c + 1) % p}:
-        w = z
-        for _ in range(k):
-            w = (pow(w, e, p) + c) % p
-        hits += w == z
-    return hits
-
-
 @lru_cache(maxsize=None)
 def residue_count_table(
     p: int, family: DegreeSpec, interpretation: Interpretation
 ) -> ResidueProfile:
     """counting_function over Z/p for every residue c at once, in O(1).
 
-    Over Z/p the reduced exponent e is base^ell mod p-1, which is 1 for
-    base p and p-1 for base p-1.  With e = 1 the map is the translation
-    z + c; with e = p-1 its image is {c, c+1}, which changes shape only
-    where c or c+1 is 0.  Either way the count depends on c only through
-    whether c is 0, p-1 or neither, so it is evaluated at c = 0, p-1 and 1.
-    Agreement with the per-map scans and with a residue-by-residue oracle
-    is pinned by tests.
+    Over Z/p the reduced exponent e is base^ell mod p-1, and the map's
+    shape gives its (fixed, roots) counts without evaluating it:
+    - e = 1 (base p): the translation z + c, so (p, p) at c = 0 and (0, 0)
+      at every other residue (p is odd, so 2c = 0 only at c = 0);
+    - e = p-1 (base p-1): z^(p-1) = [z != 0] by Fermat, so the map is
+      z -> c + [z != 0], with (1, 1) at a generic c (c+1 is fixed, c is not
+      periodic), (2, 2) at c = 0 (0 and 1 are fixed) and (0, 2) at c = p-1
+      (0 and p-1 swap).
+    exact2 is roots - fixed.  Agreement with the per-map scans and with a
+    residue-by-residue oracle is pinned by tests.
 
     p must be prime, but only odd and >= 3 is checked: every caller takes p
     from a prime sieve, and trial division would cost more than the profile.
     """
     if p < 3 or p % 2 == 0:
         raise UsageError(f"modulus must be an odd prime >= 3, got {p!r}")
-    e = family.exponent(p, p)
-
-    def count(c: int) -> int:
-        if interpretation is Interpretation.FIXED:
-            return _period_count(p, e, c, 1)
-        le2 = _period_count(p, e, c, 2)
-        if interpretation is Interpretation.ROOTS_LE2:
-            return le2
-        if interpretation is Interpretation.EXACT2:
-            return le2 - _period_count(p, e, c, 1)
-        raise UsageError(f"interpretation must be an Interpretation, got {interpretation!r}")
-
-    return ResidueProfile(p, generic=count(1), at_zero=count(0), at_minus_one=count(p - 1))
+    if family.exponent(p, p) == 1:
+        fixed = roots = (0, p, 0)  # generic, at c = 0, at c = p-1
+    else:
+        fixed, roots = (1, 2, 0), (1, 2, 2)
+    if interpretation is Interpretation.FIXED:
+        return ResidueProfile(p, *fixed)
+    if interpretation is Interpretation.ROOTS_LE2:
+        return ResidueProfile(p, *roots)
+    if interpretation is Interpretation.EXACT2:
+        return ResidueProfile(p, *map(sub, roots, fixed))
+    raise UsageError(f"interpretation must be an Interpretation, got {interpretation!r}")

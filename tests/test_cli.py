@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from perimod import claims, rings
+from perimod import claims, cli, rings
 from perimod.cli import CommandSpec, main, parse_args, run
 from perimod.errors import UsageError
 
@@ -76,6 +76,34 @@ def test_command_round_trip():
     for argv in specs:
         cmd = parse_args(argv)
         assert parse_args(cmd.to_argv()) == cmd
+
+
+def test_one_parser_serves_every_parse_and_keeps_no_state(capsys):
+    """Parses that share the process's one parser give the specs that a
+    freshly built parser gives, whatever was parsed (or refused) before."""
+    fpt = ["count", "--ring", "fpt", "--p", "5", "--pi", "2,0,1", "--family", "p-1", "--ell", "2", "--c", "3,4,1"]
+    zp_count = ["count", "--p", "5", "--family", "p-1", "--c", "4"]
+    verify = ["verify", "--p-max", "7", "--interpretation", "exact2"]
+    density_argv = ["density", "--family", "p", "--predicate", "count-eq", "--C", "20", "--negate"]
+    sequence = [fpt, zp_count, verify, density_argv, fpt]
+    fresh = {}
+    for argv in sequence:
+        cli._parser.cache_clear()
+        fresh[tuple(argv)] = parse_args(argv)
+    cli._parser.cache_clear()
+    shared = cli._parser()
+    assert parse_args(fpt) == fresh[tuple(fpt)]
+    with pytest.raises(UsageError):
+        parse_args(["count", "--p", "5", "--family", "p-1", "--c", "4", "--bogus", "x"])
+    for argv in sequence[1:]:
+        assert parse_args(argv) == fresh[tuple(argv)]
+    assert "pi" not in dict(parse_args(zp_count).params)
+    assert cli._parser() is shared
+    assert main(zp_count + ["--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"fixed": 0, "period_le2_roots": 2, "exact2": 2}
+    assert main(zp_count) == 0
+    assert capsys.readouterr().out == "fixed,period_le2_roots,exact2\n0,2,2\n"
+    assert cli._parser() is shared
 
 
 def test_count_reduces_coefficient():
