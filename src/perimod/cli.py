@@ -5,23 +5,24 @@ _FLAGS, declares every flag of every subcommand once, in canonical order: its
 name and its argparse keywords (a type converter that also checks the range,
 choices, default).  That table alone builds the parser, range-checks each
 value (a bad one exits 1 with ``error: argument --flag: ...``) and orders the
-canonical CommandSpec.params.  What no single flag can check (the ring and
-coefficient of count/orbits, the cutoff flags of avg, --count-value of
-density) is checked right after parsing, still before any computation.
-irreducibles leaves its p and the size of its enumeration to
-rings.enumerate_monic_irreducibles, which checks both before it lists a
-single polynomial.
+canonical argv.  What no single flag can check (the ring and coefficient of
+count/orbits, the cutoff flags of avg, --count-value of density) is checked
+right after parsing, still before any computation.  irreducibles leaves its
+p and the size of its enumeration to rings.enumerate_monic_irreducibles,
+which checks both before it lists a single polynomial.
 
-parse_args turns argv into a CommandSpec of canonical strings.  run renders
-the spec back with to_argv() and parses that argv again through the same
-internal path to get typed values, so it builds the count/orbits map itself
-and a spec never carries a parsed object.  That map is named as the library
-names it, (family, ring, c): a DegreeSpec from --family and --ell, and the
-ring and coefficient index that --ring, --p, --pi and --c give.  Both
-parses reuse one parser, built once per process on the first parse
-(_parser), not at import.  Reports are fully built before a single byte
-is written (so a failing run never leaves partial output), and identical
-invocations produce byte-identical files.
+An invocation is its argv.  parse_args checks an argv and returns its
+canonical form: the subcommand, each given flag in _FLAGS order, then
+--format and any --output, with a set switch written bare, a cutoff list
+joined by commas and a count/orbits --pi and --c reduced.  run takes any
+argv, canonical or not, and parses it again through the same internal path
+to get typed values, so it builds the count/orbits map itself.  That map is
+named as the library names it, (family, ring, c): a DegreeSpec from
+--family and --ell, and the ring and coefficient index that --ring, --p,
+--pi and --c give.  Both parses reuse one parser, built once per process
+on the first parse (_parser), not at import.  Reports are fully built
+before a single byte is written (so a failing run never leaves partial
+output), and identical invocations produce byte-identical files.
 
 Exit status: 0 on success (mismatch rows in a verify report are data, not
 failures), 1 on usage or domain errors, 2 on resource errors.
@@ -32,7 +33,7 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
@@ -131,44 +132,13 @@ _FLAGS = {
     "irreducibles": {"p": _P, "m": {"type": _at_least(1), "required": True}},
 }
 
-# Output flags: CommandSpec fields rather than params.
+# Output flags, which close every canonical argv.
 _OUTPUT_FLAGS = {
     "format": {"choices": [f.value for f in claims.ReportFormat], "default": "csv"},
     "output": {},
 }
 
 SUBCOMMANDS = tuple(_FLAGS)
-
-_BOOLEAN_PARAMS = frozenset(
-    name
-    for flags in _FLAGS.values()
-    for name, keywords in flags.items()
-    if keywords.get("action") == "store_true"
-)
-
-
-@dataclass(frozen=True)
-class CommandSpec:
-    """A fully validated invocation: canonical flag values, output target,
-    and format.  to_argv() renders it back; re-parsing yields an equal spec."""
-
-    subcommand: str
-    params: tuple[tuple[str, str], ...]
-    format: str = "csv"
-    output: Optional[str] = None
-
-    def to_argv(self) -> list[str]:
-        argv = [self.subcommand]
-        for key, value in self.params:
-            if key in _BOOLEAN_PARAMS:
-                if value == "true":
-                    argv.append(f"--{key}")
-            else:
-                argv.extend([f"--{key}", value])
-        argv.extend(["--format", self.format])
-        if self.output is not None:
-            argv.extend(["--output", self.output])
-        return argv
 
 
 class _Parser(argparse.ArgumentParser):
@@ -241,25 +211,21 @@ def _parse(argv: Sequence[str]) -> argparse.Namespace:
     return ns
 
 
-def _text(value: object) -> str:
-    if value is True:
-        return "true"
-    if isinstance(value, list):
-        return ",".join(str(v) for v in value)
-    return str(value)
-
-
-def parse_args(argv: Sequence[str]) -> CommandSpec:
-    """Validate argv into a CommandSpec, raising UsageError on any bad flag
-    and ResourceError when the ring that --p and --pi name for count or
-    orbits is past the scan budget (RingSpec refuses it when built)."""
+def parse_args(argv: Sequence[str]) -> tuple[str, ...]:
+    """The canonical argv of a valid invocation, raising UsageError on any
+    bad flag and ResourceError when the ring that --p and --pi name for
+    count or orbits is past the scan budget (RingSpec refuses it when
+    built).  Parsing the canonical argv gives it back unchanged."""
     ns = _parse(argv)
-    params = []
-    for flag in _FLAGS[ns.subcommand]:
+    canonical = [ns.subcommand]
+    for flag in (*_FLAGS[ns.subcommand], *_OUTPUT_FLAGS):
         value = getattr(ns, flag.replace("-", "_"))
-        if value is not None and value is not False:
-            params.append((flag, _text(value)))
-    return CommandSpec(ns.subcommand, tuple(params), ns.format, ns.output)
+        if value is True:
+            canonical.append(f"--{flag}")
+        elif value is not None and value is not False:
+            text = ",".join(str(v) for v in value) if isinstance(value, list) else str(value)
+            canonical += f"--{flag}", text
+    return tuple(canonical)
 
 
 # ---------------------------------------------------------------------------
@@ -343,26 +309,26 @@ _RUNNERS = {
 }
 
 
-def _execute(cmd: CommandSpec) -> int:
-    ns = _parse(cmd.to_argv())
-    if cmd.subcommand == "verify":
+def _execute(argv: Sequence[str]) -> int:
+    ns = _parse(argv)
+    if ns.subcommand == "verify":
         report = claims.verify_all(
             p_max=ns.p_max,
             ell_max=ns.ell_max,
             m_max=ns.m_max,
             interpretation=Interpretation(ns.interpretation),
         )
-        text = claims.render_report(report, claims.ReportFormat(cmd.format))
+        text = claims.render_report(report, claims.ReportFormat(ns.format))
         summary = report.summary_line()
     else:
-        payload, header, rows, summary = _RUNNERS[cmd.subcommand](ns)
-        text = json_text(payload) if cmd.format == "json" else csv_text(header, rows)
-    if cmd.output is None:
+        payload, header, rows, summary = _RUNNERS[ns.subcommand](ns)
+        text = json_text(payload) if ns.format == "json" else csv_text(header, rows)
+    if ns.output is None:
         sys.stdout.write(text)
         if summary is not None:
             print(summary, file=sys.stderr)
     else:
-        with open(cmd.output, "w", encoding="utf-8", newline="") as handle:
+        with open(ns.output, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
         if summary is not None:
             print(summary)
@@ -382,9 +348,10 @@ def _exit_status(action: Callable[[], int]) -> int:
         return 1
 
 
-def run(cmd: CommandSpec) -> int:
-    """Execute a validated CommandSpec; returns the process exit status."""
-    return _exit_status(lambda: _execute(cmd))
+def run(argv: Sequence[str]) -> int:
+    """Execute an invocation's argv, canonical or not; returns the process
+    exit status."""
+    return _exit_status(lambda: _execute(argv))
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

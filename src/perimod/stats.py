@@ -30,7 +30,7 @@ from typing import NamedTuple, Optional
 
 from .budget import DENSITY_BUDGET, FACTOR_BUDGET, SWEEP_BUDGET, refuse_past
 from .dynamics import DegreeSpec, Interpretation, residue_count_table
-from .errors import DomainError
+from .errors import DomainError, UsageError
 from .rings import is_prime_int, prime_factors, primes_in_range
 
 
@@ -69,6 +69,14 @@ class Series:
         ever reported as a finite series plus this flag, never as a value."""
         ratios = [pt.ratio for pt in self.points if pt.ratio is not None]
         return len(ratios) >= 2 and all(a < b for a, b in zip(ratios, ratios[1:]))
+
+
+def _require(name: str, value: object, kind: type) -> None:
+    """UsageError unless value's type is kind itself (so a bool is no int):
+    a wrong type fails here, not as a raw TypeError or a silent miscount."""
+    if type(value) is not kind:
+        article = "an" if kind.__name__[0] in "AEIOUaeiou" else "a"
+        raise UsageError(f"{name} must be {article} {kind.__name__}, got {value!r}")
 
 
 # divisibility conditions p | c + offset, keyed by the value string that
@@ -142,6 +150,12 @@ def partial_average(
     A cutoff below the family's smallest prime selects no prime and raises
     DomainError; under p | c + 1, which selects p = c + 1, the floor is one
     lower."""
+    _require("family", family, DegreeSpec)
+    _require("condition", condition, AvgCondition)
+    _require("interpretation", interpretation, Interpretation)
+    wrong = [c for c in cs if type(c) is not int]
+    if wrong:
+        _require("cutoff", wrong[0], int)
     p_min = family.min_prime
     offset = _DIVISOR_OFFSETS.get(condition.value)
     c_min = p_min - 1 if offset == 1 else p_min
@@ -187,6 +201,7 @@ def divergence_series(
     base-p family the summand at each p is p itself, so the series grows
     without bound.
     """
+    _require("k_max", k_max, int)
     if k_max < 2:
         raise DomainError(f"need k_max >= 2, got {k_max}")
     cs = tuple(odd_primorials(k_max))
@@ -232,6 +247,12 @@ def density(
     dynamics.ResidueProfile).  When the generic residues satisfy the
     predicate, the hits are the n - found pairs outside R.
     """
+    _require("family", family, DegreeSpec)
+    _require("kind", kind, PredicateKind)
+    _require("interpretation", interpretation, Interpretation)
+    for name, number in (("cutoff", cutoff), ("p_min", p_min), ("value", value)):
+        _require(name, number, int)
+    _require("negate", negate, bool)
     offset = _DIVISOR_OFFSETS.get(kind.value)
     if offset is None:
         family.require_prime(p_min)

@@ -8,28 +8,24 @@ import time
 import pytest
 
 from perimod import claims, cli, rings
-from perimod.cli import CommandSpec, main, parse_args, run
+from perimod.cli import main, parse_args, run
 from perimod.errors import UsageError
 
 
 def test_parse_count_example():
     cmd = parse_args(["count", "--ring", "zp", "--p", "5", "--family", "p-1", "--ell", "1", "--c", "4"])
-    assert cmd.subcommand == "count"
-    params = dict(cmd.params)
-    assert params["p"] == "5"
-    assert params["family"] == "p-1"
-    assert params["c"] == "4"
-    assert cmd.format == "csv"
+    assert cmd == (
+        "count", "--ring", "zp", "--p", "5", "--family", "p-1", "--ell", "1", "--c", "4", "--format", "csv"
+    )
 
 
 def test_parse_orbits_quotient_example():
     cmd = parse_args(
         ["orbits", "--ring", "fpt", "--p", "3", "--pi", "1,0,1", "--family", "p", "--ell", "1", "--c", "0"]
     )
-    assert cmd.subcommand == "orbits"
-    params = dict(cmd.params)
-    assert params["pi"] == "1,0,1"
-    assert params["c"] == "0"
+    assert cmd[0] == "orbits"
+    assert cmd[cmd.index("--pi") + 1] == "1,0,1"
+    assert cmd[cmd.index("--c") + 1] == "0"
 
 
 @pytest.mark.parametrize(
@@ -75,7 +71,7 @@ def test_command_round_trip():
     ]
     for argv in specs:
         cmd = parse_args(argv)
-        assert parse_args(cmd.to_argv()) == cmd
+        assert parse_args(cmd) == cmd
 
 
 def test_one_parser_serves_every_parse_and_keeps_no_state(capsys):
@@ -97,7 +93,7 @@ def test_one_parser_serves_every_parse_and_keeps_no_state(capsys):
         parse_args(["count", "--p", "5", "--family", "p-1", "--c", "4", "--bogus", "x"])
     for argv in sequence[1:]:
         assert parse_args(argv) == fresh[tuple(argv)]
-    assert "pi" not in dict(parse_args(zp_count).params)
+    assert "--pi" not in parse_args(zp_count)
     assert cli._parser() is shared
     assert main(zp_count + ["--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out) == {"fixed": 0, "period_le2_roots": 2, "exact2": 2}
@@ -108,7 +104,7 @@ def test_one_parser_serves_every_parse_and_keeps_no_state(capsys):
 
 def test_count_reduces_coefficient():
     cmd = parse_args(["count", "--p", "5", "--family", "p-1", "--c", "9"])
-    assert dict(cmd.params)["c"] == "4"
+    assert cmd[cmd.index("--c") + 1] == "4"
 
 
 def test_run_count_json(capsys):
@@ -254,6 +250,25 @@ def test_no_partial_output_on_resource_error(tmp_path, monkeypatch):
     cmd = parse_args(["count", "--p", "7", "--family", "p", "--c", "1", "--output", str(target)])
     monkeypatch.setenv("PERIMOD_BUDGET", "3")
     assert run(cmd) == 2
+    assert not target.exists()
+
+
+def test_run_parses_a_raw_argv(tmp_path, capsys):
+    """run takes any argv, not only a canonical one: in any flag order it
+    writes the bytes main writes, and a malformed one exits 1 with one
+    error line and no output file."""
+    argv = ["count", "--c", "9", "--family", "p-1", "--p", "5"]
+    assert main(argv) == 0
+    expected = capsys.readouterr()
+    assert run(argv) == 0
+    assert capsys.readouterr() == expected
+    by_main, by_run = tmp_path / "main.csv", tmp_path / "run.csv"
+    assert main(argv + ["--output", str(by_main)]) == 0
+    assert run(argv + ["--output", str(by_run)]) == 0
+    assert by_run.read_bytes() == by_main.read_bytes()
+    target = tmp_path / "never.csv"
+    assert run(["count", "--c", "x", "--family", "p-1", "--p", "5", "--output", str(target)]) == 1
+    assert capsys.readouterr() == ("", "error: argument --c: invalid int value: 'x'\n")
     assert not target.exists()
 
 

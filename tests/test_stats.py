@@ -8,7 +8,7 @@ import pytest
 from residueoracle import degree, residue_counts
 
 from perimod.dynamics import DegreeBase, DegreeSpec, Interpretation, counting_function
-from perimod.errors import DomainError, ResourceError
+from perimod.errors import DomainError, ResourceError, UsageError
 from perimod.rings import RingSpec, enumerate_monic_irreducibles, primes_in_range
 from perimod.stats import (
     AvgCondition,
@@ -230,6 +230,7 @@ def test_density_examples():
     assert result.points[-1].numerator == 6 and result.points[-1].population == 18
     result = density(U1, PredicateKind.DIVIDES, ROOTS, 10, 5)
     assert result.points[-1].ratio == Fraction(3, 10)
+    assert density(U1, PredicateKind.COUNT_EQUALS, ROOTS, 10, 5, 1).points[-1][1:] == (6, 10)
 
 
 def test_density_population_by_enumeration():
@@ -265,6 +266,39 @@ def test_density_validation():
         density(P1, PredicateKind.DIVIDES, ROOTS, 2, 3)
     with pytest.raises(ResourceError):
         density(P1, PredicateKind.DIVIDES, ROOTS, 10**6, 3)
+
+
+COUNT_EQ = PredicateKind.COUNT_EQUALS
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        # a str value once counted 0 of these 10 pairs, where value 1 counts 6
+        (lambda: density(U1, COUNT_EQ, ROOTS, 10, 5, "1"), "value must be an int, got '1'"),
+        # a str negate once flipped the count or not by the generic verdict
+        (lambda: density(U1, COUNT_EQ, ROOTS, 10, 5, 1, "no"), "negate must be a bool, got 'no'"),
+        (lambda: density(U1, COUNT_EQ, ROOTS, 10, 5, True), "value must be an int, got True"),
+        # a str enum once raised a raw AttributeError, a float a raw TypeError
+        (lambda: density(U1, "count-eq", ROOTS, 10, 5), "kind must be a PredicateKind, got 'count-eq'"),
+        (lambda: density(U1, COUNT_EQ, ROOTS, 10.0, 5), "cutoff must be an int, got 10.0"),
+        (lambda: density(U1, COUNT_EQ, ROOTS, 10, 5.0), "p_min must be an int, got 5.0"),
+        (lambda: density("p-1", COUNT_EQ, ROOTS, 10, 5), "family must be a DegreeSpec, got 'p-1'"),
+        # a divisibility predicate reads no count, so a str interpretation passed unseen
+        (lambda: density(P1, PredicateKind.DIVIDES, "roots", 10, 3),
+         "interpretation must be an Interpretation, got 'roots'"),
+        (lambda: avg(P1, AvgCondition.P_DIVIDES_C, [], "roots"),
+         "interpretation must be an Interpretation, got 'roots'"),
+        (lambda: avg(P1, "divides", [105]), "condition must be an AvgCondition, got 'divides'"),
+        (lambda: avg(P1, AvgCondition.P_DIVIDES_C, [105, 105.0]), "cutoff must be an int, got 105.0"),
+        (lambda: avg(P1, AvgCondition.P_NOT_DIVIDES_C, [100.0]), "cutoff must be an int, got 100.0"),
+        (lambda: divergence_series(P1, 4.0), "k_max must be an int, got 4.0"),
+    ],
+)
+def test_entry_points_refuse_wrong_argument_types(call, message):
+    with pytest.raises(UsageError) as err:
+        call()
+    assert str(err.value) == message
 
 
 def test_density_smallest_population():
