@@ -289,7 +289,7 @@ def _run_avg(ns: argparse.Namespace) -> _Table:
 def _run_density(ns: argparse.Namespace) -> _Table:
     p_min = ns.degree.min_prime if ns.p_min is None else ns.p_min
     kind, interpretation = stats.PredicateKind(ns.predicate), Interpretation(ns.interpretation)
-    value = ns.count_value or 0  # None for the divisibility predicates
+    value = ns.count_value  # None for the divisibility predicates
     series = stats.density(ns.degree, kind, interpretation, ns.C, p_min, value, ns.negate)
     population = f"pairs (p, c) with p prime, {p_min} <= p <= c <= {ns.C}"
     return _series_table(ns, series, population)

@@ -30,11 +30,13 @@ the budget test and two cache lookups, the power table and the count table.
 
 Over Z/p the reduced exponent is 1 (base p) or p-1 (base p-1), so a map is
 the translation z + c, or z -> c + [z != 0] by Fermat.  residue_count_table
-reads the count for every residue c at once off that shape, as a
-ResidueProfile: one generic value plus the values at c = 0 and c = p-1.
-As (fixed, roots) pairs, the translation has (p, p) at c = 0 and (0, 0)
-elsewhere; z -> c + [z != 0] has (1, 1) at a generic c, (2, 2) at c = 0
-and (0, 2) at c = p-1.  exact2 is roots - fixed.
+reads the count for every residue c at once off that shape: a residue
+profile, the tuple of the counts at c = 0, 1 and -1 (mod p), so profile[r]
+is the count at residue r for r in (0, 1, -1), and profile[1] is the count
+at every residue other than 0 and -1.  As (fixed, roots) pairs, the
+translation has (p, p) at c = 0 and (0, 0) elsewhere; z -> c + [z != 0] has
+(2, 2) at c = 0, (1, 1) at a generic c and (0, 2) at c = -1.  exact2 is
+roots - fixed.
 """
 
 from __future__ import annotations
@@ -235,42 +237,22 @@ def counting_function(
     return _count(ring, _exponent(ring, family, c), c, interpretation)
 
 
-@dataclass(frozen=True)
-class ResidueProfile:
-    """counting_function over Z/p as a function of the residue c mod p: one
-    generic value, taken at every residue except 0 and p-1, and the values
-    at those two.  profile[r] reads the value at residue 0 <= r < p."""
-
-    p: int
-    generic: int
-    at_zero: int
-    at_minus_one: int
-
-    def __len__(self) -> int:
-        return self.p
-
-    def __getitem__(self, r: int) -> int:
-        if not 0 <= r < self.p:
-            raise IndexError(f"residue {r} is outside 0..{self.p - 1}")
-        if r == 0:
-            return self.at_zero
-        return self.at_minus_one if r == self.p - 1 else self.generic
-
-
 @lru_cache(maxsize=None)
 def residue_count_table(
     p: int, family: DegreeSpec, interpretation: Interpretation
-) -> ResidueProfile:
-    """counting_function over Z/p for every residue c at once, in O(1).
+) -> tuple[int, int, int]:
+    """counting_function over Z/p for every residue c at once, in O(1): the
+    counts at c = 0, 1 and -1 (mod p), so profile[r] is the count at residue
+    r for r in (0, 1, -1), and profile[1] that at every residue but 0 and -1.
 
     Over Z/p the reduced exponent e is base^ell mod p-1, and the map's
     shape gives its (fixed, roots) counts without evaluating it:
     - e = 1 (base p): the translation z + c, so (p, p) at c = 0 and (0, 0)
       at every other residue (p is odd, so 2c = 0 only at c = 0);
     - e = p-1 (base p-1): z^(p-1) = [z != 0] by Fermat, so the map is
-      z -> c + [z != 0], with (1, 1) at a generic c (c+1 is fixed, c is not
-      periodic), (2, 2) at c = 0 (0 and 1 are fixed) and (0, 2) at c = p-1
-      (0 and p-1 swap).
+      z -> c + [z != 0], with (2, 2) at c = 0 (0 and 1 are fixed), (1, 1)
+      at a generic c (c+1 is fixed, c is not periodic) and (0, 2) at c = -1
+      (0 and -1 swap).
     exact2 is roots - fixed.  Agreement with the per-map scans and with a
     residue-by-residue oracle is pinned by tests.
 
@@ -280,13 +262,13 @@ def residue_count_table(
     if p < 3 or p % 2 == 0:
         raise UsageError(f"modulus must be an odd prime >= 3, got {p!r}")
     if family.exponent(p, p) == 1:
-        fixed = roots = (0, p, 0)  # generic, at c = 0, at c = p-1
+        fixed = roots = (p, 0, 0)  # at c = 0, 1, -1
     else:
-        fixed, roots = (1, 2, 0), (1, 2, 2)
+        fixed, roots = (2, 1, 0), (2, 1, 2)
     if interpretation is Interpretation.FIXED:
-        return ResidueProfile(p, *fixed)
+        return fixed
     if interpretation is Interpretation.ROOTS_LE2:
-        return ResidueProfile(p, *roots)
+        return roots
     if interpretation is Interpretation.EXACT2:
-        return ResidueProfile(p, *map(sub, roots, fixed))
+        return tuple(map(sub, roots, fixed))
     raise UsageError(f"interpretation must be an Interpretation, got {interpretation!r}")

@@ -11,11 +11,13 @@ it is read, and series_rows writes it reduced by one gcd.  Nothing here
 ever touches floating point.
 
 Per-prime counts come from dynamics.residue_count_table, a residue profile:
-over Z/p a map's count depends on c only through whether c mod p is 0, p-1
-or neither, so each prime costs O(1) whatever its size.  A sweep average
-sums the primes' generic values as prefix sums and corrects only the primes
-dividing c, c-1 or c+1; a density is counted prime by prime, by residue
-class, over at most two residues per prime (see density).
+over Z/p a map's count depends on c only through whether c mod p is 0, -1
+or neither, so profile[r] for r in (0, 1, -1) covers every residue, and
+each prime costs O(1) whatever its size.  A divisibility condition p | c - r
+is the residue r it selects.  A sweep average sums the primes' generic
+values profile[1] as prefix sums and corrects only the primes dividing c,
+c-1 or c+1; a density is counted prime by prime, by residue class, over at
+most two residues per prime (see density).
 """
 
 from __future__ import annotations
@@ -79,16 +81,9 @@ def _require(name: str, value: object, kind: type) -> None:
         raise UsageError(f"{name} must be {article} {kind.__name__}, got {value!r}")
 
 
-# divisibility conditions p | c + offset, keyed by the value string that
-# AvgCondition and PredicateKind share
-_DIVISOR_OFFSETS = {"divides": 0, "divides-plus1": 1, "divides-minus1": -1}
-
-
-def _sweep_keeps(condition: AvgCondition, r: int, p: int) -> bool:
-    """Whether a sweep condition keeps a prime p <= c at a cutoff c = r mod p."""
-    if condition is AvgCondition.P_NOT_DIVIDES_C:
-        return r != 0
-    return r not in (0, 1, p - 1)
+# divisibility conditions p | c - r, as the residue r of c mod p they select,
+# keyed by the value string that AvgCondition and PredicateKind share
+_DIVISOR_RESIDUES = {"divides": 0, "divides-plus1": -1, "divides-minus1": 1}
 
 
 def _sweep_sums(
@@ -97,24 +92,25 @@ def _sweep_sums(
     """(numerator, denominator) at each cutoff of a sweep condition.
 
     The generic values of the primes up to c are summed once, as prefix
-    sums, then corrected at the primes with c mod p in {0, 1, p-1}: only
-    there can a prime's value differ from its generic one, or the condition
-    drop it.  Those are the primes dividing c, c-1 or c+1, so each prime
-    lays its corrections out over the cutoffs in its residue classes, from
-    min(cs) to max(cs) only: fix[i] corrects the cutoff min(cs) + i."""
+    sums, then corrected at the primes with c mod p in {0, 1, -1}: only
+    there can a prime's value differ from its generic one, profile[1], or
+    the condition drop it (not-divides drops residue 0, other all three).
+    Those are the primes dividing c, c-1 or c+1, so each prime lays its
+    corrections out over the cutoffs in its residue classes, from min(cs)
+    to max(cs) only: fix[i] corrects the cutoff min(cs) + i."""
     low, top = min(cs, default=0), max(cs, default=0)
     swept = primes_in_range(family.min_prime, top)
     profiles = [residue_count_table(p, family, interpretation) for p in swept]
-    generic_sums = list(accumulate((profile.generic for profile in profiles), initial=0))
+    generic_sums = list(accumulate((profile[1] for profile in profiles), initial=0))
     numerator_fix = [0] * (top - low + 1)
     denominator_fix = [0] * (top - low + 1)
     for p, profile in zip(swept, profiles):
-        for r in (0, 1, p - 1):
-            kept = _sweep_keeps(condition, r, p)
-            d_num = (profile[r] if kept else 0) - profile.generic
+        for r in (0, 1, -1):
+            kept = r != 0 and condition is AvgCondition.P_NOT_DIVIDES_C
+            d_num = (profile[r] if kept else 0) - profile[1]
             d_den = 0 if kept else -1
             if d_num or d_den:
-                first = max(p + r, low + (r - low) % p)  # the first c >= p, low with c = r mod p
+                first = max(p + r % p, low + (r - low) % p)  # first c >= p, low with c = r mod p
                 for i in range(first - low, top - low + 1, p):
                     numerator_fix[i] += d_num
                     denominator_fix[i] += d_den
@@ -126,14 +122,14 @@ def _sweep_sums(
 
 
 def _divisor_sums(
-    family: DegreeSpec, offset: int, interpretation: Interpretation, cs: tuple[int, ...]
+    family: DegreeSpec, r: int, interpretation: Interpretation, cs: tuple[int, ...]
 ) -> list[tuple[int, int]]:
-    """(numerator, denominator) at each cutoff c of the condition p | c + offset."""
+    """(numerator, denominator) at each cutoff c of the condition p | c - r."""
     p_min = family.min_prime
     sums = []
     for c in cs:
-        primes = [p for p in prime_factors(c + offset) if p >= p_min]
-        counts = [residue_count_table(p, family, interpretation)[c % p] for p in primes]
+        primes = [p for p in prime_factors(c - r) if p >= p_min]
+        counts = [residue_count_table(p, family, interpretation)[r] for p in primes]
         sums.append((sum(counts), len(counts)))
     return sums
 
@@ -157,20 +153,20 @@ def partial_average(
     if wrong:
         _require("cutoff", wrong[0], int)
     p_min = family.min_prime
-    offset = _DIVISOR_OFFSETS.get(condition.value)
-    c_min = p_min - 1 if offset == 1 else p_min
-    shift, limit = (0, SWEEP_BUDGET) if offset is None else (offset, FACTOR_BUDGET)
+    r = _DIVISOR_RESIDUES.get(condition.value)
+    c_min = p_min - 1 if r == -1 else p_min
+    shift, limit = (0, SWEEP_BUDGET) if r is None else (-r, FACTOR_BUDGET)
     # the first cutoff out of range decides the error (c_min when none is)
     first = next((c for c in cs if c < c_min or c + shift > limit), c_min)
     if first < c_min:
-        below = f"the family's smallest prime {p_min}" + (" minus 1" if offset == 1 else "")
+        below = f"the family's smallest prime {p_min}" + (" minus 1" if r == -1 else "")
         raise DomainError(f"cutoff {first} is below {below}")
-    work = "sweeping all primes up to c needs c" if offset is None else "factoring needs n"
+    work = "sweeping all primes up to c needs c" if r is None else "factoring needs n"
     refuse_past(limit, first + shift, lambda: f"{work} = {first + shift}")
-    if offset is None:
+    if r is None:
         sums = _sweep_sums(family, condition, interpretation, cs)
     else:
-        sums = _divisor_sums(family, offset, interpretation, cs)
+        sums = _divisor_sums(family, r, interpretation, cs)
     return Series(tuple(SeriesPoint(c, num, den) for c, (num, den) in zip(cs, sums)))
 
 
@@ -225,7 +221,7 @@ def density(
     interpretation: Interpretation,
     cutoff: int,
     p_min: int,
-    value: int = 0,
+    value: Optional[int] = None,
     negate: bool = False,
 ) -> Series:
     """Hits (each point's numerator) and population at the quarter, half and
@@ -234,27 +230,32 @@ def density(
     The population is {(p, c) : 1 <= c <= cutoff, p prime, p_min <= p <= c};
     a pair is a hit when the predicate kind holds, flipped by negate: p
     divides c, c + 1 or c - 1, or, for count-eq, the interpretation's count
-    of the map z^d + c over Z/p equals value.  A divisibility predicate
-    counts every prime >= p_min; count-eq needs a map at each one, so a
-    p_min below the family's smallest prime raises its DomainError.
+    of the map z^d + c over Z/p equals value (None reads as 0).  Only
+    count-eq reads value: a divisibility predicate given one raises
+    UsageError.  A divisibility predicate counts every prime >= p_min;
+    count-eq needs a map at each one, so a p_min below the family's smallest
+    prime raises its DomainError.
 
     For a prime p and a cutoff s, the n = s - p + 1 values c = p..s have
     residues 0, 1, ..., p-1, 0, 1, ... in order, so with periods, rest =
     divmod(n, p) an ascending residue list R meets them periods * len(R)
     times plus once per residue in R below rest.  R is the residue of a
     divisibility predicate, or, for count-eq, those of the residues 0 and
-    p-1 whose verdict differs from the prime's generic residues (see
-    dynamics.ResidueProfile).  When the generic residues satisfy the
-    predicate, the hits are the n - found pairs outside R.
+    -1 whose verdict differs from the prime's generic residues (the residue
+    profile of dynamics.residue_count_table).  When the generic residues
+    satisfy the predicate, the hits are the n - found pairs outside R.
     """
     _require("family", family, DegreeSpec)
     _require("kind", kind, PredicateKind)
     _require("interpretation", interpretation, Interpretation)
+    r = _DIVISOR_RESIDUES.get(kind.value)
+    if r is not None and value is not None:
+        raise UsageError(f"value only applies to count-eq, got {value!r}")
+    value = 0 if value is None else value
     for name, number in (("cutoff", cutoff), ("p_min", p_min), ("value", value)):
         _require(name, number, int)
     _require("negate", negate, bool)
-    offset = _DIVISOR_OFFSETS.get(kind.value)
-    if offset is None:
+    if r is None:
         family.require_prime(p_min)
     C = cutoff
     if C < p_min:
@@ -264,13 +265,13 @@ def density(
     hits = dict.fromkeys(snapshots, 0)
     population = dict.fromkeys(snapshots, 0)
     for p in primes_in_range(p_min, C):
-        if offset is None:
+        if r is None:
             profile = residue_count_table(p, family, interpretation)
-            generic_holds = profile.generic == value
-            special = [r for r in (0, p - 1) if (profile[r] == value) != generic_holds]
+            generic_holds = profile[1] == value
+            special = [r % p for r in (0, -1) if (profile[r] == value) != generic_holds]
         else:
             generic_holds = False
-            special = [-offset % p]
+            special = [r % p]
         for s in snapshots:
             n = s - p + 1
             if n > 0:

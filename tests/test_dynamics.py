@@ -562,9 +562,10 @@ def test_residue_count_table_matches_scans():
                 family = DegreeSpec(base, ell)
                 for interp in (FIXED, ROOTS, EXACT2):
                     table = residue_count_table(p, family, interp)
-                    assert len(table) == p
+                    assert type(table) is tuple and len(table) == 3
                     for c in range(p):
-                        assert table[c] == counting_function(family, interp, ring, ring.element(c))
+                        r = 0 if c == 0 else -1 if c == p - 1 else 1
+                        assert table[r] == counting_function(family, interp, ring, ring.element(c))
 
 
 def test_residue_profile_matches_bucket_oracle():
@@ -579,15 +580,8 @@ def test_residue_profile_matches_bucket_oracle():
                 expected = residue_counts(p, degree(base.value, ell, p))
                 for interp in (FIXED, ROOTS, EXACT2):
                     profile = residue_count_table(p, family, interp)
-                    assert list(profile) == list(expected[interp.value]), (p, family, interp)
-
-
-def test_residue_profile_indexes_residues_only():
-    profile = residue_count_table(7, DegreeSpec(PM1, 1), ROOTS)
-    assert (profile[0], profile[3], profile[6]) == (profile.at_zero, profile.generic, profile.at_minus_one)
-    for r in (-1, 7):
-        with pytest.raises(IndexError):
-            profile[r]
+                    got = [profile[0], *[profile[1]] * (p - 2), profile[-1]]
+                    assert got == list(expected[interp.value]), (p, family, interp)
 
 
 def test_residue_count_table_rejects_bad_modulus():

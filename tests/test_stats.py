@@ -293,12 +293,27 @@ COUNT_EQ = PredicateKind.COUNT_EQUALS
         (lambda: avg(P1, AvgCondition.P_DIVIDES_C, [105, 105.0]), "cutoff must be an int, got 105.0"),
         (lambda: avg(P1, AvgCondition.P_NOT_DIVIDES_C, [100.0]), "cutoff must be an int, got 100.0"),
         (lambda: divergence_series(P1, 4.0), "k_max must be an int, got 4.0"),
+        # a divisibility predicate reads no count, so a value once passed unseen
+        (lambda: density(P1, PredicateKind.DIVIDES, ROOTS, 10, 3, 7), "value only applies to count-eq, got 7"),
+        (lambda: density(P1, PredicateKind.DIVIDES, ROOTS, 10, 3, 0), "value only applies to count-eq, got 0"),
     ],
 )
 def test_entry_points_refuse_wrong_argument_types(call, message):
     with pytest.raises(UsageError) as err:
         call()
     assert str(err.value) == message
+
+
+def test_density_value_is_read_by_count_eq_only():
+    # every divisibility predicate refuses any value; count-eq reads None as 0
+    for kind in PredicateKind:
+        if kind is COUNT_EQ:
+            assert density(U1, kind, ROOTS, 60, 5, None) == density(U1, kind, ROOTS, 60, 5, 0)
+            continue
+        for value in (7, 0, -1):
+            with pytest.raises(UsageError, match=f"^value only applies to count-eq, got {value}$"):
+                density(P1, kind, ROOTS, 60, 3, value)
+        assert density(P1, kind, ROOTS, 60, 3) == density(P1, kind, ROOTS, 60, 3, None)
 
 
 def test_density_smallest_population():
@@ -365,7 +380,7 @@ def _enumerated_density(family, kind, interpretation, C, p_min, value, negate):
 def test_density_matches_pair_enumeration(family, p_min):
     p_min = family.min_prime if p_min is None else p_min
     predicates = [
-        (kind, ROOTS, 0) for kind in PredicateKind if kind is not PredicateKind.COUNT_EQUALS
+        (kind, ROOTS, None) for kind in PredicateKind if kind is not PredicateKind.COUNT_EQUALS
     ]
     predicates += [
         (PredicateKind.COUNT_EQUALS, interpretation, value)
@@ -396,7 +411,7 @@ def test_series_rows_reduce_each_ratio_like_fraction():
         for interpretation in Interpretation
     ]
     series += [divergence_series(family, 4) for family in (P1, U1)]
-    predicates = [(kind, ROOTS, 0) for kind in PredicateKind if kind is not PredicateKind.COUNT_EQUALS]
+    predicates = [(kind, ROOTS, None) for kind in PredicateKind if kind is not PredicateKind.COUNT_EQUALS]
     predicates += [
         (PredicateKind.COUNT_EQUALS, interpretation, value)
         for interpretation in Interpretation
