@@ -25,7 +25,7 @@ from typing import NamedTuple, Sequence, Union
 
 from .budget import CELL_BUDGET, refuse_monics, refuse_past, scan_budget
 from .dynamics import DegreeBase, DegreeSpec, Interpretation, counting_function
-from .errors import DomainError, UsageError
+from .errors import DomainError, UsageError, require_type
 from .rings import RingKind, RingSpec, enumerate_monic_irreducibles, primes_in_range
 from .tables import csv_text, json_text
 
@@ -260,6 +260,9 @@ def verify_all(
     and the planned cells are summed and refused past CELL_BUDGET before
     any is counted.
     """
+    for name, number in (("p_max", p_max), ("ell_max", ell_max), ("m_max", m_max)):
+        require_type(name, number, int)
+    require_type("interpretation", interpretation, Interpretation)
     if p_max < 3 or ell_max < 1 or m_max < 1:
         raise UsageError("need p_max >= 3, ell_max >= 1, m_max >= 1")
     half = p_max // 2
@@ -304,6 +307,7 @@ class ReportFormat(Enum):
 
 
 def render_report(report: VerificationReport, fmt: ReportFormat) -> str:
+    require_type("fmt", fmt, ReportFormat)
     if fmt is ReportFormat.CSV:
         # match, the last field, reads true/false in CSV and a bool in JSON
         rows = ((*cell[:-1], "true" if cell.match else "false") for cell in report.cells)

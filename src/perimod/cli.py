@@ -249,9 +249,7 @@ def _run_orbits(ns: argparse.Namespace) -> _Table:
     return payload, ["cycle_length", "num_cycles", "tail_node_count"], rows, None
 
 
-def _series_table(
-    ns: argparse.Namespace, series: stats.Series, population: str, trend: str = ""
-) -> _Table:
+def _series_table(ns: argparse.Namespace, series: stats.Series, trend: str = "") -> _Table:
     """An avg or density table, summed up by its last point's ratio; its json
     payload is built only for --format json."""
     last = series.points[-1]
@@ -261,7 +259,7 @@ def _series_table(
     payload = None
     if ns.format == "json":
         payload = {
-            "population": population,
+            "population": series.population_text,
             "series": [dict(zip(header, row)) for row in rows],
         }
     return payload, header, rows, summary
@@ -269,30 +267,19 @@ def _series_table(
 
 def _run_avg(ns: argparse.Namespace) -> _Table:
     interpretation = Interpretation(ns.interpretation)
-    p_min = ns.degree.min_prime
     if ns.primorial_k is not None:
         series = stats.divergence_series(ns.degree, ns.primorial_k, interpretation)
-        population = (
-            f"primes p with {p_min} <= p <= c and p | c, "
-            "c running over products of the first k odd primes"
-        )
         trend = f" strictly-increasing={'true' if series.strictly_increasing() else 'false'}"
-    else:
-        condition = stats.AvgCondition(ns.condition)
-        series = stats.partial_average(ns.degree, condition, interpretation, tuple(ns.c))
-        p_max = "c + 1" if condition is stats.AvgCondition.P_DIVIDES_C_PLUS_1 else "c"
-        population = f"primes p with {p_min} <= p <= {p_max}, condition {ns.condition}"
-        trend = ""
-    return _series_table(ns, series, population, trend)
+        return _series_table(ns, series, trend)
+    condition = stats.AvgCondition(ns.condition)
+    return _series_table(ns, stats.partial_average(ns.degree, condition, interpretation, tuple(ns.c)))
 
 
 def _run_density(ns: argparse.Namespace) -> _Table:
-    p_min = ns.degree.min_prime if ns.p_min is None else ns.p_min
     kind, interpretation = stats.PredicateKind(ns.predicate), Interpretation(ns.interpretation)
-    value = ns.count_value  # None for the divisibility predicates
-    series = stats.density(ns.degree, kind, interpretation, ns.C, p_min, value, ns.negate)
-    population = f"pairs (p, c) with p prime, {p_min} <= p <= c <= {ns.C}"
-    return _series_table(ns, series, population)
+    # density reads a None --p-min as the family's smallest prime
+    series = stats.density(ns.degree, kind, interpretation, ns.C, ns.p_min, ns.count_value, ns.negate)
+    return _series_table(ns, series)
 
 
 def _run_irreducibles(ns: argparse.Namespace) -> _Table:

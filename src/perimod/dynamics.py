@@ -46,7 +46,7 @@ from enum import Enum
 from functools import lru_cache
 from operator import sub
 
-from .errors import DomainError, UsageError
+from .errors import DomainError, UsageError, require_type
 from .rings import RingSpec, pow_index_table
 
 
@@ -77,10 +77,8 @@ class DegreeSpec:
     ell: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.base, DegreeBase):
-            raise UsageError(f"base must be a DegreeBase, got {self.base!r}")
-        if isinstance(self.ell, bool) or not isinstance(self.ell, int):
-            raise UsageError(f"ell must be an int, got {self.ell!r}")
+        require_type("base", self.base, DegreeBase)
+        require_type("ell", self.ell, int)
         if self.ell < 1:
             raise DomainError(f"ell must be >= 1, got {self.ell}")
 

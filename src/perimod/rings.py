@@ -16,8 +16,10 @@ Every ring element is its dense integer index 0 <= i < q, a plain int, for
 Z/p and for quotient fields alike: the base-p digits of i are the
 coefficients of the reduced polynomial, so a Z/p element is its residue.
 RingSpec.element reduces an int or a coefficient tuple to its index, and
-RingSpec.render(i) gives the index's text.  A ring is refused past the scan
-budget before trial division tests its p or Rabin's test its pi.
+RingSpec.render(i) gives the index's text.  A ring over F_p has at least p
+elements, so require_odd_prime (and every RingSpec) refuses a p past the
+square of the scan budget before trial division; a smaller p is tested
+first, and its ring is refused past the budget after, before Rabin's test.
 
 Arithmetic on elements is one kernel of whole-ring index tables, read by
 every count, orbit and verify cell: pow_index_table(ring, e) is z -> z^e,
@@ -47,7 +49,7 @@ from operator import mul
 from typing import Sequence
 
 from .budget import capped_power, refuse_monics, refuse_past, scan_budget
-from .errors import DomainError, UsageError
+from .errors import DomainError, UsageError, require_type
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +250,7 @@ def enumerate_monic_irreducibles(p: int, m: int) -> list[tuple[int, ...]]:
     Ordered by the base-p value of the coefficient vector (so for m = 1 this
     is t, t+1, ..., t+(p-1)).
     """
+    require_type("m", m, int)
     if m < 1:
         raise DomainError(f"degree must be >= 1, got {m}")
     refuse_monics(p, m)

@@ -5,10 +5,11 @@ cutoffs: an average at cutoff c sums the count over the primes p <= c (or
 p <= c + 1, under the condition p | c + 1) meeting a condition on c, and a
 density counts pairs (p, c) with p_min <= p <= c <= C satisfying a
 predicate.  Averages, divergence series and densities all come back as one
-Series of SeriesPoint(cutoff, numerator, population) tuples of ints; a
-point's ratio is the exact rational numerator/population, built only when
-it is read, and series_rows writes it reduced by one gcd.  Nothing here
-ever touches floating point.
+Series of SeriesPoint(cutoff, numerator, population) tuples of ints, with
+the text of the population they are taken over; a point's ratio is the
+exact rational numerator/population, built only when it is read, and
+series_rows writes it reduced by one gcd.  Nothing here ever touches
+floating point.
 
 Per-prime counts come from dynamics.residue_count_table, a residue profile:
 over Z/p a map's count depends on c only through whether c mod p is 0, -1
@@ -32,7 +33,7 @@ from typing import NamedTuple, Optional
 
 from .budget import DENSITY_BUDGET, FACTOR_BUDGET, SWEEP_BUDGET, refuse_past
 from .dynamics import DegreeSpec, Interpretation, residue_count_table
-from .errors import DomainError, UsageError
+from .errors import DomainError, UsageError, require_type
 from .rings import is_prime_int, prime_factors, primes_in_range
 
 
@@ -64,21 +65,16 @@ class SeriesPoint(NamedTuple):
 
 @dataclass(frozen=True)
 class Series:
+    """The points of an average or a density, and the population they are taken over, as text."""
+
     points: tuple[SeriesPoint, ...]
+    population_text: str
 
     def strictly_increasing(self) -> bool:
         """Trend verdict over the nonempty points; divergent limits are only
         ever reported as a finite series plus this flag, never as a value."""
         ratios = [pt.ratio for pt in self.points if pt.ratio is not None]
         return len(ratios) >= 2 and all(a < b for a, b in zip(ratios, ratios[1:]))
-
-
-def _require(name: str, value: object, kind: type) -> None:
-    """UsageError unless value's type is kind itself (so a bool is no int):
-    a wrong type fails here, not as a raw TypeError or a silent miscount."""
-    if type(value) is not kind:
-        article = "an" if kind.__name__[0] in "AEIOUaeiou" else "a"
-        raise UsageError(f"{name} must be {article} {kind.__name__}, got {value!r}")
 
 
 # divisibility conditions p | c - r, as the residue r of c mod p they select,
@@ -146,12 +142,12 @@ def partial_average(
     A cutoff below the family's smallest prime selects no prime and raises
     DomainError; under p | c + 1, which selects p = c + 1, the floor is one
     lower."""
-    _require("family", family, DegreeSpec)
-    _require("condition", condition, AvgCondition)
-    _require("interpretation", interpretation, Interpretation)
+    require_type("family", family, DegreeSpec)
+    require_type("condition", condition, AvgCondition)
+    require_type("interpretation", interpretation, Interpretation)
     wrong = [c for c in cs if type(c) is not int]
     if wrong:
-        _require("cutoff", wrong[0], int)
+        require_type("cutoff", wrong[0], int)
     p_min = family.min_prime
     r = _DIVISOR_RESIDUES.get(condition.value)
     c_min = p_min - 1 if r == -1 else p_min
@@ -167,7 +163,9 @@ def partial_average(
         sums = _sweep_sums(family, condition, interpretation, cs)
     else:
         sums = _divisor_sums(family, r, interpretation, cs)
-    return Series(tuple(SeriesPoint(c, num, den) for c, (num, den) in zip(cs, sums)))
+    points = tuple(SeriesPoint(c, num, den) for c, (num, den) in zip(cs, sums))
+    p_max = "c + 1" if r == -1 else "c"
+    return Series(points, f"primes p with {p_min} <= p <= {p_max}, condition {condition.value}")
 
 
 def odd_primorials(k_max: int) -> list[int]:
@@ -197,11 +195,13 @@ def divergence_series(
     base-p family the summand at each p is p itself, so the series grows
     without bound.
     """
-    _require("k_max", k_max, int)
+    require_type("k_max", k_max, int)
     if k_max < 2:
         raise DomainError(f"need k_max >= 2, got {k_max}")
     cs = tuple(odd_primorials(k_max))
-    return partial_average(family, AvgCondition.P_DIVIDES_C, interpretation, cs)
+    points = partial_average(family, AvgCondition.P_DIVIDES_C, interpretation, cs).points
+    cs_text = "c running over products of the first k odd primes"
+    return Series(points, f"primes p with {family.min_prime} <= p <= c and p | c, {cs_text}")
 
 
 # ---------------------------------------------------------------------------
@@ -220,21 +220,21 @@ def density(
     kind: PredicateKind,
     interpretation: Interpretation,
     cutoff: int,
-    p_min: int,
+    p_min: Optional[int] = None,
     value: Optional[int] = None,
     negate: bool = False,
 ) -> Series:
     """Hits (each point's numerator) and population at the quarter, half and
     full cutoffs, counted in one pass over the primes.
 
-    The population is {(p, c) : 1 <= c <= cutoff, p prime, p_min <= p <= c};
-    a pair is a hit when the predicate kind holds, flipped by negate: p
-    divides c, c + 1 or c - 1, or, for count-eq, the interpretation's count
-    of the map z^d + c over Z/p equals value (None reads as 0).  Only
-    count-eq reads value: a divisibility predicate given one raises
-    UsageError.  A divisibility predicate counts every prime >= p_min;
-    count-eq needs a map at each one, so a p_min below the family's smallest
-    prime raises its DomainError.
+    The population is {(p, c) : 1 <= c <= cutoff, p prime, p_min <= p <= c},
+    a None p_min reading as the family's smallest prime; a pair is a hit when
+    the predicate kind holds, flipped by negate: p divides c, c + 1 or c - 1,
+    or, for count-eq, the interpretation's count of the map z^d + c over Z/p
+    equals value (None reads as 0).  Only count-eq reads value: a
+    divisibility predicate given one raises UsageError.  A divisibility
+    predicate counts every prime >= p_min; count-eq needs a map at each one,
+    so a p_min below the family's smallest prime raises its DomainError.
 
     For a prime p and a cutoff s, the n = s - p + 1 values c = p..s have
     residues 0, 1, ..., p-1, 0, 1, ... in order, so with periods, rest =
@@ -245,16 +245,17 @@ def density(
     profile of dynamics.residue_count_table).  When the generic residues
     satisfy the predicate, the hits are the n - found pairs outside R.
     """
-    _require("family", family, DegreeSpec)
-    _require("kind", kind, PredicateKind)
-    _require("interpretation", interpretation, Interpretation)
+    require_type("family", family, DegreeSpec)
+    require_type("kind", kind, PredicateKind)
+    require_type("interpretation", interpretation, Interpretation)
     r = _DIVISOR_RESIDUES.get(kind.value)
     if r is not None and value is not None:
         raise UsageError(f"value only applies to count-eq, got {value!r}")
     value = 0 if value is None else value
+    p_min = family.min_prime if p_min is None else p_min
     for name, number in (("cutoff", cutoff), ("p_min", p_min), ("value", value)):
-        _require(name, number, int)
-    _require("negate", negate, bool)
+        require_type(name, number, int)
+    require_type("negate", negate, bool)
     if r is None:
         family.require_prime(p_min)
     C = cutoff
@@ -282,7 +283,7 @@ def density(
     points = tuple(SeriesPoint(s, hits[s], population[s]) for s in snapshots if population[s])
     if not points or points[-1].cutoff != C:
         raise DomainError("population is empty at the requested cutoff")
-    return Series(points)
+    return Series(points, f"pairs (p, c) with p prime, {p_min} <= p <= c <= {C}")
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ lines alongside pytest's own verdicts.  Runtime limits are asserted with
 time.monotonic around the criterion's computation.
 """
 
+import ast
 import functools
 import hashlib
 import re
@@ -327,3 +328,16 @@ def test_public_api_is_pinned():
     namespace = {}
     exec("from perimod import *", namespace)
     assert sorted(name for name in namespace if name != "__builtins__") == sorted(perimod.__all__)
+
+
+def test_no_floating_point_in_the_package():
+    # every count, bound and ratio is an int or a Fraction: no true division,
+    # no float literal and no float() anywhere in the package's source
+    found = []
+    for path in sorted(Path(perimod.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            divides = isinstance(getattr(node, "op", None), ast.Div)  # a / b and a /= b
+            literal = isinstance(node, ast.Constant) and type(node.value) is float
+            if divides or literal or isinstance(node, ast.Name) and node.id == "float":
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

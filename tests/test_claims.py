@@ -197,6 +197,26 @@ def test_verify_all_rejects_bad_ranges():
         verify_all(2, 1, 1, ROOTS)
 
 
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        # a str interpretation once raised a raw AttributeError, a float bound a raw TypeError
+        (lambda: verify_all(3, 1, 1, "roots"), "interpretation must be an Interpretation, got 'roots'"),
+        (lambda: verify_all(3, 1.5, 1, ROOTS), "ell_max must be an int, got 1.5"),
+        (lambda: verify_all(3.0, 1, 1, ROOTS), "p_max must be an int, got 3.0"),
+        (lambda: verify_all(3, 1, 2.0, ROOTS), "m_max must be an int, got 2.0"),
+        # a bool once ran as ell_max = 1
+        (lambda: verify_all(3, True, 1, ROOTS), "ell_max must be an int, got True"),
+        # a str format once returned the JSON text
+        (lambda: render_report(verify_all(3, 1, 1, ROOTS), "csv"), "fmt must be a ReportFormat, got 'csv'"),
+    ],
+)
+def test_claim_entry_points_refuse_wrong_argument_types(call, message):
+    with pytest.raises(UsageError) as err:
+        call()
+    assert str(err.value) == message
+
+
 def test_a_sweep_past_the_cell_budget_is_refused_before_its_block_is_counted(monkeypatch):
     # the default sweep has 14352 cells, so it runs at a cap of 14352 and is
     # refused at 14351, its planned cells summed before any is counted

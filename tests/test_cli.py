@@ -9,7 +9,9 @@ import pytest
 
 from perimod import claims, cli, rings
 from perimod.cli import main, parse_args, run
+from perimod.dynamics import DegreeBase, DegreeSpec, Interpretation
 from perimod.errors import UsageError
+from perimod.stats import AvgCondition, PredicateKind, density, divergence_series, partial_average
 
 
 def test_parse_count_example():
@@ -218,6 +220,28 @@ def test_run_avg_divides_plus1_population_reaches_c_plus_1(capsys):
     assert payload["series"] == [
         {"cutoff_or_c": 4, "numerator": 0, "denominator": 1, "ratio_num": 0, "ratio_den": 1}
     ]
+
+
+def test_a_series_carries_the_population_its_json_writes(capsys):
+    roots = Interpretation.ROOTS_LE2
+    families = {"p": DegreeSpec(DegreeBase.P, 1), "p-1": DegreeSpec(DegreeBase.P_MINUS_1, 1)}
+    # density reads a missing p_min as the family's smallest prime
+    for family in families.values():
+        for kind in PredicateKind:
+            assert density(family, kind, roots, 60) == density(family, kind, roots, 60, family.min_prime)
+    cases = []
+    for flag, family in families.items():
+        for condition in AvgCondition:
+            argv = ["avg", "--family", flag, "--condition", condition.value, "--c", "10,105"]
+            cases.append((argv, partial_average(family, condition, roots, (10, 105))))
+        cases.append((["avg", "--family", flag, "--primorial-k", "3"], divergence_series(family, 3)))
+        for kind in PredicateKind:
+            argv = ["density", "--family", flag, "--predicate", kind.value, "--C", "60"]
+            cases.append((argv, density(family, kind, roots, 60)))
+            cases.append((argv + ["--p-min", "7"], density(family, kind, roots, 60, 7)))
+    for argv, series in cases:
+        assert main(argv + ["--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["population"] == series.population_text, argv
 
 
 def test_avg_divides_plus1_admits_c_plus_1_at_the_smallest_prime(capsys):
@@ -429,6 +453,11 @@ EMPTY = hashlib.sha256(b"").hexdigest()
         ("avg --family p-1 --condition not-divides --interpretation exact2 --c 105,15 --format json", 0, "6d9b83aab50f17f2add4f2323ed210c6016666e1672248702e2d52bcc4f6cf7c"),
         ("avg --family p --primorial-k 4 --format csv", 0, "25280afb622dbe1cee9110b468aa07718385358b5d2e9ae94be0b2072207920d"),
         ("avg --family p --primorial-k 4 --format json", 0, "f94727fc90ed156a8a085317aa794f32cfc09e2015a1c39df280a8a09931e8c7"),
+        ("avg --family p-1 --condition divides-plus1 --c 4,10,105 --format json", 0, "afff9ed32e5ff5dc30cb52363bba0401291dd3bcd2c55b72dff6c6066b547306"),
+        ("avg --family p-1 --condition divides-plus1 --c 4,10,105 --format csv", 0, "9a9e90f98dc77d9914c7b667415b0d629408db91aedd2d37c7604627e284d304"),
+        ("avg --family p-1 --condition other --interpretation fixed --c 105,15 --format json", 0, "4c1117ee5d243645c959591d6bd17bdb926d2d42bf4606382ab73949fda56958"),
+        ("avg --family p-1 --primorial-k 5 --format json", 0, "c0969edb5a98289b61dafd0fb12e139f6f79cfa271ae694c84c7954fcc6335d3"),
+        ("density --family p --predicate divides-plus1 --C 200 --p-min 2 --format json", 0, "40c92daa3e24f555efeace44d4e5b7e58edb773b8c2619d36416d1a4982e899d"),
         ("density --family p-1 --predicate count-eq --count-value 1 --C 200 --format csv", 0, "5c719c0ada15bfbabe73c6f006520665239a114b200cd76aefe058192ecef893"),
         ("density --family p-1 --predicate count-eq --count-value 1 --C 200 --format json", 0, "2891d3b2e5b832d3f625d2f8595dc7d824b59b0c0d4a1a117829bed5183430d1"),
         ("density --family p --predicate count-eq --count-value 0 --C 200 --negate --p-min 7 --format csv", 0, "9a54401c7b312db1fed8b84f7faab4024b950982f5fa545af08b2273552f0669"),

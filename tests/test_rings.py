@@ -514,6 +514,14 @@ def test_enumerate_monic_irreducibles():
         assert all(len(f) == m + 1 and f[-1] == 1 for f in found)
 
 
+def test_enumeration_refuses_a_degree_that_is_no_int():
+    # a float m once raised a raw TypeError, and True listed the degree-1 monics
+    for m in (2.0, True, "2"):
+        with pytest.raises(UsageError) as err:
+            enumerate_monic_irreducibles(3, m)
+        assert str(err.value) == f"m must be an int, got {m!r}"
+
+
 def test_enumerate_budget():
     with pytest.raises(ResourceError):
         enumerate_monic_irreducibles(101, 4)
