@@ -1,7 +1,8 @@
 """Every limit on a run: the five caps, their one override, their one refusal.
 
 SCAN_BUDGET caps the elements a scan visits and the p^m monics an enumeration
-lists, and only it can be overridden, by a positive integer in PERIMOD_BUDGET.
+lists, and only it can be overridden, by a positive integer in PERIMOD_BUDGET,
+which scan_budget reads on every call: a change applies to the next scan.
 SWEEP_BUDGET caps the cutoff of an average over every prime up to c,
 FACTOR_BUDGET the numbers factored by trial division, DENSITY_BUDGET the
 density cutoff, CELL_BUDGET the cells of a verify sweep.  refuse_past raises
@@ -19,14 +20,16 @@ FACTOR_BUDGET = 10**12
 DENSITY_BUDGET = 10**5
 CELL_BUDGET = 250_000
 BUDGET_ENV_VAR = "PERIMOD_BUDGET"
+_BUDGET_KEY = os.environ.encodekey(BUDGET_ENV_VAR)
 
 
 def scan_budget() -> int:
     """SCAN_BUDGET, or its override (UsageError unless a positive integer)."""
-    try:  # read on every call; indexing skips the Mapping.get frame around the KeyError
-        raw = os.environ[BUDGET_ENV_VAR]
-    except KeyError:
+    # os.environ's own dict, which all its writes go through: unset is None, not a raised KeyError
+    raw = os.environ._data.get(_BUDGET_KEY)
+    if raw is None:
         return SCAN_BUDGET
+    raw = os.environ.decodevalue(raw)
     try:
         value = int(raw)
     except ValueError as exc:

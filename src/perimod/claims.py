@@ -180,8 +180,9 @@ def claim_catalog() -> tuple[ClaimRecord, ...]:
     )
 
 
-def _class_reps(coeff_class: CoeffClass, ring: RingSpec) -> list[int]:
-    """Indices of the coefficient representatives of a class in the given ring.
+def _class_reps(coeff_class: CoeffClass, p: int, m: int) -> list[int]:
+    """Indices of the coefficient representatives of a class in every ring
+    of prime p and degree m (m = 0 for Z/p).
 
     In a prime field: one per residue.  In a quotient field: the residues of
     F_p embedded as constants (a constant's index is its residue), and for
@@ -189,14 +190,13 @@ def _class_reps(coeff_class: CoeffClass, ring: RingSpec) -> list[int]:
     index is p, once deg(pi) >= 2; the classes 0, +1, -1 are read modulo pi
     exactly as written, so their representatives stay constant.
     """
-    p = ring.p
     if coeff_class is CoeffClass.DIVISIBLE:
         return [0]
     if coeff_class is CoeffClass.PLUS_ONE:
         return [1]
     if coeff_class is CoeffClass.MINUS_ONE:
         return [p - 1]
-    return list(range(2, p - 1)) + ([p] if ring.degree_m >= 2 else [])
+    return list(range(2, p - 1)) + ([p] if m >= 2 else [])
 
 
 @lru_cache(maxsize=None)
@@ -210,8 +210,9 @@ def _claim_blocks(
     """The claim's (p, ell) blocks in sweep order, each with the (m, ring,
     representatives) of its rings that hold one, and none without; nothing
     is counted.  prime_fields holds the sweep's Z/p, one per prime, and reps
-    maps (class, ring) to that class's representatives and their text: both
-    are built once and shared by the claims of one sweep."""
+    maps (class, p, m) to that class's representatives and their text, which
+    depend on p and m only: both are built once and shared by the claims of
+    one sweep."""
     coeff_class = claim.coeff_class
     blocks = []
     for zp in prime_fields:
@@ -223,9 +224,9 @@ def _claim_blocks(
         else:
             rings = [(m, ring) for m in ms for ring in _quotient_rings(p, m)]
         for m, ring in rings:
-            if (coeff_class, ring) not in reps:
-                reps[coeff_class, ring] = [(c, ring.render(c)) for c in _class_reps(coeff_class, ring)]
-        ring_reps = [(m, ring, reps[coeff_class, ring]) for m, ring in rings if reps[coeff_class, ring]]
+            if (coeff_class, p, m) not in reps:
+                reps[coeff_class, p, m] = [(c, ring.render(c)) for c in _class_reps(coeff_class, p, m)]
+        ring_reps = [(m, ring, reps[coeff_class, p, m]) for m, ring in rings if reps[coeff_class, p, m]]
         blocks += [(p, ell, ring_reps) for ell in ells if ring_reps and claim.ell_domain.admits(ell, p)]
     return blocks
 

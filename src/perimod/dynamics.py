@@ -41,7 +41,7 @@ roots - fixed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from operator import sub
@@ -69,18 +69,26 @@ class Interpretation(Enum):
     EXACT2 = "exact2"  # roots of phi^2(z) - z that are not fixed
 
 
+_FIXED, _ROOTS_LE2, _EXACT2 = Interpretation  # so that _count loads no Enum attribute per call
+
+
 @dataclass(frozen=True)
 class DegreeSpec:
     """Map degree base^ell with base = p or p-1 for the ring's prime p."""
 
     base: DegreeBase
     ell: int
+    # set once when built, so that exponent reads no Enum; equality reads base and ell only
+    _min_prime: int = field(init=False, repr=False, compare=False)  # base.min_prime
+    _shift: int = field(init=False, repr=False, compare=False)  # p - base, 0 or 1
 
     def __post_init__(self) -> None:
         require_type("base", self.base, DegreeBase)
         require_type("ell", self.ell, int)
         if self.ell < 1:
             raise DomainError(f"ell must be >= 1, got {self.ell}")
+        object.__setattr__(self, "_min_prime", self.base.min_prime)
+        object.__setattr__(self, "_shift", 0 if self.base is DegreeBase.P else 1)
 
     @property
     def min_prime(self) -> int:
@@ -95,12 +103,10 @@ class DegreeSpec:
     def exponent(self, p: int, q: int) -> int:
         """base^ell reduced mod q-1 into [1, q-1]: one exponent for the whole
         field of order q over F_p, as z^(q-1) = 1 for z != 0 and 0^e = 0.
-        Refuses a p below the family's smallest, which only base p-1 checks:
-        base p needs p >= 3, and every ring's prime is odd."""
-        if self.base is DegreeBase.P:
-            return pow(p, self.ell, q - 1) or q - 1
-        self.require_prime(p)
-        return pow(p - 1, self.ell, q - 1) or q - 1
+        Refuses a p below the family's smallest (DomainError)."""
+        if p < self._min_prime:
+            self.require_prime(p)
+        return pow(p - self._shift, self.ell, q - 1) or q - 1
 
     def describe(self) -> str:
         base = "p" if self.base is DegreeBase.P else "(p-1)"
@@ -207,11 +213,11 @@ def _count(ring: RingSpec, e: int, c: int, interpretation: Interpretation) -> in
         period2 = [z for z, w in enumerate(succ) if succ[w] == z]
         counts[c] = sum(1 for z in period2 if succ[z] == z), len(period2)
     fixed, roots = counts[c]
-    if interpretation is Interpretation.FIXED:
+    if interpretation is _FIXED:
         return fixed
-    if interpretation is Interpretation.ROOTS_LE2:
+    if interpretation is _ROOTS_LE2:
         return roots
-    if interpretation is Interpretation.EXACT2:
+    if interpretation is _EXACT2:
         return roots - fixed
     raise UsageError(f"interpretation must be an Interpretation, got {interpretation!r}")
 

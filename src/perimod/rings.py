@@ -308,7 +308,9 @@ class RingSpec:
     def refuse_scan(self) -> None:
         """Refuse a scan of the ring's q elements past the scan budget as it is now."""
         q = self.cardinality_q
-        refuse_past(scan_budget(), q, lambda: f"scanning {self.describe()} needs {q} elements")
+        limit = scan_budget()
+        if q > limit:  # the message is built only for a refusal
+            refuse_past(limit, q, lambda: f"scanning {self.describe()} needs {q} elements")
 
     @property
     def modulus_coeffs(self) -> tuple[int, ...]:

@@ -29,7 +29,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd
-from typing import NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .budget import DENSITY_BUDGET, FACTOR_BUDGET, SWEEP_BUDGET, refuse_past
 from .dynamics import DegreeSpec, Interpretation, residue_count_table
@@ -134,17 +134,21 @@ def partial_average(
     family: DegreeSpec,
     condition: AvgCondition,
     interpretation: Interpretation,
-    cs: tuple[int, ...],
+    cs: Iterable[int],
 ) -> Series:
     """For each cutoff c: sum of the count over the selected primes, divided
     by how many primes were selected.
 
-    A cutoff below the family's smallest prime selects no prime and raises
-    DomainError; under p | c + 1, which selects p = c + 1, the floor is one
-    lower."""
+    cs is read once, so any iterable of int cutoffs will do.  A cutoff below
+    the family's smallest prime selects no prime and raises DomainError;
+    under p | c + 1, which selects p = c + 1, the floor is one lower."""
     require_type("family", family, DegreeSpec)
     require_type("condition", condition, AvgCondition)
     require_type("interpretation", interpretation, Interpretation)
+    try:
+        cs = tuple(cs)
+    except TypeError:
+        raise UsageError(f"cs must be an iterable of int cutoffs, got {cs!r}") from None
     wrong = [c for c in cs if type(c) is not int]
     if wrong:
         require_type("cutoff", wrong[0], int)

@@ -2,12 +2,16 @@
 
 import csv
 import hashlib
+import importlib
 import io
 import json
+import pkgutil
+import sys
 
 import pytest
 
-from perimod import claims
+import perimod
+from perimod import claims, dynamics, rings
 from perimod.claims import (
     CSV_HEADER,
     ClaimRecord,
@@ -260,13 +264,39 @@ def test_an_ell_max_past_the_cell_budget_is_refused_up_front(monkeypatch):
     assert len(claim_cells(verify_all(3, 40, 1, ROOTS), "zp-ppow-gen-plus1")) == 40
 
 
+def test_each_cell_calls_counting_function_and_pow_index_table_once(monkeypatch):
+    # the traced benchmark pins both call counts at one per verify cell: each
+    # is wrapped at every module name in perimod bound to it, as the tracer
+    # wraps it, so that a cell path calling either more or less shows here
+    for info in pkgutil.iter_modules(perimod.__path__):
+        importlib.import_module(f"perimod.{info.name}")
+    modules = [module for name, module in list(sys.modules.items())
+               if module is not None and (name == "perimod" or name.startswith("perimod."))]
+    calls = {"counting_function": 0, "pow_index_table": 0}
+    for original in (dynamics.counting_function, rings.pow_index_table):
+
+        def counted(*args, _original=original):
+            calls[_original.__name__] += 1
+            return _original(*args)
+
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    for interpretation in Interpretation:
+        for _ in range(2):  # a sweep, then the same sweep over cached tables
+            calls.update(dict.fromkeys(calls, 0))
+            cells = len(verify_all(7, 2, 2, interpretation).cells)
+            assert calls == {"counting_function": cells, "pow_index_table": cells}
+
+
 def test_warm_sweep_builds_each_representative_once(monkeypatch):
     # a warm default pass formats no ring description (the budget message is
     # only built on refusal) and builds (a representative is its index, so
     # never through RingSpec.element) and renders each coefficient
-    # representative at most once, not once per cell: the 5 primes' Z/p,
-    # linear and quadratic rings hold 2404 distinct (class, ring)
-    # representatives among the pass's 14352 cells
+    # representative at most once, not once per cell or per ring: the 5
+    # primes' Z/p, linear and quadratic rings share 122 distinct
+    # (class, p, m) representatives among the pass's 14352 cells
     verify_all(13, 2, 2, ROOTS)
     describes, built, rendered = [], [], []
     describe, element, render = RingSpec.describe, RingSpec.element, RingSpec.render
@@ -289,7 +319,7 @@ def test_warm_sweep_builds_each_representative_once(monkeypatch):
     assert len(verify_all(13, 2, 2, EXACT2).cells) == 14352
     assert describes == []
     for calls in (built, rendered):
-        assert len(calls) == len(set(calls)) <= 2404
+        assert len(calls) == len(set(calls)) <= 122
 
 
 def test_monotone_sweep():

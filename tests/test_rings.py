@@ -3,7 +3,10 @@
 import ast
 import copy
 import dataclasses
+import os
 import random
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -610,6 +613,40 @@ def test_budget_override(monkeypatch):
         monkeypatch.setenv("PERIMOD_BUDGET", bad)
         with pytest.raises(UsageError, match=f"^PERIMOD_BUDGET {message}$"):
             scan_budget()
+
+
+def test_scan_budget_tracks_every_change_to_the_environment(monkeypatch):
+    # the budget is read on every call, after perimod was imported, from
+    # whatever any public way of changing os.environ last left there
+    env = os.environ
+    monkeypatch.setenv("PERIMOD_BUDGET", "11")  # restored after the test
+    assert scan_budget() == 11
+    monkeypatch.delenv("PERIMOD_BUDGET")
+    assert scan_budget() == 10**5
+    env["PERIMOD_BUDGET"] = "12"
+    assert scan_budget() == 12
+    del env["PERIMOD_BUDGET"]
+    assert scan_budget() == 10**5
+    env.update(PERIMOD_BUDGET="13")
+    assert scan_budget() == 13
+    assert env.pop("PERIMOD_BUDGET") == "13"
+    assert scan_budget() == 10**5
+    env.setdefault("PERIMOD_BUDGET", "14")
+    env.setdefault("PERIMOD_BUDGET", "15")
+    assert scan_budget() == 14
+    env["PERIMOD_BUDGET"] = "ten"
+    with pytest.raises(UsageError, match="^PERIMOD_BUDGET must be an integer, got 'ten'$"):
+        scan_budget()
+
+
+def test_budget_set_at_process_start_refuses_a_scan(tmp_path):
+    # a budget in the environment a process starts with is read the same way
+    src = Path(rings.__file__).resolve().parents[1]
+    env = {**os.environ, "PERIMOD_BUDGET": "10", "PYTHONPATH": str(src)}
+    argv = [sys.executable, "-m", "perimod.cli", "count", "--p", "11", "--family", "p", "--c", "0"]
+    done = subprocess.run(argv, env=env, cwd=tmp_path, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: scanning Z/11 needs 11 elements, budget is 10\n"
 
 
 def test_cached_ring_attributes_keep_equality_and_hash():

@@ -125,6 +125,16 @@ def test_sparse_sweep_cutoffs_match_the_dense_series(family, condition):
 
 
 @pytest.mark.parametrize("condition", list(AvgCondition))
+def test_cutoffs_are_read_once_from_any_iterable(condition):
+    # the cutoff type check once consumed a generator, leaving no points
+    cs = (15, 105)
+    expected = partial_average(U1, condition, ROOTS, cs)
+    assert len(expected.points) == 2
+    assert partial_average(U1, condition, ROOTS, (c for c in cs)) == expected
+    assert partial_average(U1, condition, ROOTS, list(cs)) == expected
+
+
+@pytest.mark.parametrize("condition", list(AvgCondition))
 def test_first_bad_cutoff_decides_the_error(condition):
     too_big = 10**6 + 1 if condition.value in ("not-divides", "other") else 10**12 + 2
     with pytest.raises(DomainError):
@@ -292,6 +302,8 @@ COUNT_EQ = PredicateKind.COUNT_EQUALS
         (lambda: avg(P1, "divides", [105]), "condition must be an AvgCondition, got 'divides'"),
         (lambda: avg(P1, AvgCondition.P_DIVIDES_C, [105, 105.0]), "cutoff must be an int, got 105.0"),
         (lambda: avg(P1, AvgCondition.P_NOT_DIVIDES_C, [100.0]), "cutoff must be an int, got 100.0"),
+        (lambda: partial_average(P1, AvgCondition.P_DIVIDES_C, ROOTS, 15),
+         "cs must be an iterable of int cutoffs, got 15"),
         (lambda: divergence_series(P1, 4.0), "k_max must be an int, got 4.0"),
         # a divisibility predicate reads no count, so a value once passed unseen
         (lambda: density(P1, PredicateKind.DIVIDES, ROOTS, 10, 3, 7), "value only applies to count-eq, got 7"),
