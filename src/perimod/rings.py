@@ -26,16 +26,22 @@ every count, orbit and verify cell: pow_index_table(ring, e) is z -> z^e,
 one lookup per element in the ring's discrete log/antilog tables, and
 RingSpec.translation_table(c) is z -> z + c, built digit by digit.  One
 coefficient-list product, _mul_mod (Z/p is read as F_p[t]/(t), m = 1),
-serves the two places that multiply: the log/antilog tables and Rabin's
-t^(p^k) by square-and-multiply (_pow_mod).  _mul_mod forms the schoolbook
-product, then reduces it in one pass from the top down.  log_tables finds
-the generator of the unit group by its order test over the primes of q - 1,
-skipping the constants past m = 1, then walks its powers once, each step a
-product by the m x m matrix of z -> g z on the base-p digits.  The
-log/antilog pair is cached per ring and each power table per ring and
-exponent.  The tests check the
-tables against a schoolbook oracle, tests/polyoracle.py, that shares no
-code with them.
+serves the two places that multiply coefficient lists: the walk of one
+log/antilog pair and Rabin's t^(p^k) by square-and-multiply (_pow_mod).
+_mul_mod forms the schoolbook product, then reduces it in one pass from
+the top down.
+
+One log/antilog pair is built per order q = p^m, by the first field of that
+order that asks (_walk_tables): it finds the generator of the unit group by
+its order test over the primes of q - 1, skipping the constants past m = 1,
+then walks its powers once, each step a product by the m x m matrix of
+z -> g z on the base-p digits.  Every other field of the order pulls that
+pair back in O(q) through t -> alpha_pi, a root of its modulus pi in the
+first field, which one pass over the first field's Frobenius orbits finds
+for every pi of degree m (_Order).  The pairs are cached per ring in the
+record of their order, and each power table per ring and exponent.  The
+tests check the tables against a schoolbook oracle, tests/polyoracle.py,
+that shares no code with them.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from itertools import chain, count
-from math import isqrt
+from math import gcd, isqrt
 from operator import mul
 from typing import Sequence
 
@@ -381,18 +387,22 @@ def _index(coeffs: Sequence[int], p: int) -> int:
     return idx
 
 
-@lru_cache(maxsize=None)
-def log_tables(ring: RingSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Discrete log and antilog of the ring's unit group over the dense index.
+def _sub(x: int, y: int, p: int) -> int:
+    """The index of x - y, digit by digit modulo p."""
+    out, weight = 0, 1
+    while x or y:
+        x, a = divmod(x, p)
+        y, b = divmod(y, p)
+        out += (a - b) % p * weight
+        weight *= p
+    return out
 
-    antilog[k] is the index of g^k for 0 <= k < q - 1, and log[antilog[k]] = k;
-    log[0] is -1, as zero has no logarithm.  The generator g is the first
-    index, in index order, of order q - 1: the first with g^((q-1)/r) != 1 for
-    every prime r dividing q - 1.  Past m = 1 the search starts at t, as a
-    constant's order divides p - 1 < q - 1.  The antilog is then one walk
-    from 1 through the powers of g, each step a product by the m x m matrix
-    of z -> g z on the base-p digits.
-    """
+
+def _walk_tables(ring: RingSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The log/antilog pair of log_tables built from scratch: the generator
+    search by its order test over the primes of q - 1, then one walk from 1
+    through the powers of g, each step a product by the m x m matrix of
+    z -> g z on the base-p digits."""
     p = ring.p
     m = ring.degree_m
     low = ring.modulus_coeffs[:-1]
@@ -411,10 +421,123 @@ def log_tables(ring: RingSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:
     for _ in range(q - 2):
         x = [sum(map(mul, row, x)) % p for row in rows]
         antilog.append(sum(map(mul, weights, x)))
+    return _inverse(antilog, q)
+
+
+def _inverse(antilog: list[int], q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The pair (log, antilog) of an antilog over q indices; log[0] is -1."""
     log = [-1] * q
     for k, i in enumerate(antilog):
         log[i] = k
     return tuple(log), tuple(antilog)
+
+
+class _Order:
+    """The log/antilog pairs of the fields of one order q = p^m, per ring.
+
+    field, the first ring that asked, is the only one whose pair is walked
+    (_walk_tables).  Every m = 1 ring shares that pair: each reads an index
+    as a residue.  Past m = 1, F_p[t]/(pi) maps into field by
+    phi(a0 + t r) = a0 + alpha_pi phi(r), alpha_pi a root of pi there, and
+    its pair is field's read through phi (_pull_back).
+    """
+
+    def __init__(self) -> None:
+        self.pairs: dict[RingSpec, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+        self._roots: "dict[tuple[int, ...], int] | None" = None
+
+    @property
+    def field(self) -> RingSpec:
+        return next(iter(self.pairs))
+
+    def tables(self, ring: RingSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        pair = self.pairs.get(ring)
+        if pair is None:
+            if not self.pairs:
+                pair = _walk_tables(ring)
+            elif ring.degree_m == 1:
+                pair = self.pairs[self.field]
+            else:
+                pair = self._pull_back(ring)
+            self.pairs[ring] = pair
+        return pair
+
+    @property
+    def roots(self) -> dict[tuple[int, ...], int]:
+        """{pi: alpha_pi} over every monic irreducible pi of degree m, in
+        index order, alpha_pi the first root of pi in field, by index.
+
+        One pass over field splits it into Frobenius orbits, z^p being
+        antilog[p log z]; each orbit of size m is the roots of one pi, which
+        is the product of z - alpha over them (Lidl & Niederreiter, Thm 2.14).
+        """
+        if self._roots is None:
+            field = self.field
+            p, q = field.p, field.cardinality_q
+            n = q - 1
+            log, antilog = self.pairs[field]
+            seen = bytearray(q)
+            found = {}
+            for z in range(q):
+                if seen[z]:
+                    continue
+                orbit = [z]
+                y = antilog[p * log[z] % n] if z else 0
+                while y != z:
+                    orbit.append(y)
+                    y = antilog[p * log[y] % n]
+                for y in orbit:
+                    seen[y] = 1
+                if len(orbit) == field.degree_m:
+                    pi = [1]
+                    for r in orbit:  # pi * (X - r), coefficients indexed in field
+                        pi = [_sub(a, antilog[(log[r] + log[b]) % n] if r and b else 0, p)
+                              for a, b in zip([0] + pi, pi + [0])]
+                    found[tuple(pi)] = z
+            self._roots = dict(sorted(found.items(), key=lambda item: _index(item[0], p)))
+        return self._roots
+
+    def _pull_back(self, ring: RingSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """ring's pair in O(q) off field's: log_F phi, scaled by the inverse
+        of L = log_F phi(g) for the first index g >= p whose L is prime to
+        q - 1."""
+        p, q = ring.p, ring.cardinality_q
+        n = q - 1
+        log, antilog = self.pairs[self.field]
+        shift = log[self.roots[ring.modulus]]
+        phi = list(range(p)) + [0] * (q - p)
+        for i in range(p, q):  # phi(i // p) is nonzero, as i // p is
+            r, a0 = divmod(i, p)
+            x = antilog[(shift + log[phi[r]]) % n]
+            phi[i] = x - x % p + (x % p + a0) % p  # a0 added to x's constant digit
+        logs = [log[x] for x in phi]
+        scale = pow(next(k for k in logs[p:] if gcd(k, n) == 1), -1, n)
+        antilog_ring = [0] * n
+        for i in range(1, q):
+            antilog_ring[logs[i] * scale % n] = i
+        return _inverse(antilog_ring, q)
+
+
+@lru_cache(maxsize=None)
+def _order(p: int, m: int) -> _Order:
+    """The record of the fields of order p^m, created empty: the one cache
+    of field tables, so _order.cache_clear() drops every pair and root map."""
+    return _Order()
+
+
+def log_tables(ring: RingSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Discrete log and antilog of the ring's unit group over the dense index.
+
+    antilog[k] is the index of g^k for 0 <= k < q - 1, and log[antilog[k]] = k;
+    log[0] is -1, as zero has no logarithm.  The generator g is the first
+    index, in index order, of order q - 1: the first with g^((q-1)/r) != 1 for
+    every prime r dividing q - 1.  Past m = 1 the search starts at t, as a
+    constant's order divides p - 1 < q - 1.  One pair is built per order p^m,
+    for the first field of that order that asks; every other field of the
+    order pulls it back through t -> alpha_pi (_Order).  Cached per ring in
+    the record of its order, _order(p, m).
+    """
+    return _order(ring.p, ring.degree_m).tables(ring)
 
 
 @lru_cache(maxsize=None)

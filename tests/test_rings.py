@@ -376,6 +376,72 @@ def test_log_tables_first_generator_past_the_sweep():
     assert [log_tables(RingSpec(p))[1][1] for p in (3, 5, 7, 11, 13)] == [2, 2, 3, 2, 2]
 
 
+def fields_of_order(p, m):
+    """Every field of order p^m that perimod builds, Z/p first for m = 1."""
+    return ([RingSpec(p)] if m == 1 else []) + [RingSpec(p, pi) for pi in enumerate_monic_irreducibles(p, m)]
+
+
+def test_field_tables_do_not_depend_on_which_field_of_an_order_asks_first():
+    # the first field of an order walks its pair and every other one pulls
+    # that pair back; forwards and in reverse, each field gets its walked pair
+    for p, m in [(p, m) for p in (3, 5, 7) for m in (1, 2, 3)] + [(3, 4)]:
+        fields = fields_of_order(p, m)
+        walked = [rings._walk_tables(ring) for ring in fields]
+        for step in (1, -1):
+            rings._order.cache_clear()
+            assert [log_tables(ring) for ring in fields[::step]] == walked[::step], (p, m, step)
+            assert rings._order(p, m).field == fields[::step][0]
+
+
+def test_a_pulled_back_pair_walks_nothing_and_calls_no_traced_layer(monkeypatch):
+    fields = fields_of_order(7, 2)
+    rings._order.cache_clear()
+    log_tables(fields[0])
+
+    def refused(*args):
+        pytest.fail("a pulled-back pair called a walk, a power table or Rabin's test")
+
+    for name in ("_walk_tables", "_pow_mod", "pow_index_table", "is_irreducible",
+                 "enumerate_monic_irreducibles", "_monic_irreducibles"):
+        monkeypatch.setattr(rings, name, refused)
+    assert all(len(log_tables(ring)[1]) == 48 for ring in fields[1:])
+
+
+def test_frobenius_orbits_give_every_monic_irreducible_and_a_root_of_it():
+    # the root map of each order against Rabin's enumeration (same order),
+    # Gauss's count, and pi(alpha_pi) = 0 by the schoolbook oracle on the
+    # field the orbits ran over
+    for p in primes_in_range(3, 13):
+        for m in (1, 2, 3):
+            log_tables(RingSpec(p, rings._monic_irreducibles(p, m)[-1]))
+            record = rings._order(p, m)
+            field, roots = record.field, record.roots
+            assert list(roots) == list(rings._monic_irreducibles(p, m)), (p, m)
+            assert len(roots) == mobius_irreducible_count(p, m)
+            for pi, alpha in roots.items():
+                value, power = 0, 1
+                for c in pi:
+                    value = naive_add(field, value, naive_mul(field, c, power))
+                    power = naive_mul(field, power, alpha)
+                assert value == 0, (field, pi, alpha)
+
+
+def test_one_clear_drops_each_order_with_its_field_pairs_and_roots():
+    # the pairs and the root map live in their order's record, so the
+    # record's clear leaves no stale field behind
+    first, second = fields_of_order(5, 2)[:2]
+    rings._order.cache_clear()
+    pair = log_tables(first)
+    log_tables(second)
+    record = rings._order(5, 2)
+    assert (record.field, len(record.pairs), len(record.roots)) == (first, 2, 10)
+    rings._order.cache_clear()
+    assert rings._order.cache_info().currsize == 0
+    assert log_tables(second) == rings._walk_tables(second)
+    assert rings._order(5, 2) is not record and rings._order(5, 2).field == second
+    assert log_tables(first) == pair and log_tables(first) is not pair
+
+
 def test_mul_mod_matches_schoolbook_oracle():
     def digits(z, p, m):
         return [z // p**k % p for k in range(m)]
