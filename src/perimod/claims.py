@@ -11,9 +11,12 @@ verifier is what the verify command runs: claim_catalog() lists the records,
 verify_all() plans the cells on one Z/p per prime, refuses a sweep past
 CELL_BUDGET, then counts each cell exhaustively, and render_report() writes
 each cell as a CSV row or JSON object; a report is written, never parsed
-back.  Matches and mismatches are data; a mismatch is a report row, never
-an execution failure, because documenting where brute force disagrees with
-the claimed counts is the point of the exercise.
+back.  The CSV is written block by block: the fields a (claim, p, ell, m)
+block's cells share are quoted once per block, each representative's text
+once per report, and a row joins those pieces with the cell's count.
+Matches and mismatches are data; a mismatch is a report row, never an
+execution failure, because documenting where brute force disagrees with the
+claimed counts is the point of the exercise.
 """
 
 from __future__ import annotations
@@ -21,13 +24,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import groupby
+from operator import itemgetter
 from typing import NamedTuple, Sequence, Union
 
 from .budget import CELL_BUDGET, refuse_monics, refuse_past, scan_budget
 from .dynamics import DegreeBase, DegreeSpec, Interpretation, counting_function
 from .errors import DomainError, UsageError, require_type
 from .rings import RingKind, RingSpec, enumerate_monic_irreducibles, primes_in_range
-from .tables import csv_text, json_text
+from .tables import csv_fields, json_text
 
 
 class CoeffClass(Enum):
@@ -280,6 +285,9 @@ def verify_all(
     refuse_past(CELL_BUDGET, total, lambda: f"verifying p <= {p_max}, ell <= {ell_max}, m <= {m_max} needs {total} cells")
     skips = [SkipNote(claim.id, _skip_reason(claim, primes, ells)) for claim, blocks in plan if not blocks]
     interp = interpretation.value
+    # each cell is built as a plain tuple of its ten fields, which skips
+    # the NamedTuple's Python-level __new__ and its arity check
+    new_cell = tuple.__new__
     cells: list[VerificationCell] = []
     for claim, blocks in plan:
         c_class = claim.coeff_class.value
@@ -290,9 +298,9 @@ def verify_all(
             for m, ring, ring_cs in ring_reps:
                 for c, c_rep in ring_cs:
                     computed = counting_function(family, interpretation, ring, c)
-                    cells.append(VerificationCell(
+                    cells.append(new_cell(VerificationCell, (
                         claim.id, p, ell, m, c_class, c_rep, interp, claimed, computed, lo <= computed <= hi
-                    ))
+                    )))
     return VerificationReport(cells=tuple(cells), skips=tuple(skips))
 
 
@@ -307,12 +315,39 @@ class ReportFormat(Enum):
     JSON = "json"
 
 
+# the fields every cell of a (claim, p, ell, m) block shares, in two runs
+# around c_rep: claim_id, p, ell, m, c_class | interpretation, claimed
+_block_key = itemgetter(0, 1, 2, 3, 4, 6, 7)
+
+
+def _csv_report(cells: Sequence[VerificationCell]) -> str:
+    """The CSV text csv_text writes for the cells, built block by block: the
+    fields a run of cells shares are quoted once per run, and each distinct
+    c_rep string once per report; computed, an int, is written as it is, and
+    match reads true/false.  Fields hold their declared types, so cells with
+    equal block keys have equal text; only str values key the c_rep quotes,
+    so a c_rep of 1 and one of True stay apart."""
+    lines = [CSV_HEADER]
+    reps: dict[str, str] = {}
+    for key, block in groupby(cells, _block_key):
+        head = csv_fields(key[:5])
+        tail = csv_fields(key[5:])
+        for cell in block:
+            c_rep = cell[5]
+            rep = reps.get(c_rep)
+            if rep is None:
+                rep = csv_fields((c_rep,))
+                if type(c_rep) is str:
+                    reps[c_rep] = rep
+            lines.append(f"{head},{rep},{tail},{cell[8]},{'true' if cell[9] else 'false'}")
+    lines.append("")
+    return "\n".join(lines)
+
+
 def render_report(report: VerificationReport, fmt: ReportFormat) -> str:
     require_type("fmt", fmt, ReportFormat)
     if fmt is ReportFormat.CSV:
-        # match, the last field, reads true/false in CSV and a bool in JSON
-        rows = ((*cell[:-1], "true" if cell.match else "false") for cell in report.cells)
-        return csv_text(VerificationCell._fields, rows)
+        return _csv_report(report.cells)
     payload = {
         "cells": [cell._asdict() for cell in report.cells],
         "skips": [{"claim_id": s.claim_id, "reason": s.reason} for s in report.skips],

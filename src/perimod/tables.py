@@ -1,5 +1,8 @@
 """The one text writer for every table the package emits: CSV rows with "\n"
-line ends, and JSON indented by two spaces with a trailing newline."""
+line ends, and JSON indented by two spaces with a trailing newline.
+csv_fields quotes a run of fields as they stand inside a longer row, so a
+caller that writes many rows sharing fields can quote those once and still
+leave every quote to the csv module."""
 
 import csv
 import json
@@ -18,6 +21,14 @@ def csv_text(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
     writer.writerows(rows)
     lines.append("")
     return "\n".join(lines)
+
+
+def csv_fields(fields: Sequence[object]) -> str:
+    """The fields as csv_text writes them inside a row: quoted where needed,
+    joined by commas, with no line end.  An empty field on each side, cut
+    off again with its comma, keeps the row from being a lone empty field,
+    which the writer would quote as two quotes."""
+    return csv_text(("", *fields, ""), ())[1:-2]
 
 
 def json_text(payload) -> str:

@@ -9,6 +9,7 @@ import pkgutil
 import sys
 
 import pytest
+from reportoracle import report_csv
 
 import perimod
 from perimod import claims, dynamics, rings
@@ -19,6 +20,7 @@ from perimod.claims import (
     EllDomain,
     Prediction,
     ReportFormat,
+    VerificationCell,
     VerificationReport,
     claim_catalog,
     render_report,
@@ -343,7 +345,7 @@ def test_monotone_sweep():
 
 def test_render_empty_report():
     empty = VerificationReport(cells=())
-    assert render_report(empty, ReportFormat.CSV) == CSV_HEADER + "\n"
+    assert render_report(empty, ReportFormat.CSV) == report_csv(()) == CSV_HEADER + "\n"
 
 
 def test_render_single_cell_and_round_trip():
@@ -362,6 +364,66 @@ def test_round_trip_with_polynomial_reps():
     report = verify_all(5, 1, 2, ROOTS)
     csv_text = render_report(report, ReportFormat.CSV)
     assert list(csv.reader(io.StringIO(csv_text))) == [CSV_HEADER.split(","), *csv_rows(report.cells)]
+
+
+# c_rep values the block-wise writer must quote as the csv module does: the
+# empty field, each line-break character and pair, the delimiter, the quote,
+# text beyond ASCII, and 1 followed by True, which hash equal
+AWKWARD_REPS = ("", "\r", "\n", "\r\n", ",", '"', "πé→", 1, True, "1", "True", " ")
+
+
+def block_cells(keys, reps):
+    """Cells in runs: for each block key (claim_id, p, ell, m, c_class,
+    interpretation, claimed), one cell per representative."""
+    return tuple(
+        VerificationCell(claim_id, p, ell, m, c_class, c_rep, interp, claimed, i - 3, i % 3 == 0)
+        for claim_id, p, ell, m, c_class, interp, claimed in keys
+        for i, c_rep in enumerate(reps)
+    )
+
+
+def test_csv_matches_the_plain_writer_block_by_block():
+    keys = [
+        ("zp-a", 3, 1, 0, "other", "roots", "0"),
+        ("zp-a", 3, 1, 0, "other", "roots", "0"),  # the same key twice runs on
+        ("zp-a", 3, 2, 0, "other", "roots", "0"),
+        ('fpt,"b"', 5, 1, 2, "x\ny", "a\rb", "2..ell"),
+        ("", 0, 0, 0, "", "", ""),
+        ("π", -1, 7, 3, " ", "\r\n", ","),
+    ]
+    for cells in (
+        block_cells(keys, AWKWARD_REPS),
+        block_cells(keys[::-1], AWKWARD_REPS[::-1]),
+        block_cells(keys, ("t", 1, True, "1", True, 1)),
+        block_cells(keys[:1], ("",)),
+    ):
+        assert render_report(VerificationReport(cells), ReportFormat.CSV) == report_csv(cells)
+
+
+def test_an_empty_field_stays_empty_inside_a_row():
+    # the csv module writes a row of one empty field as "", never a field
+    cells = block_cells([("", 3, 1, 0, "", "", "")], ("",))
+    assert render_report(VerificationReport(cells), ReportFormat.CSV).splitlines()[1] == ",3,1,0,,,,,-3,true"
+
+
+def test_default_sweeps_match_the_plain_writer():
+    # compared line by line (ends kept), so a failure names its first row
+    for interpretation in Interpretation:
+        cells = verify_all(7, 2, 2, interpretation).cells
+        text = render_report(VerificationReport(cells), ReportFormat.CSV)
+        assert text.splitlines(keepends=True) == report_csv(cells).splitlines(keepends=True)
+
+
+def test_cells_are_whole_verification_cells():
+    # verify_all builds cells with tuple.__new__, which skips the arity
+    # check of VerificationCell(...): this test stands in for it
+    cells = verify_all(5, 2, 2, ROOTS).cells
+    assert cells
+    for cell in cells:
+        assert type(cell) is VerificationCell and len(cell) == 10
+        assert cell._asdict() == dict(zip(VerificationCell._fields, cell))
+        assert [getattr(cell, name) for name in VerificationCell._fields] == list(cell)
+        assert cell == VerificationCell(*cell) and type(cell.match) is bool
 
 
 def test_determinism():

@@ -1,8 +1,10 @@
-"""Property test: render_report writes every field of a verification report
+"""Property tests: render_report writes every field of a verification report
 intact.  Its CSV, read with csv.reader, holds the header and each cell's
 field values as text (match as true/false); its JSON, read with json.loads,
 holds asdict of every cell and skip note.  CSV drops skip notes by
-construction."""
+construction.  Reports whose cells come in runs that share a block key are
+written byte for byte as the plain csv.writer of tests/reportoracle.py
+writes them."""
 
 import csv
 import io
@@ -11,6 +13,7 @@ import string
 from dataclasses import asdict
 
 import pytest
+from reportoracle import report_csv
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -62,3 +65,23 @@ def test_report_round_trip(report):
         [str(v) for v in tuple(cell)[:-1]] + ["true" if cell.match else "false"]
         for cell in report.cells
     ]
+
+
+# representatives drawn mostly from a few awkward values, so that the same
+# one recurs within and across blocks; 1 and True hash equal
+reps = st.one_of(st.sampled_from(["", "\r", "\n", "\r\n", ",", '"', "π", "1", 1, True]), text)
+blocks = st.tuples(
+    st.tuples(text, st.integers(), st.integers(), st.integers(), text, text, text),
+    st.lists(st.tuples(reps, st.integers(), st.booleans()), min_size=1, max_size=6),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(blocks, max_size=5))
+def test_block_runs_render_as_the_plain_writer(runs):
+    cells = tuple(
+        VerificationCell(claim_id, p, ell, m, c_class, c_rep, interp, claimed, computed, match)
+        for (claim_id, p, ell, m, c_class, interp, claimed), rows in runs
+        for c_rep, computed, match in rows
+    )
+    assert render_report(VerificationReport(cells), ReportFormat.CSV) == report_csv(cells)
