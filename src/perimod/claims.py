@@ -11,9 +11,12 @@ verifier is what the verify command runs: claim_catalog() lists the records,
 verify_all() plans the cells on one Z/p per prime, refuses a sweep past
 CELL_BUDGET, then counts each cell exhaustively, and render_report() writes
 each cell as a CSV row or JSON object; a report is written, never parsed
-back.  The CSV is written block by block: the fields a (claim, p, ell, m)
-block's cells share are quoted once per block, each representative's text
-once per report, and a row joins those pieces with the cell's count.
+back.  A plan reads no interpretation, so it is built once per (p_max,
+ell_max, m_max) and kept for the 8 latest shapes; every check and refusal
+still runs on each call.  The CSV is written block by block: the fields a
+(claim, p, ell, m) block's cells share are quoted once per process and
+kept for the 1024 latest runs, each representative's text once per
+report, and a row joins those pieces with the cell's count.
 Matches and mismatches are data; a mismatch is a report row, never an
 execution failure, because documenting where brute force disagrees with the
 claimed counts is the point of the exercise.
@@ -210,29 +213,28 @@ def _quotient_rings(p: int, m: int) -> tuple[RingSpec, ...]:
 
 
 def _claim_blocks(
-    claim: ClaimRecord, prime_fields: Sequence[RingSpec], ells: Sequence[int], ms: Sequence[int], reps: dict
-) -> list[tuple[int, int, list]]:
-    """The claim's (p, ell) blocks in sweep order, each with the (m, ring,
-    representatives) of its rings that hold one, and none without; nothing
-    is counted.  prime_fields holds the sweep's Z/p, one per prime, and reps
-    maps (class, p, m) to that class's representatives and their text, which
-    depend on p and m only: both are built once and shared by the claims of
-    one sweep."""
+    claim: ClaimRecord, prime_fields: Sequence[RingSpec], ells: Sequence[int], ms: Sequence[int], groups: dict
+) -> list[tuple[int, int, tuple]]:
+    """The claim's (p, ell) blocks in sweep order, each with the ring groups
+    (m, rings, representatives) of its degrees that hold a representative,
+    and none without; nothing is counted.  prime_fields holds the sweep's
+    Z/p, one per prime, and groups maps (class, p, m) to that class's ring
+    group, whose representatives and their text depend on p and m only:
+    both are built once and shared by the claims of one sweep."""
     coeff_class = claim.coeff_class
     blocks = []
     for zp in prime_fields:
         p = zp.p
         if p < claim.family.min_prime:
             continue
-        if claim.ring_kind is RingKind.PRIME_FIELD:
-            rings = [(0, zp)]
-        else:
-            rings = [(m, ring) for m in ms for ring in _quotient_rings(p, m)]
-        for m, ring in rings:
-            if (coeff_class, p, m) not in reps:
-                reps[coeff_class, p, m] = [(c, ring.render(c)) for c in _class_reps(coeff_class, p, m)]
-        ring_reps = [(m, ring, reps[coeff_class, p, m]) for m, ring in rings if reps[coeff_class, p, m]]
-        blocks += [(p, ell, ring_reps) for ell in ells if ring_reps and claim.ell_domain.admits(ell, p)]
+        degrees = (0,) if claim.ring_kind is RingKind.PRIME_FIELD else ms
+        for m in degrees:
+            if (coeff_class, p, m) not in groups:
+                rings = _quotient_rings(p, m) if m else (zp,)
+                cs = tuple((c, rings[0].render(c)) for c in _class_reps(coeff_class, p, m))
+                groups[coeff_class, p, m] = (m, rings, cs)
+        ring_groups = tuple(groups[coeff_class, p, m] for m in degrees if groups[coeff_class, p, m][2])
+        blocks += [(p, ell, ring_groups) for ell in ells if ring_groups and claim.ell_domain.admits(ell, p)]
     return blocks
 
 
@@ -245,6 +247,43 @@ def _skip_reason(
     if not any(claim.ell_domain.admits(ell, p) for p in admissible for ell in ells):
         return f"no admissible ell in range for domain {claim.ell_domain.value}"
     return "no coefficient representatives in the swept range"
+
+
+@lru_cache(maxsize=8)
+def _plan(p_max: int, ell_max: int, m_max: int) -> tuple[tuple[tuple, ...], tuple[SkipNote, ...], int]:
+    """A sweep's cells before any is counted: its blocks (claim_id,
+    c_class, p, ell, family, lo, hi, claimed, ring_groups) in sweep order,
+    each ring group (m, rings, ((c, c_rep), ...)), its skip notes, and the
+    number of cells the blocks hold.  The plan reads no interpretation and
+    no budget, so every pass of one shape shares it.  verify_all checks and
+    refuses before it asks for a plan, and refuses the plan's total after,
+    on every call; only int bounds that passed its type check reach this
+    cache, so True never stands in for 1 here.  A ring group holds its
+    degree's ring tuple whole, not an entry per ring, and the claims of a
+    class share it, so the default plan takes about 67 KiB."""
+    primes = primes_in_range(3, p_max)
+    ells = range(1, ell_max + 1)
+    ms = range(1, m_max + 1)
+    prime_fields = [RingSpec(p) for p in primes]
+    groups: dict = {}
+    families: dict = {}
+    blocks = []
+    skips = []
+    for claim in claim_catalog():
+        claim_blocks = _claim_blocks(claim, prime_fields, ells, ms, groups)
+        if not claim_blocks:
+            skips.append(SkipNote(claim.id, _skip_reason(claim, primes, ells)))
+        c_class = claim.coeff_class.value
+        for p, ell, ring_groups in claim_blocks:
+            if (claim.family, ell) not in families:
+                families[claim.family, ell] = DegreeSpec(claim.family, ell)
+            lo, hi = claim.prediction.bounds(p, ell)
+            blocks.append((
+                claim.id, c_class, p, ell, families[claim.family, ell], lo, hi,
+                claim.prediction.render(p, ell), ring_groups,
+            ))
+    total = sum(len(rings) * len(cs) for *_, ring_groups in blocks for _, rings, cs in ring_groups)
+    return tuple(blocks), tuple(skips), total
 
 
 def verify_all(
@@ -264,7 +303,9 @@ def verify_all(
     (zp-ppow-gen-plus1 at p = 3), so an ell_max past CELL_BUDGET is too.
     Then every claim's blocks are planned, a claim with none is skipped,
     and the planned cells are summed and refused past CELL_BUDGET before
-    any is counted.
+    any is counted.  The plan is built once per (p_max, ell_max, m_max)
+    and shared by every interpretation; each check and refusal runs on
+    every call, with the budgets read then.
     """
     for name, number in (("p_max", p_max), ("ell_max", ell_max), ("m_max", m_max)):
         require_type(name, number, int)
@@ -273,35 +314,24 @@ def verify_all(
         raise UsageError("need p_max >= 3, ell_max >= 1, m_max >= 1")
     half = p_max // 2
     refuse_past(scan_budget(), half + 1, lambda: f"sweeping p <= {p_max} needs over {half} elements")
-    primes = primes_in_range(3, p_max)
-    refuse_monics(primes[-1], m_max)
+    refuse_monics(primes_in_range(3, p_max)[-1], m_max)
     refuse_past(CELL_BUDGET, ell_max, lambda: f"sweeping ell <= {ell_max} needs at least {ell_max} cells")
-    ells = list(range(1, ell_max + 1))
-    ms = list(range(1, m_max + 1))
-    prime_fields = [RingSpec(p) for p in primes]
-    reps: dict = {}
-    plan = [(claim, _claim_blocks(claim, prime_fields, ells, ms, reps)) for claim in claim_catalog()]
-    total = sum(len(cs) for _, blocks in plan for _, _, ring_reps in blocks for _, _, cs in ring_reps)
+    blocks, skips, total = _plan(p_max, ell_max, m_max)
     refuse_past(CELL_BUDGET, total, lambda: f"verifying p <= {p_max}, ell <= {ell_max}, m <= {m_max} needs {total} cells")
-    skips = [SkipNote(claim.id, _skip_reason(claim, primes, ells)) for claim, blocks in plan if not blocks]
     interp = interpretation.value
     # each cell is built as a plain tuple of its ten fields, which skips
     # the NamedTuple's Python-level __new__ and its arity check
     new_cell = tuple.__new__
     cells: list[VerificationCell] = []
-    for claim, blocks in plan:
-        c_class = claim.coeff_class.value
-        for p, ell, ring_reps in blocks:
-            family = DegreeSpec(claim.family, ell)
-            lo, hi = claim.prediction.bounds(p, ell)
-            claimed = claim.prediction.render(p, ell)
-            for m, ring, ring_cs in ring_reps:
+    for claim_id, c_class, p, ell, family, lo, hi, claimed, ring_groups in blocks:
+        for m, rings, ring_cs in ring_groups:
+            for ring in rings:
                 for c, c_rep in ring_cs:
                     computed = counting_function(family, interpretation, ring, c)
                     cells.append(new_cell(VerificationCell, (
-                        claim.id, p, ell, m, c_class, c_rep, interp, claimed, computed, lo <= computed <= hi
+                        claim_id, p, ell, m, c_class, c_rep, interp, claimed, computed, lo <= computed <= hi
                     )))
-    return VerificationReport(cells=tuple(cells), skips=tuple(skips))
+    return VerificationReport(cells=tuple(cells), skips=skips)
 
 
 # ---------------------------------------------------------------------------
@@ -320,18 +350,27 @@ class ReportFormat(Enum):
 _block_key = itemgetter(0, 1, 2, 3, 4, 6, 7)
 
 
+@lru_cache(maxsize=1024, typed=True)
+def _quoted(*fields: object) -> str:
+    """csv_fields(fields), once per process for each run of block fields
+    (342 runs in the three default sweeps).  Typed, so runs that compare
+    equal but print differently (1, True, 1.0) keep apart entries; values
+    of one declared field type (str, int) that compare equal print alike."""
+    return csv_fields(fields)
+
+
 def _csv_report(cells: Sequence[VerificationCell]) -> str:
     """The CSV text csv_text writes for the cells, built block by block: the
-    fields a run of cells shares are quoted once per run, and each distinct
-    c_rep string once per report; computed, an int, is written as it is, and
-    match reads true/false.  Fields hold their declared types, so cells with
-    equal block keys have equal text; only str values key the c_rep quotes,
-    so a c_rep of 1 and one of True stay apart."""
+    fields a run of cells shares are quoted once per process (_quoted), and
+    each distinct c_rep string once per report; computed, an int, is written
+    as it is, and match reads true/false.  Fields hold their declared types,
+    so cells with equal block keys have equal text; only str values key the
+    c_rep quotes, so a c_rep of 1 and one of True stay apart."""
     lines = [CSV_HEADER]
     reps: dict[str, str] = {}
     for key, block in groupby(cells, _block_key):
-        head = csv_fields(key[:5])
-        tail = csv_fields(key[5:])
+        head = _quoted(*key[:5])
+        tail = _quoted(*key[5:])
         for cell in block:
             c_rep = cell[5]
             rep = reps.get(c_rep)

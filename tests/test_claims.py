@@ -324,6 +324,61 @@ def test_warm_sweep_builds_each_representative_once(monkeypatch):
         assert len(calls) == len(set(calls)) <= 122
 
 
+def test_a_sweep_reuses_the_plan_of_its_shape(monkeypatch):
+    # the plan reads no interpretation, so after one sweep a same-shape
+    # sweep under any interpretation plans nothing and renders no
+    # representative, and its cells are those of a sweep that planned afresh
+    assert claims._plan.cache_info().maxsize is not None
+    fresh = {}
+    for interpretation in Interpretation:
+        claims._plan.cache_clear()
+        fresh[interpretation] = verify_all(7, 2, 2, interpretation)
+    calls = []
+
+    def counted(name, original):
+        def call(*args):
+            calls.append(name)
+            return original(*args)
+        return call
+
+    monkeypatch.setattr(claims, "_claim_blocks", counted("_claim_blocks", claims._claim_blocks))
+    monkeypatch.setattr(claims, "claim_catalog", counted("claim_catalog", claims.claim_catalog))
+    monkeypatch.setattr(RingSpec, "render", counted("render", RingSpec.render))
+    for interpretation in Interpretation:
+        warm = verify_all(7, 2, 2, interpretation)
+        assert warm.cells == fresh[interpretation].cells and warm.skips == fresh[interpretation].skips
+    assert calls == []
+
+
+def test_refusals_still_fire_on_a_cached_plan(monkeypatch):
+    verify_all(13, 2, 2, ROOTS)
+    verify_all(3, 1, 1, ROOTS)
+    counted = []
+
+    def counting(*args):
+        counted.append(args)
+        return counting_function(*args)
+
+    monkeypatch.setattr(claims, "counting_function", counting)
+    monkeypatch.setattr(claims, "CELL_BUDGET", 14351)
+    with pytest.raises(ResourceError) as err:
+        verify_all(13, 2, 2, EXACT2)
+    assert str(err.value) == "verifying p <= 13, ell <= 2, m <= 2 needs 14352 cells, budget is 14351"
+    monkeypatch.setattr(claims, "CELL_BUDGET", 14352)
+    # the F_169 monics of the widest sweep are refused by the scan budget
+    monkeypatch.setenv("PERIMOD_BUDGET", "168")
+    with pytest.raises(ResourceError) as err:
+        verify_all(13, 2, 2, EXACT2)
+    assert str(err.value) == "enumerating degree-2 monics over F_13 needs 13^2, budget is 168"
+    assert counted == []
+    monkeypatch.setenv("PERIMOD_BUDGET", "169")
+    assert len(verify_all(13, 2, 2, EXACT2).cells) == len(counted) == 14352
+    # True == 1 and hashes as 1, so only the type check keeps it off the plan of (3, 1, 1)
+    with pytest.raises(UsageError) as err:
+        verify_all(3, True, 1, ROOTS)
+    assert str(err.value) == "ell_max must be an int, got True"
+
+
 def test_monotone_sweep():
     small = verify_all(5, 2, 1, ROOTS)
     large = verify_all(7, 2, 1, ROOTS)
@@ -404,6 +459,14 @@ def test_an_empty_field_stays_empty_inside_a_row():
     # the csv module writes a row of one empty field as "", never a field
     cells = block_cells([("", 3, 1, 0, "", "", "")], ("",))
     assert render_report(VerificationReport(cells), ReportFormat.CSV).splitlines()[1] == ",3,1,0,,,,,-3,true"
+
+
+def test_block_quotes_keep_apart_fields_that_print_differently():
+    # each report of one block: the quotes outlive a report, keyed on the
+    # field types too, since 1, True and 1.0 compare equal
+    for p, ell in ((1, 1), (True, 1), (1, 1.0)):
+        cells = block_cells([("zp-a", p, ell, 0, "other", "roots", "0")], ("t", 1))
+        assert render_report(VerificationReport(cells), ReportFormat.CSV) == report_csv(cells)
 
 
 def test_default_sweeps_match_the_plain_writer():
