@@ -8,15 +8,17 @@ congruence class together with a predicted count, the closed interval
 (an exact count v is [v, v]).  The statements are one literal table, a row
 per branch, read once for each ring to give the 34 catalog records.  The
 verifier is what the verify command runs: claim_catalog() lists the records,
-verify_all() plans the cells on one Z/p per prime, refuses a sweep past
-CELL_BUDGET, then counts each cell exhaustively, and render_report() writes
-each cell as a CSV row or JSON object; a report is written, never parsed
-back.  A plan reads no interpretation, so it is built once per (p_max,
-ell_max, m_max) and kept for the 8 latest shapes; every check and refusal
-still runs on each call.  The CSV is written block by block: the fields a
-(claim, p, ell, m) block's cells share are quoted once per process and
-kept for the 1024 latest runs, each representative's text once per
-report, and a row joins those pieces with the cell's count.
+verify_all() plans the cells in one pass over the catalog, one loop per
+claim over the primes from its family's floor up (a claim with no cell is
+a skip note saying why), refuses a sweep past CELL_BUDGET, then counts
+each cell exhaustively, and render_report() writes each cell as a CSV row
+or JSON object; a report is written, never parsed back.  A plan reads no
+interpretation, so it is built once per (p_max, ell_max, m_max) and kept
+for the 8 latest shapes; every check and refusal runs on each call.  The
+CSV is written block by block: the fields a (claim, p, ell, m) block's
+cells share are quoted once per process and kept for the 1024 latest
+runs, each representative's text once per report, and a row joins those
+pieces with the cell's count.
 Matches and mismatches are data; a mismatch is a report row, never an
 execution failure, because documenting where brute force disagrees with the
 claimed counts is the point of the exercise.
@@ -212,76 +214,59 @@ def _quotient_rings(p: int, m: int) -> tuple[RingSpec, ...]:
     return tuple(RingSpec(p, pi) for pi in enumerate_monic_irreducibles(p, m))
 
 
-def _claim_blocks(
-    claim: ClaimRecord, prime_fields: Sequence[RingSpec], ells: Sequence[int], ms: Sequence[int], groups: dict
-) -> list[tuple[int, int, tuple]]:
-    """The claim's (p, ell) blocks in sweep order, each with the ring groups
-    (m, rings, representatives) of its degrees that hold a representative,
-    and none without; nothing is counted.  prime_fields holds the sweep's
-    Z/p, one per prime, and groups maps (class, p, m) to that class's ring
-    group, whose representatives and their text depend on p and m only:
-    both are built once and shared by the claims of one sweep."""
-    coeff_class = claim.coeff_class
-    blocks = []
-    for zp in prime_fields:
-        p = zp.p
-        if p < claim.family.min_prime:
-            continue
-        degrees = (0,) if claim.ring_kind is RingKind.PRIME_FIELD else ms
-        for m in degrees:
-            if (coeff_class, p, m) not in groups:
-                rings = _quotient_rings(p, m) if m else (zp,)
-                cs = tuple((c, rings[0].render(c)) for c in _class_reps(coeff_class, p, m))
-                groups[coeff_class, p, m] = (m, rings, cs)
-        ring_groups = tuple(groups[coeff_class, p, m] for m in degrees if groups[coeff_class, p, m][2])
-        blocks += [(p, ell, ring_groups) for ell in ells if ring_groups and claim.ell_domain.admits(ell, p)]
-    return blocks
-
-
-def _skip_reason(
-    claim: ClaimRecord, primes: Sequence[int], ells: Sequence[int]
-) -> str:
-    admissible = [p for p in primes if p >= claim.family.min_prime]
-    if not admissible:
-        return f"requires p >= {claim.family.min_prime}"
-    if not any(claim.ell_domain.admits(ell, p) for p in admissible for ell in ells):
-        return f"no admissible ell in range for domain {claim.ell_domain.value}"
-    return "no coefficient representatives in the swept range"
-
-
 @lru_cache(maxsize=8)
 def _plan(p_max: int, ell_max: int, m_max: int) -> tuple[tuple[tuple, ...], tuple[SkipNote, ...], int]:
     """A sweep's cells before any is counted: its blocks (claim_id,
     c_class, p, ell, family, lo, hi, claimed, ring_groups) in sweep order,
     each ring group (m, rings, ((c, c_rep), ...)), its skip notes, and the
-    number of cells the blocks hold.  The plan reads no interpretation and
-    no budget, so every pass of one shape shares it.  verify_all checks and
-    refuses before it asks for a plan, and refuses the plan's total after,
-    on every call; only int bounds that passed its type check reach this
-    cache, so True never stands in for 1 here.  A ring group holds its
-    degree's ring tuple whole, not an entry per ring, and the claims of a
-    class share it, so the default plan takes about 67 KiB."""
-    primes = primes_in_range(3, p_max)
+    number of cells the blocks hold.  One loop per claim plans it: each
+    prime p of the sweep from the family's floor up gives the claim's ring
+    groups that hold a representative, built once per (class, p, m) and
+    shared, then a block per ell the claim's domain admits at p.  A claim
+    with no block is skipped for the first stage that came out empty: no
+    prime at the floor (itself a prime) or above, no admitted (p, ell), no
+    representative.  The plan reads no interpretation and no budget, so
+    every pass of one shape shares it; verify_all checks and refuses before
+    it asks for a plan and refuses its total after, on every call, and only
+    int bounds that passed its type check reach this cache (so True never
+    stands in for 1).  A ring group holds its degree's rings whole, not an
+    entry per ring, so the default plan takes about 67 KiB."""
     ells = range(1, ell_max + 1)
-    ms = range(1, m_max + 1)
-    prime_fields = [RingSpec(p) for p in primes]
+    prime_fields = {p: RingSpec(p) for p in primes_in_range(3, p_max)}
     groups: dict = {}
     families: dict = {}
     blocks = []
     skips = []
     for claim in claim_catalog():
-        claim_blocks = _claim_blocks(claim, prime_fields, ells, ms, groups)
-        if not claim_blocks:
-            skips.append(SkipNote(claim.id, _skip_reason(claim, primes, ells)))
-        c_class = claim.coeff_class.value
-        for p, ell, ring_groups in claim_blocks:
-            if (claim.family, ell) not in families:
-                families[claim.family, ell] = DegreeSpec(claim.family, ell)
-            lo, hi = claim.prediction.bounds(p, ell)
-            blocks.append((
-                claim.id, c_class, p, ell, families[claim.family, ell], lo, hi,
-                claim.prediction.render(p, ell), ring_groups,
-            ))
+        family, domain, coeff_class = claim.family, claim.ell_domain, claim.coeff_class
+        degrees = (0,) if claim.ring_kind is RingKind.PRIME_FIELD else range(1, m_max + 1)
+        planned = len(blocks)
+        admitted = False
+        for p, zp in prime_fields.items():
+            if p < family.min_prime:
+                continue
+            for m in degrees:
+                if (coeff_class, p, m) not in groups:
+                    rings = _quotient_rings(p, m) if m else (zp,)
+                    cs = tuple((c, rings[0].render(c)) for c in _class_reps(coeff_class, p, m))
+                    groups[coeff_class, p, m] = (m, rings, cs)
+            ring_groups = tuple(groups[coeff_class, p, m] for m in degrees if groups[coeff_class, p, m][2])
+            p_ells = [ell for ell in ells if domain.admits(ell, p)]
+            admitted |= bool(p_ells)
+            for ell in p_ells if ring_groups else ():
+                if (family, ell) not in families:
+                    families[family, ell] = DegreeSpec(family, ell)
+                lo, hi = claim.prediction.bounds(p, ell)
+                blocks.append((
+                    claim.id, coeff_class.value, p, ell, families[family, ell], lo, hi,
+                    claim.prediction.render(p, ell), ring_groups,
+                ))
+        if len(blocks) == planned:
+            skips.append(SkipNote(claim.id, (
+                f"requires p >= {family.min_prime}" if p_max < family.min_prime
+                else "no coefficient representatives in the swept range" if admitted
+                else f"no admissible ell in range for domain {domain.value}"
+            )))
     total = sum(len(rings) * len(cs) for *_, ring_groups in blocks for _, rings, cs in ring_groups)
     return tuple(blocks), tuple(skips), total
 

@@ -25,7 +25,8 @@ fills it first.
 counting_function, count_report and orbit_decomposition each name a map as
 (family, ring, c) and check it first alike (_exponent): c is an index into
 the ring, then DegreeSpec.exponent, the one rule from a family to a reduced
-exponent, checks the prime.  A warm counting_function call is that check,
+exponent, checks the prime; a family or ring of the wrong type is refused
+there too.  A warm counting_function call is that check,
 the budget test and two cache lookups, the power table and the count table.
 
 Over Z/p the reduced exponent is 1 (base p) or p-1 (base p-1), so a map is
@@ -79,7 +80,7 @@ class DegreeSpec:
     base: DegreeBase
     ell: int
     # set once when built, so that exponent reads no Enum; equality reads base and ell only
-    _min_prime: int = field(init=False, repr=False, compare=False)  # base.min_prime
+    min_prime: int = field(init=False, repr=False, compare=False)  # base.min_prime
     _shift: int = field(init=False, repr=False, compare=False)  # p - base, 0 or 1
 
     def __post_init__(self) -> None:
@@ -87,24 +88,19 @@ class DegreeSpec:
         require_type("ell", self.ell, int)
         if self.ell < 1:
             raise DomainError(f"ell must be >= 1, got {self.ell}")
-        object.__setattr__(self, "_min_prime", self.base.min_prime)
+        object.__setattr__(self, "min_prime", self.base.min_prime)
         object.__setattr__(self, "_shift", 0 if self.base is DegreeBase.P else 1)
-
-    @property
-    def min_prime(self) -> int:
-        return self.base.min_prime
 
     def require_prime(self, p: int) -> None:
         """Refuse a prime p below the family's smallest (DomainError)."""
-        low = self.base.min_prime
-        if p < low:
-            raise DomainError(f"family {self.describe()} needs p >= {low}, got p = {p}")
+        if p < self.min_prime:
+            raise DomainError(f"family {self.describe()} needs p >= {self.min_prime}, got p = {p}")
 
     def exponent(self, p: int, q: int) -> int:
         """base^ell reduced mod q-1 into [1, q-1]: one exponent for the whole
         field of order q over F_p, as z^(q-1) = 1 for z != 0 and 0^e = 0.
         Refuses a p below the family's smallest (DomainError)."""
-        if p < self._min_prime:
+        if p < self.min_prime:
             self.require_prime(p)
         return pow(p - self._shift, self.ell, q - 1) or q - 1
 
@@ -116,11 +112,18 @@ class DegreeSpec:
 def _exponent(ring: RingSpec, degree: DegreeSpec, c: int) -> int:
     """The reduced exponent of z -> z^d + c on ring, after checking that c is
     an int index 0 <= c < q, not a bool (UsageError), and p the family's
-    (DomainError)."""
-    q = ring.cardinality_q
-    if type(c) is not int or not 0 <= c < q:
-        raise UsageError(f"index {c!r} out of range for {ring.describe()}")
-    return degree.exponent(ring.p, q)
+    (DomainError).  A family that is no DegreeSpec or a ring that is no
+    RingSpec is refused (UsageError) once an attribute lookup on it fails,
+    so a valid call pays no type check."""
+    try:
+        q = ring.cardinality_q
+        if type(c) is not int or not 0 <= c < q:
+            raise UsageError(f"index {c!r} out of range for {ring.describe()}")
+        return degree.exponent(ring.p, q)
+    except AttributeError:
+        require_type("family", degree, DegreeSpec)
+        require_type("ring", ring, RingSpec)
+        raise
 
 
 @dataclass(frozen=True)

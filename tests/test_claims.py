@@ -179,23 +179,43 @@ def test_verify_all_exact2_interpretation_flags_identity_cell():
     assert cell.computed == 0 and cell.claimed == "3" and not cell.match
 
 
-def test_verify_all_p3_skips_unit_family():
-    # every skip reason: a family that needs p >= 5, an ell domain that
-    # excludes ell = 1 at p = 3, and a coefficient class with no
-    # representative in F_3 or in F_3[t]/(pi) of degree 1
-    report = verify_all(3, 1, 1, ROOTS)
-    skipped = {s.claim_id: s.reason for s in report.skips}
+@pytest.mark.parametrize(
+    "p_max,ell_max,m_max,skipped",
+    [
+        (3, 1, 1, 16 + 2 + 4),  # every reason
+        (3, 2, 1, 16 + 4),  # ell = 2 is in l-not-1p at p = 3
+        (3, 1, 2, 16 + 2 + 2),  # t stands for the other class in F_3[t]/(pi) of degree 2
+        (5, 1, 1, 2),  # p = 5 admits the p-1 family and has the residues 2 and 3
+    ],
+)
+def test_verify_all_skips_a_claim_for_its_first_empty_stage(p_max, ell_max, m_max, skipped):
+    # each claim's expected note, in catalog order, by the claim's own
+    # hypotheses: its family needs p >= 3 (base p) or p >= 5 (base p-1),
+    # its ell domain admits some (p, ell) in the range, and its coefficient
+    # class has a representative, which every class has but the other class
+    # at p = 3, there only as t in F_3[t]/(pi) of degree m >= 2
+    admits = {
+        EllDomain.ONE: lambda ell, p: ell == 1,
+        EllDomain.IN_1P: lambda ell, p: ell in (1, p),
+        EllDomain.NOT_1P: lambda ell, p: ell not in (1, p),
+        EllDomain.ANY: lambda ell, p: True,
+    }
     expected = {}
     for record in claim_catalog():
-        if record.family is DegreeBase.P_MINUS_1:
-            expected[record.id] = "requires p >= 5"
-        elif record.ell_domain is EllDomain.NOT_1P:
-            expected[record.id] = "no admissible ell in range for domain l-not-1p"
-        elif record.coeff_class is CoeffClass.OTHER:
+        floor = 3 if record.family is DegreeBase.P else 5
+        primes = [p for p in (3, 5) if floor <= p <= p_max]
+        admitted = [p for p in primes for ell in range(1, ell_max + 1) if admits[record.ell_domain](ell, p)]
+        has_t = record.ring_kind is RingKind.QUOTIENT_FIELD and m_max >= 2
+        if not primes:
+            expected[record.id] = f"requires p >= {floor}"
+        elif not admitted:
+            expected[record.id] = f"no admissible ell in range for domain {record.ell_domain.value}"
+        elif record.coeff_class is CoeffClass.OTHER and set(admitted) == {3} and not has_t:
             expected[record.id] = "no coefficient representatives in the swept range"
-    assert len(expected) == 16 + 2 + 4
-    assert skipped == expected
-    assert not any("unitpow" in c.claim_id for c in report.cells)
+    report = verify_all(p_max, ell_max, m_max, ROOTS)
+    assert [(s.claim_id, s.reason) for s in report.skips] == list(expected.items())
+    assert len(expected) == skipped
+    assert {c.claim_id for c in report.cells} == set(catalog_index()) - set(expected)
 
 
 def test_verify_all_rejects_bad_ranges():
@@ -293,13 +313,15 @@ def test_each_cell_calls_counting_function_and_pow_index_table_once(monkeypatch)
 
 
 def test_warm_sweep_builds_each_representative_once(monkeypatch):
-    # a warm default pass formats no ring description (the budget message is
-    # only built on refusal) and builds (a representative is its index, so
-    # never through RingSpec.element) and renders each coefficient
-    # representative at most once, not once per cell or per ring: the 5
-    # primes' Z/p, linear and quadratic rings share 122 distinct
-    # (class, p, m) representatives among the pass's 14352 cells
+    # a default pass over warm tables formats no ring description (the
+    # budget message is only built on refusal), builds no representative (a
+    # representative is its index, so never through RingSpec.element), and
+    # its plan renders each coefficient representative once, not once per
+    # claim, cell or ring: the 5 primes' Z/p, linear and quadratic rings
+    # share 122 distinct (class, p, m) representatives among the pass's
+    # 14352 cells.  The plan is dropped first, so the counted pass builds it
     verify_all(13, 2, 2, ROOTS)
+    claims._plan.cache_clear()
     describes, built, rendered = [], [], []
     describe, element, render = RingSpec.describe, RingSpec.element, RingSpec.render
 
@@ -319,9 +341,8 @@ def test_warm_sweep_builds_each_representative_once(monkeypatch):
     monkeypatch.setattr(RingSpec, "element", counted_element)
     monkeypatch.setattr(RingSpec, "render", counted_render)
     assert len(verify_all(13, 2, 2, EXACT2).cells) == 14352
-    assert describes == []
-    for calls in (built, rendered):
-        assert len(calls) == len(set(calls)) <= 122
+    assert describes == built == []
+    assert len(rendered) == len(set(rendered)) == 122
 
 
 def test_a_sweep_reuses_the_plan_of_its_shape(monkeypatch):
@@ -341,7 +362,6 @@ def test_a_sweep_reuses_the_plan_of_its_shape(monkeypatch):
             return original(*args)
         return call
 
-    monkeypatch.setattr(claims, "_claim_blocks", counted("_claim_blocks", claims._claim_blocks))
     monkeypatch.setattr(claims, "claim_catalog", counted("claim_catalog", claims.claim_catalog))
     monkeypatch.setattr(RingSpec, "render", counted("render", RingSpec.render))
     for interpretation in Interpretation:

@@ -140,6 +140,16 @@ def test_entry_points_refuse_a_map_alike():
     assert_refused_alike(unit, z3, 0, [(DegreeSpec(P, 1), z3, 0), (unit, zp(5), 0)], DomainError, message)
 
 
+def test_entry_points_refuse_a_family_or_ring_of_the_wrong_type():
+    # each once raised a raw AttributeError
+    family, ring = DegreeSpec(P, 1), zp(5)
+    warm = [(family, ring, 1)]
+    for bad in ("p", P, None, 5):
+        assert_refused_alike(bad, ring, 1, warm, UsageError, f"family must be a DegreeSpec, got {bad!r}")
+    for bad in (5, "Z/5", None, family):
+        assert_refused_alike(family, bad, 1, warm, UsageError, f"ring must be a RingSpec, got {bad!r}")
+
+
 # ---------------------------------------------------------------------------
 # successor tables
 
